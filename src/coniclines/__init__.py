@@ -6,7 +6,7 @@ abelian-cover invariants, and the related inequality checks on both derived
 and cataloged combinatorial data.
 """
 
-from .algebraic import AlgebraicNumber, alg_equal, isolate_roots
+from .algebraic import AlgebraicNumber, NumberField, root_orbits
 from .catalog import catalog_build, catalog_get, catalog_list
 from .curves import (
     Arrangement,
@@ -20,7 +20,6 @@ from .curves import (
     serialize_combinatorial_type,
 )
 from .intersect import (
-    cluster_points,
     combinatorial_type,
     check_ordinary,
     intersect_pair,

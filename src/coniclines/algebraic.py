@@ -1,160 +1,40 @@
-"""Complex algebraic numbers with certified isolating boxes.
+"""Exact algebraic numbers as elements of number fields.
 
-An AlgebraicNumber is a root of a squarefree, integer-content-normalized
-univariate polynomial together with an axis-aligned rectangle in the complex
-plane (rational corners) containing exactly that root.  Boxes can be refined
-but the contained root never changes.
+Every irrational number the engine meets is born as a root of an
+irreducible factor f of a univariate rational polynomial (a line-conic
+quadratic or an eliminated conic-conic quartic).  It then lives in the
+number field Q[a]/(f): an AlgebraicNumber is a rational, or a polynomial in
+a reduced modulo f together with the index k of the conjugate root a_k of f
+it is evaluated at.  The deg f conjugates share one exact representation;
+anything decided by field arithmetic (zero tests, incidence, tangency)
+holds for all of them at once.
 
-Root isolation and minimal polynomials of arithmetic combinations are
-delegated to sympy (CRootOf.eval_rational gives certified rational
-approximations; minimal_polynomial is exact).  Equality is decided exactly:
-gcd of the witnesses followed by box refinement below a Mahler-type root
-separation bound, per the usual certified-comparison recipe.
-
-Values are immutable apart from cached box refinement, which only ever
-replaces a box by a sub-box of itself; concurrent use is safe under the GIL.
+Arithmetic, zero tests and equality are exact Fraction polynomial
+arithmetic.  The only sympy call is ``factor_list``, which splits a
+polynomial into its irreducible factors.  Numeric values are for display
+only: mpmath ``polyroots`` (mpmath ships with sympy) finds the roots of f,
+taken in a fixed order, and conjugate k evaluates its polynomial at the k-th.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
 
-from .polynomials import (
-    UPoly,
-    format_rational,
-    poly_gcd,
-    squarefree_part,
-)
+from .polynomials import UPoly, format_rational
 
 _X = sp.Symbol("x")
 
 
-def _to_sympy(value: Fraction) -> sp.Rational:
-    return sp.Rational(value.numerator, value.denominator)
-
-
-def _from_sympy_rational(value) -> Fraction:
-    return Fraction(int(value.p), int(value.q))
-
-
 def upoly_to_sympy(p: UPoly) -> sp.Poly:
-    return sp.Poly([_to_sympy(c) for c in reversed(p.coeffs)], _X, domain="QQ")
+    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                   _X, domain="QQ")
 
 
 def sympy_to_upoly(p) -> UPoly:
     poly = sp.Poly(p, _X, domain="QQ")
-    return UPoly([_from_sympy_rational(c) for c in reversed(poly.all_coeffs())])
-
-
-@dataclass(frozen=True)
-class Box:
-    """Closed axis-aligned rectangle in C with rational corners."""
-
-    re_lo: Fraction
-    re_hi: Fraction
-    im_lo: Fraction
-    im_hi: Fraction
-
-    def __post_init__(self):
-        if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
-            raise ValueError("empty box")
-
-    @property
-    def width(self) -> Fraction:
-        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
-    def intersects(self, other: "Box") -> bool:
-        return (self.re_lo <= other.re_hi and other.re_lo <= self.re_hi
-                and self.im_lo <= other.im_hi and other.im_lo <= self.im_hi)
-
-    def contains_point(self, re: Fraction, im: Fraction) -> bool:
-        return (self.re_lo <= re <= self.re_hi
-                and self.im_lo <= im <= self.im_hi)
-
-    def contained_in(self, other: "Box") -> bool:
-        return (other.re_lo <= self.re_lo and self.re_hi <= other.re_hi
-                and other.im_lo <= self.im_lo and self.im_hi <= other.im_hi)
-
-    def midpoint(self) -> tuple[Fraction, Fraction]:
-        return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
-
-
-def separation_bound(p: UPoly) -> Fraction:
-    """A positive rational lower bound on the distance between any two
-    distinct roots of p (Mignotte-style; deliberately crude but valid)."""
-    p = squarefree_part(p).primitive()
-    n = p.degree
-    if n <= 1:
-        return Fraction(1)
-    norm_sq = sum(int(c) * int(c) for c in p.coeffs)
-    return Fraction(1, n ** (n + 2) * max(1, norm_sq) ** n)
-
-
-def _root_box(root, tol: Fraction) -> Box:
-    """Certified box of half-width <= tol around a sympy root handle.
-
-    Handles Rational and Gaussian-rational constants, plain CRootOf, and
-    the rescaled forms ``a + b*CRootOf`` that Poly.all_roots sometimes
-    returns after factoring out rational content.
-    """
-    if root.is_Rational:
-        re = _from_sympy_rational(root)
-        return Box(re, re, Fraction(0), Fraction(0))
-    if isinstance(root, sp.polys.rootoftools.ComplexRootOf):
-        t = _to_sympy(tol)
-        val = root.eval_rational(t, t)
-        re_s, im_s = val.as_real_imag()
-        re, im = _from_sympy_rational(re_s), _from_sympy_rational(im_s)
-        if root.is_real:
-            return Box(re - tol, re + tol, Fraction(0), Fraction(0))
-        return Box(re - tol, re + tol, im - tol, im + tol)
-    re_s, im_s = root.as_real_imag()
-    if re_s.is_Rational and im_s.is_Rational:
-        re, im = _from_sympy_rational(re_s), _from_sympy_rational(im_s)
-        return Box(re, re, im, im)
-    shift, rest = root.as_coeff_Add()
-    scale, core = rest.as_coeff_Mul()
-    if (isinstance(core, sp.polys.rootoftools.ComplexRootOf)
-            and shift.is_Rational and scale.is_Rational and scale != 0):
-        s = _from_sympy_rational(scale)
-        sh = _from_sympy_rational(shift)
-        inner = _root_box(core, tol / abs(s))
-        re_lo, re_hi = sorted((s * inner.re_lo + sh, s * inner.re_hi + sh))
-        im_lo, im_hi = sorted((s * inner.im_lo, s * inner.im_hi))
-        return Box(re_lo, re_hi, im_lo, im_hi)
-    raise TypeError(f"cannot certify a box for root expression {root!r}")
-
-
-def _interval_add(a: Box, b: Box) -> Box:
-    return Box(a.re_lo + b.re_lo, a.re_hi + b.re_hi,
-               a.im_lo + b.im_lo, a.im_hi + b.im_hi)
-
-
-def _interval_mul(a: Box, b: Box) -> Box:
-    def times(lo1, hi1, lo2, hi2):
-        vals = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
-        return min(vals), max(vals)
-
-    ac_lo, ac_hi = times(a.re_lo, a.re_hi, b.re_lo, b.re_hi)
-    bd_lo, bd_hi = times(a.im_lo, a.im_hi, b.im_lo, b.im_hi)
-    ad_lo, ad_hi = times(a.re_lo, a.re_hi, b.im_lo, b.im_hi)
-    bc_lo, bc_hi = times(a.im_lo, a.im_hi, b.re_lo, b.re_hi)
-    return Box(ac_lo - bd_hi, ac_hi - bd_lo, ad_lo + bc_lo, ad_hi + bc_hi)
-
-
-def _point_box(value: Fraction) -> Box:
-    return Box(value, value, Fraction(0), Fraction(0))
-
-
-def _interval_horner(coeffs, box: Box) -> Box:
-    """Certified enclosure of sum coeffs[i] * z^i over z in box."""
-    acc = _point_box(Fraction(coeffs[-1]))
-    for c in reversed(coeffs[:-1]):
-        acc = _interval_add(_interval_mul(acc, box), _point_box(Fraction(c)))
-    return acc
+    return UPoly([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
 
 
 def _poly_inverse_mod(g: UPoly, f: UPoly) -> UPoly:
@@ -171,427 +51,243 @@ def _poly_inverse_mod(g: UPoly, f: UPoly) -> UPoly:
     return UPoly([c * inv_lead for c in s0.coeffs])
 
 
-def _charpoly_minpoly(f: UPoly, g: UPoly) -> UPoly:
-    """Minimal polynomial of g(alpha) where alpha has irreducible witness f.
+class NumberField:
+    """Q[a]/(f) for an irreducible witness f of degree >= 2.
 
-    The characteristic polynomial of multiplication by g on Q[x]/(f) is a
-    power of the minimal polynomial, so its squarefree part is exact.
-    Computed with the Faddeev-LeVerrier recursion, all in Fractions.
+    Fields compare equal when their primitive witnesses do.  The complex
+    roots of f are computed on first use, for display only, and kept in one
+    fixed order: conjugate k is the k-th root.
     """
-    n = f.degree
-    basis_images = []
-    col = UPoly([Fraction(1)])
-    for _j in range(n):
-        image = (g * col) % f
-        coeffs = list(image.coeffs) + [Fraction(0)] * (n - len(image.coeffs))
-        basis_images.append(coeffs[:n])
-        col = (col * UPoly([Fraction(0), Fraction(1)])) % f
-    m = [[basis_images[j][i] for j in range(n)] for i in range(n)]
 
-    def mat_mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
+    __slots__ = ("witness", "_roots")
 
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in ident]
-    for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        trace = sum(mk[i][i] for i in range(n))
-        c = -trace / k
-        coeffs.append(c)
-        for i in range(n):
-            mk[i][i] += c
-    # char poly z^n + coeffs[1] z^(n-1) + ... ; lowest-first for UPoly
-    char = UPoly(list(reversed(coeffs)))
-    return squarefree_part(char).primitive()
+    def __init__(self, witness: UPoly):
+        if witness.degree < 2:
+            raise ValueError("a number field witness has degree >= 2")
+        self.witness = witness.primitive()
+        self._roots: dict[int, list] = {}
+
+    @property
+    def degree(self) -> int:
+        return self.witness.degree
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NumberField) and self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash(self.witness)
+
+    def roots(self, dps: int = 30) -> list:
+        """The roots of the witness as mpmath numbers accurate to ``dps``
+        digits, in the order fixed by the first call."""
+        if dps not in self._roots:
+            import mpmath
+
+            coeffs = [int(c) for c in reversed(self.witness.coeffs)]
+            with mpmath.workdps(dps):
+                found = list(mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps + 20))
+            if self._roots:
+                base = self._roots[min(self._roots)]
+                found = [min(found, key=lambda r, b=b: abs(r - b)) for b in base]
+            else:
+                found.sort(key=lambda r: (round(float(r.real), 9), float(r.imag)))
+            self._roots[dps] = found
+        return self._roots[dps]
+
+    def generator(self, conjugate: int = 0) -> "AlgebraicNumber":
+        """The root a_k of the witness, for k = ``conjugate``."""
+        return AlgebraicNumber(UPoly([0, 1]), self, conjugate)
 
 
 class AlgebraicNumber:
-    """An exact complex algebraic number.
+    """A rational, or the value at a_k of a polynomial reduced modulo the
+    witness of a number field.
 
-    Internally at least one of three representations is present and the
-    others are derived on demand:
-
-      * a sympy expression (exact; used as a last-resort for arithmetic),
-      * a sympy root handle (CRootOf or Rational; used for box refinement),
-      * a minimal-polynomial witness plus isolating box.
-
-    Numbers produced by isolate_roots additionally carry a number-field
-    representation (parent root, polynomial remainder modulo its irreducible
-    witness); arithmetic between values of the same field then stays in
-    exact Fraction polynomial arithmetic and never calls into sympy.
+    ``value`` is a Fraction when ``field`` is None, else a UPoly of degree
+    1 .. deg f - 1 (the witness is irreducible, so such a value is never
+    rational and is zero only as the zero polynomial).  Arithmetic mixes
+    rationals with anything, and field elements only within one field at
+    one conjugate; equality across fields or conjugates is not decided.
     """
 
-    __slots__ = ("_expr", "_root", "_minpoly", "_box", "_nf")
+    __slots__ = ("value", "field", "conjugate")
 
-    def __init__(self, *, expr=None, root=None, minpoly: UPoly | None = None,
-                 box: Box | None = None, nf=None):
-        if expr is None and root is None and nf is None \
-                and (minpoly is None or box is None):
-            raise ValueError("under-specified algebraic number")
-        self._expr = expr
-        self._root = root
-        self._minpoly = minpoly
-        self._box = box
-        self._nf = nf
-
-    # -- constructors -------------------------------------------------------
+    def __init__(self, value, field: NumberField | None = None, conjugate: int = 0):
+        if field is not None:
+            if value.degree >= field.degree:
+                value = value % field.witness
+            if value.degree <= 0:
+                value = value.coeffs[0] if value.coeffs else Fraction(0)
+                field = None
+        if field is None:
+            value = value if isinstance(value, Fraction) else Fraction(value)
+            conjugate = 0
+        self.value = value
+        self.field = field
+        self.conjugate = conjugate
 
     @classmethod
     def from_rational(cls, value) -> "AlgebraicNumber":
-        value = Fraction(value)
-        poly = UPoly([-value, 1]).primitive()
-        box = Box(value, value, Fraction(0), Fraction(0))
-        return cls(root=_to_sympy(value), minpoly=poly, box=box)
-
-    @classmethod
-    def from_minpoly_and_box(cls, minpoly: UPoly, box: Box) -> "AlgebraicNumber":
-        """Construct from a squarefree witness and a box isolating one root."""
-        if minpoly.is_zero or minpoly.degree < 1:
-            raise ValueError("witness must have degree >= 1")
-        return cls(minpoly=minpoly.primitive(), box=box)
-
-    @classmethod
-    def from_expr(cls, expr) -> "AlgebraicNumber":
-        if expr.is_Rational:
-            return cls.from_rational(_from_sympy_rational(expr))
-        return cls(expr=expr)
-
-    # -- derived representations -------------------------------------------
-
-    @property
-    def minpoly(self) -> UPoly:
-        """Squarefree primitive witness polynomial."""
-        if self._minpoly is None:
-            if self._nf is not None:
-                parent, rep = self._nf
-                self._minpoly = _charpoly_minpoly(parent.minpoly, rep)
-            elif self._root is not None and self._root.is_Rational:
-                val = _from_sympy_rational(self._root)
-                self._minpoly = UPoly([-val, 1]).primitive()
-            else:
-                src = self._expr if self._expr is not None else self._root
-                mp = sp.minimal_polynomial(src, _X)
-                self._minpoly = sympy_to_upoly(mp).primitive()
-        return self._minpoly
-
-    @property
-    def root_handle(self):
-        """sympy handle (CRootOf or Rational) for certified refinement."""
-        if self._root is None:
-            self._root = self._match_root()
-        return self._root
-
-    def _match_root(self):
-        """Identify which root of the witness this number is."""
-        poly = upoly_to_sympy(self.minpoly)
-        candidates = poly.all_roots(radicals=False)
-        if len(candidates) == 1:
-            return candidates[0]
-        if self._box is not None:
-            return self._match_root_by_box(candidates)
-        return self._match_root_by_value(candidates)
-
-    def _match_root_by_box(self, candidates):
-        tol = min(self._box.width / 4, Fraction(1, 16))
-        for _ in range(200):
-            if tol == 0:
-                tol = Fraction(1, 2 ** 40)
-            inside = []
-            undecided = []
-            for cand in candidates:
-                b = _root_box(cand, tol)
-                if b.contained_in(self._box):
-                    inside.append(cand)
-                elif b.intersects(self._box):
-                    undecided.append((cand, b))
-            # rational roots sitting exactly on the boundary are decidable
-            for cand, _b in list(undecided):
-                if cand.is_Rational:
-                    re = _from_sympy_rational(cand)
-                    if self._box.contains_point(re, Fraction(0)):
-                        inside.append(cand)
-                    undecided.remove((cand, _b))
-            if len(inside) == 1 and not undecided:
-                return inside[0]
-            if len(inside) > 1:
-                raise ValueError("box isolates more than one root of the witness")
-            tol /= 16
-        raise ValueError("could not certify which root the box isolates")
-
-    def _match_root_by_value(self, candidates):
-        prec = 30
-        for _ in range(12):
-            approx = sp.N(self._expr, prec)
-            re = Fraction(str(sp.re(approx)))
-            im = Fraction(str(sp.im(approx)))
-            tol = Fraction(1, 10 ** (prec - 4))
-            hits = [c for c in candidates
-                    if _root_box(c, tol).contains_point(re, im)
-                    or _box_distance(_root_box(c, tol), re, im) < 2 * tol]
-            if len(hits) == 1:
-                return hits[0]
-            prec *= 2
-        raise ValueError("could not match expression to a root of its witness")
-
-    @property
-    def expr(self):
-        """Exact sympy expression for this number."""
-        if self._expr is None:
-            if self._nf is not None and self._nf[0] is not self:
-                parent, rep = self._nf
-                alpha = parent.expr
-                self._expr = sum((_to_sympy(Fraction(c)) * alpha ** i
-                                  for i, c in enumerate(rep.coeffs)),
-                                 sp.Integer(0))
-            else:
-                self._expr = self.root_handle \
-                    if not self.root_handle.is_Rational \
-                    else _to_sympy(_from_sympy_rational(self.root_handle))
-        return self._expr
-
-    # -- boxes --------------------------------------------------------------
-
-    @property
-    def box(self) -> Box:
-        if self._box is None:
-            if self._nf is not None and self._nf[0] is not self:
-                return self.refine_box(Fraction(1, 2 ** 20))
-            self._box = _root_box(self.root_handle, Fraction(1, 2 ** 20))
-        return self._box
-
-    def refine_box(self, eps: Fraction) -> Box:
-        """Shrink (and cache) the isolating box to width <= eps."""
-        eps = Fraction(eps)
-        if self._box is not None and self._box.width <= eps:
-            return self._box
-        if self._nf is not None and self._nf[0] is not self:
-            parent, rep = self._nf
-            delta = min(eps, parent.box.width)
-            for _ in range(300):
-                enclosure = _interval_horner(rep.coeffs or [Fraction(0)],
-                                             parent.refine_box(delta))
-                if enclosure.width <= eps:
-                    self._box = enclosure
-                    return enclosure
-                delta /= 16
-            raise ValueError("interval refinement failed to converge")
-        new = _root_box(self.root_handle, eps / 4)
-        # refinement never changes the contained root
-        self._box = new
-        return new
+        return cls(value)
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        if self._nf is not None:
-            # the parent witness is irreducible, so a nonconstant remainder
-            # can never take a rational value at the root
-            return self._nf[1].degree <= 0
-        return self.minpoly.degree == 1
+        return self.field is None
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self.field is not None:
             raise ValueError("not a rational number")
-        if self._nf is not None:
-            rep = self._nf[1]
-            return rep.coeffs[0] if rep.coeffs else Fraction(0)
-        a0, a1 = self.minpoly.coeffs
-        return -a0 / a1
+        return self.value
 
     @property
     def is_zero(self) -> bool:
-        if self._nf is not None:
-            return self._nf[1].is_zero
-        p = self.minpoly
-        if p(Fraction(0)) != 0:
-            return False
-        if p.degree == 1:
-            return True
-        self.refine_box(separation_bound(p) / 4)
-        return self.box.contains_point(Fraction(0), Fraction(0))
+        return self.field is None and self.value == 0
+
+    def at_conjugate(self, conjugate: int) -> "AlgebraicNumber":
+        """The same field element evaluated at another conjugate root."""
+        if self.field is None:
+            return self
+        return AlgebraicNumber(self.value, self.field, conjugate)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, AlgebraicNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlgebraicNumber.from_rational(other)
-        return NotImplemented
-
-    def _nf_operands(self, other):
-        """(parent, rep_self, rep_other) when both live in one number field."""
-        a, b = self._nf, other._nf
-        if a is not None and b is not None:
-            if a[0] is b[0]:
-                return a[0], a[1], b[1]
-            return None
-        if a is not None and b is None and other.is_rational:
-            return a[0], a[1], UPoly([other.as_fraction()])
-        if b is not None and a is None and self.is_rational:
-            return b[0], UPoly([self.as_fraction()]), b[1]
-        return None
-
-    @staticmethod
-    def _from_nf(parent: "AlgebraicNumber", rep: UPoly) -> "AlgebraicNumber":
-        if rep.degree <= 0:
-            return AlgebraicNumber.from_rational(
-                rep.coeffs[0] if rep.coeffs else Fraction(0))
-        return AlgebraicNumber(nf=(parent, rep))
+    def _operands(self, other):
+        """(field, conjugate, value of self, value of other), the values as
+        UPolys in the common field of two numbers, at least one irrational."""
+        if self.field is not None and other.field is not None and (
+                self.field != other.field or self.conjugate != other.conjugate):
+            raise ValueError("the numbers lie in different fields or conjugates")
+        lead = self if self.field is not None else other
+        a = self.value if self.field is not None else UPoly([self.value])
+        b = other.value if other.field is not None else UPoly([other.value])
+        return lead.field, lead.conjugate, a, b
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_rational and other.is_rational:
-            return AlgebraicNumber.from_rational(self.as_fraction() + other.as_fraction())
-        nf = self._nf_operands(other)
-        if nf is not None:
-            parent, ra, rb = nf
-            return self._from_nf(parent, (ra + rb) % parent.minpoly)
-        return AlgebraicNumber.from_expr(self.expr + other.expr)
+        if self.field is None and other.field is None:
+            return AlgebraicNumber(self.value + other.value)
+        field, k, a, b = self._operands(other)
+        return AlgebraicNumber(a + b, field, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_rational:
-            return AlgebraicNumber.from_rational(-self.as_fraction())
-        if self._nf is not None:
-            parent, rep = self._nf
-            return self._from_nf(parent, UPoly([-c for c in rep.coeffs]))
-        return AlgebraicNumber.from_expr(-self.expr)
+        return AlgebraicNumber(-self.value, self.field, self.conjugate)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_rational and other.is_rational:
-            return AlgebraicNumber.from_rational(self.as_fraction() * other.as_fraction())
-        nf = self._nf_operands(other)
-        if nf is not None:
-            parent, ra, rb = nf
-            return self._from_nf(parent, (ra * rb) % parent.minpoly)
-        return AlgebraicNumber.from_expr(self.expr * other.expr)
+        if self.field is None and other.field is None:
+            return AlgebraicNumber(self.value * other.value)
+        field, k, a, b = self._operands(other)
+        return AlgebraicNumber(a * b, field, k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by an algebraic zero")
-        if self.is_rational and other.is_rational:
-            return AlgebraicNumber.from_rational(self.as_fraction() / other.as_fraction())
-        nf = self._nf_operands(other)
-        if nf is not None:
-            parent, ra, rb = nf
-            inv = _poly_inverse_mod(rb % parent.minpoly, parent.minpoly)
-            return self._from_nf(parent, (ra * inv) % parent.minpoly)
-        return AlgebraicNumber.from_expr(self.expr / other.expr)
+        if self.field is None and other.field is None:
+            return AlgebraicNumber(self.value / other.value)
+        field, k, a, b = self._operands(other)
+        return AlgebraicNumber(a * _poly_inverse_mod(b, field.witness), field, k)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return alg_equal(self, other)
+        if self.field is None or other.field is None:
+            return self.field is other.field and self.value == other.value
+        if self.field != other.field or self.conjugate != other.conjugate:
+            raise ValueError("equality across fields or conjugates is not decided")
+        return self.value == other.value
 
     def __hash__(self):
-        # hash by witness only: equal numbers share a minimal polynomial
-        return hash(self.minpoly)
+        if self.field is None:
+            return hash(self.value)
+        return hash((self.field, self.value, self.conjugate))
+
+    # -- display ------------------------------------------------------------
 
     def approx(self, digits: int = 6) -> complex:
-        return complex(sp.N(self.expr, digits + 5))
+        """A complex approximation with at least ``digits`` correct digits,
+        evaluated from the roots of the witness at rising precision until
+        cancellation leaves enough of them."""
+        if self.field is None:
+            return complex(self.value)
+        import mpmath
+
+        dps = 30
+        while True:
+            root = self.field.roots(dps)[self.conjugate]
+            with mpmath.workdps(dps):
+                total, scale = mpmath.mpc(0), mpmath.mpf(0)
+                for i, c in enumerate(self.value.coeffs):
+                    term = mpmath.mpf(c.numerator) / c.denominator * root ** i
+                    total += term
+                    scale = max(scale, abs(term))
+                lost = mpmath.log10(scale / abs(total)) if total != 0 else dps
+            if dps - lost >= digits + 5 or dps >= 2000:
+                return complex(total)
+            dps *= 2
 
     def __repr__(self) -> str:
-        if self.is_rational:
-            return f"AlgebraicNumber({format_rational(self.as_fraction())})"
+        if self.field is None:
+            return f"AlgebraicNumber({format_rational(self.value)})"
         v = self.approx()
         return f"AlgebraicNumber(~{v.real:.6g}{v.imag:+.6g}j)"
 
 
-def _box_distance(box: Box, re: Fraction, im: Fraction) -> Fraction:
-    dre = max(box.re_lo - re, re - box.re_hi, Fraction(0))
-    dim = max(box.im_lo - im, im - box.im_hi, Fraction(0))
-    return max(dre, dim)
+def _coerce(value):
+    if isinstance(value, AlgebraicNumber):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return AlgebraicNumber(value)
+    return NotImplemented
 
 
-def alg_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
-    """Exact equality of two algebraic numbers.
+def root_orbits(p: UPoly) -> list[tuple[AlgebraicNumber, int]]:
+    """One root per irreducible factor of p, with the factor's multiplicity.
 
-    Constant gcd of the witnesses rules equality out immediately; otherwise
-    both boxes are refined below the separation bound of the squarefree part
-    of the witness product, after which overlap decides.
-    """
-    if a is b:
-        return True
-    if (a._nf is not None and b._nf is not None
-            and a._nf[0] is b._nf[0]):
-        return a._nf[1] == b._nf[1]
-    if a.is_rational or b.is_rational:
-        if a.is_rational and b.is_rational:
-            return a.as_fraction() == b.as_fraction()
-        return False
-    g = poly_gcd(a.minpoly, b.minpoly)
-    if g.degree < 1:
-        return False
-    sep = separation_bound(a.minpoly * b.minpoly)
-    eps = sep / 4
-    # cheap disjointness test first at moderate precision
-    coarse = Fraction(1, 2 ** 24)
-    if coarse > eps:
-        if not a.refine_box(coarse).intersects(b.refine_box(coarse)):
-            return False
-    return a.refine_box(eps).intersects(b.refine_box(eps))
-
-
-def isolate_roots(p: UPoly) -> list[tuple[AlgebraicNumber, int]]:
-    """All distinct complex roots of p with multiplicities.
-
-    Boxes are pairwise disjoint; multiplicities sum to deg p.  Roots are
-    ordered deterministically (by squarefree factor, then sympy root index).
+    A linear factor gives its rational root; a factor f of degree >= 2 gives
+    the generator of Q[a]/(f) at conjugate 0, which stands for all deg f
+    roots of f.  Factors come in sympy's order; the roots counted with
+    degree and multiplicity number deg p.
     """
     if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    found: list[tuple[object, UPoly, int]] = []
+        raise ValueError("cannot find the roots of the zero polynomial")
+    out = []
     _coeff, factors = upoly_to_sympy(p).factor_list()
     for factor_sp, mult in factors:
-        factor = sympy_to_upoly(factor_sp).primitive()
-        for root in sp.Poly(factor_sp, _X, domain="QQ").all_roots(radicals=False):
-            found.append((root, factor, int(mult)))
-    tol = Fraction(1, 16)
-    boxes = [_root_box(root, tol) for root, _f, _m in found]
-    while any(boxes[i].intersects(boxes[j])
-              for i in range(len(boxes)) for j in range(i + 1, len(boxes))):
-        tol /= 16
-        boxes = [_root_box(root, tol) for root, _f, _m in found]
-    out = []
-    for (root, factor, mult), box in zip(found, boxes):
-        number = AlgebraicNumber(root=root, minpoly=factor, box=box)
-        if factor.degree >= 2:
-            # the witness is irreducible: enable field arithmetic on
-            # anything derived from this root
-            number._nf = (number, UPoly([Fraction(0), Fraction(1)]))
-        out.append((number, mult))
+        factor = sympy_to_upoly(factor_sp)
+        if factor.degree == 1:
+            out.append((AlgebraicNumber(-factor.coeffs[0] / factor.coeffs[1]), int(mult)))
+        else:
+            out.append((NumberField(factor).generator(), int(mult)))
     return out

@@ -6,7 +6,8 @@ enumerate balanced types and scan the open questions, ``check`` to run a
 single named inequality.
 
 Exit codes are stable: 0 success, 2 parse error, 3 validation failure
-(reducible conic, duplicate curve, or non-ordinary input under --strict).
+(reducible conic, duplicate curve, non-ordinary input under --strict, or
+an intersection the engine could not complete).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .curves import (
     serialize_arrangement,
     serialize_combinatorial_type,
 )
-from .intersect import combinatorial_type, has_six_line_subarrangement
+from .intersect import IntersectionError, combinatorial_type, has_six_line_subarrangement
 from .invariants import analyze as analyze_ct
 from .invariants import log_chern
 from .polynomials import format_rational, parse_rational
@@ -59,6 +60,17 @@ def _load_input(path: Path):
     return "ct", parse_combinatorial_type(text)
 
 
+def _derive(arrangement):
+    """combinatorial_type, with its failures mapped to exit code 3."""
+    try:
+        return combinatorial_type(arrangement)
+    except ValidationError as exc:
+        click.echo(f"validation failed: {exc}", err=True)
+    except IntersectionError as exc:
+        click.echo(f"intersection failed: {exc}", err=True)
+    sys.exit(EXIT_VALIDATION)
+
+
 @main.command()
 @click.argument("path", type=click.Path(exists=True, path_type=Path))
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
@@ -77,11 +89,7 @@ def analyze(path: Path, as_json: bool, strict: bool, assume_six_lines: bool) -> 
     extra: dict = {}
     warnings: list[str] = []
     if kind == "arrangement":
-        try:
-            derived = combinatorial_type(data)
-        except ValidationError as exc:
-            click.echo(f"validation failed: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
+        derived = _derive(data)
         ct = derived.ct
         six_lines = has_six_line_subarrangement(data)
         for p in derived.points:
@@ -251,6 +259,7 @@ def check(which: str, target: str, assume_six_lines: bool) -> None:
     """Run one named inequality on a catalog entry or a type file."""
     from . import invariants as inv
 
+    six_lines = assume_six_lines
     if target in cat.catalog_list():
         ct = cat.catalog_get(target).ct
     else:
@@ -263,15 +272,15 @@ def check(which: str, target: str, assume_six_lines: bool) -> None:
         except ParseError as exc:
             click.echo(f"parse error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
-        try:
-            ct = combinatorial_type(data).ct if kind == "arrangement" else data
-        except ValidationError as exc:
-            click.echo(f"validation failed: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
+        if kind == "arrangement":
+            ct = _derive(data).ct
+            six_lines = has_six_line_subarrangement(data)
+        else:
+            ct = data
     if which in ("hirzebruch", "hirzebruch-improved"):
         hyp, holds = inv.check_hirzebruch(
             ct, improved=which.endswith("improved"),
-            six_lines_subarrangement=assume_six_lines)
+            six_lines_subarrangement=six_lines)
     elif which == "debruijn-erdos":
         hyp, holds = inv.check_debruijn_erdos(ct)
     elif which == "urzua":

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, alg_equal
+from .algebraic import AlgebraicNumber, NumberField
 from .polynomials import TernaryForm, format_rational, parse_rational
 
 
@@ -131,7 +131,12 @@ class CombinatorialType:
 @dataclass(frozen=True)
 class ProjectivePoint:
     """Point of P^2 with algebraic coordinates, normalized so the last
-    nonzero coordinate is 1."""
+    nonzero coordinate is 1.
+
+    The coordinates are rationals or elements of one number field at one
+    conjugate; the point then stands for itself and the other deg f
+    conjugate points of its orbit, which share its exact coordinates.
+    """
 
     coords: tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]
 
@@ -153,8 +158,28 @@ class ProjectivePoint:
                           for _ in range(pivot + 1, 3))
         return cls(tuple(normalized))
 
+    @property
+    def field(self) -> NumberField | None:
+        """The number field of the coordinates; None for a rational point."""
+        return next((c.field for c in self.coords if c.field is not None), None)
+
+    @property
+    def conjugate(self) -> int:
+        """Index of this point in its orbit; 0 for a rational point."""
+        return next((c.conjugate for c in self.coords if c.field is not None), 0)
+
+    def conjugates(self) -> list["ProjectivePoint"]:
+        """The points of this point's orbit, by conjugate index."""
+        field = self.field
+        if field is None:
+            return [self]
+        return [ProjectivePoint(tuple(c.at_conjugate(k) for c in self.coords))
+                for k in range(field.degree)]
+
     def same_point(self, other: "ProjectivePoint") -> bool:
-        return all(alg_equal(a, b) for a, b in zip(self.coords, other.coords))
+        """Exact equality; decided for rational points and for points of one
+        field at one conjugate, else ValueError."""
+        return all(a == b for a, b in zip(self.coords, other.coords))
 
     def approx(self) -> tuple[complex, complex, complex]:
         return tuple(c.approx() for c in self.coords)

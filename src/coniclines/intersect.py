@@ -7,6 +7,15 @@ works in randomly changed projective coordinates, retried until the change
 is generic (no intersection at infinity, no two points sharing an
 elimination fiber), and maps the points back afterwards.
 
+The unit of work is the conjugate orbit: each irreducible factor f of the
+restricted quadratic or the eliminated quartic gives one exact point with
+coordinates in Q[a]/(f), which stands for deg f geometric points.
+Incidence and tangency are Galois-invariant, so one exact evaluation in the
+field decides them for the whole orbit.  Rational points are grouped by
+their normalized coordinates; an irrational orbit is evaluated against the
+other curves and counted at the pair of its two lowest-index curves.  A
+point is ordinary iff the tangents of its curves are pairwise distinct.
+
 Pair multiplicities always sum to the product of the curve degrees; a pair
 multiplicity >= 2 at a point is a tangency and makes the point non-ordinary.
 """
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebraic import AlgebraicNumber, alg_equal, isolate_roots
+from .algebraic import AlgebraicNumber, root_orbits
 from .curves import (
     Arrangement,
     CombinatorialType,
@@ -28,7 +37,7 @@ from .curves import (
     ValidationError,
     validate_arrangement,
 )
-from .polynomials import TernaryForm, UPoly, form_to_upoly, resultant
+from .polynomials import TernaryForm, UPoly, form_to_upoly, poly_gcd, resultant
 
 PairResult = list[tuple[ProjectivePoint, int]]
 
@@ -37,21 +46,38 @@ class IntersectionError(RuntimeError):
     """The engine could not complete an exact intersection computation."""
 
 
+def _pair_error(c1: PlaneCurve, c2: PlaneCurve, message) -> IntersectionError:
+    names = [c.label or repr(c.form) for c in (c1, c2)]
+    return IntersectionError(f"{names[0]} and {names[1]}: {message}")
+
+
 def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     """All intersection points of two distinct curves with pair multiplicities.
 
     Multiplicities sum to deg(c1) * deg(c2); complex points are included.
+    The deg f points of an orbit come consecutively, by conjugate index,
+    and share their exact coordinates.
     """
     if c1.form.proportional_to(c2.form):
-        raise IntersectionError("identical curves")
+        raise _pair_error(c1, c2, "identical curves")
     kinds = (c1.kind, c2.kind)
-    if kinds == ("line", "line"):
-        return _intersect_lines(c1.form, c2.form)
-    if kinds == ("line", "conic"):
-        return _intersect_line_conic(c1.form, c2.form)
-    if kinds == ("conic", "line"):
-        return _intersect_line_conic(c2.form, c1.form)
-    return _intersect_conics(c1.form, c2.form)
+    try:
+        if kinds == ("line", "line"):
+            orbits = _intersect_lines(c1.form, c2.form)
+        elif kinds == ("line", "conic"):
+            orbits = _intersect_line_conic(c1.form, c2.form)
+        elif kinds == ("conic", "line"):
+            orbits = _intersect_line_conic(c2.form, c1.form)
+        else:
+            orbits = _intersect_conics(c1.form, c2.form)
+    except IntersectionError as exc:
+        raise _pair_error(c1, c2, exc) from None
+    points = [(conj, mult) for point, mult in orbits for conj in point.conjugates()]
+    total = sum(m for _p, m in points)
+    if total != c1.degree * c2.degree:
+        raise _pair_error(c1, c2, f"pair multiplicities sum to {total}, "
+                                  f"not {c1.degree * c2.degree}")
+    return points
 
 
 def _intersect_lines(l1: TernaryForm, l2: TernaryForm) -> PairResult:
@@ -82,7 +108,7 @@ def _intersect_line_conic(line: TernaryForm, conic: TernaryForm) -> PairResult:
     quad_b = conic(*both) - quad_a - quad_c
     points: PairResult = []
     if quad_a != 0:
-        for s, mult in isolate_roots(UPoly([quad_c, quad_b, quad_a])):
+        for s, mult in root_orbits(UPoly([quad_c, quad_b, quad_a])):
             coords = [s * p0[i] + p1[i] for i in range(3)]
             points.append((ProjectivePoint.from_coords(*coords), mult))
     elif quad_b != 0:
@@ -95,7 +121,6 @@ def _intersect_line_conic(line: TernaryForm, conic: TernaryForm) -> PairResult:
         if quad_c == 0:
             raise IntersectionError("line is a component of the conic")
         points.append((ProjectivePoint.from_coords(*p0), 2))
-    assert sum(m for _p, m in points) == 2
     return points
 
 
@@ -159,53 +184,44 @@ def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
     # eliminate x^2: b2*p - a2*q is linear in x with polynomial coefficients
     lin1 = b2 * a1 - a2 * b1
     lin0 = b2 * a0 - a2 * b0
+    if poly_gcd(quartic, lin1).degree >= 1:
+        # lin1 vanishes at a root, so x is not determined there
+        raise _NotGeneric("two intersection points share a fiber")
     points: PairResult = []
-    for y_val, mult in isolate_roots(quartic):
-        c1v = lin1(y_val)
-        if not isinstance(c1v, AlgebraicNumber):
-            c1v = AlgebraicNumber.from_rational(c1v)
-        if c1v.is_zero:
-            raise _NotGeneric("two intersection points share a fiber")
-        c0v = lin0(y_val)
-        x_val = -c0v / c1v
+    for y_val, mult in root_orbits(quartic):
+        x_val = -_number(lin0(y_val)) / _number(lin1(y_val))
         _verify_on_both(pt, qt, lin0, lin1, y_val)
         # map back: original point is M . (x, y, 1)
-        one = AlgebraicNumber.from_rational(1)
-        vec = (x_val, y_val, one)
+        vec = (x_val, y_val, AlgebraicNumber.from_rational(1))
         coords = [sum((matrix[i][j] * vec[j] for j in range(3)),
                       AlgebraicNumber.from_rational(0)) for i in range(3)]
         points.append((ProjectivePoint.from_coords(*coords), mult))
-    assert sum(m for _pnt, m in points) == 4
     return points
+
+
+def _number(value) -> AlgebraicNumber:
+    return value if isinstance(value, AlgebraicNumber) else AlgebraicNumber.from_rational(value)
 
 
 def _verify_on_both(pt: TernaryForm, qt: TernaryForm,
                     lin0: UPoly, lin1: UPoly, y_val: AlgebraicNumber) -> None:
     """Check x = -lin0/lin1 satisfies both conics at the fiber of y_val.
 
-    Done with plain polynomial division: clearing denominators turns the
-    check into 'the witness of y_val divides a rational polynomial'.
+    Clearing denominators turns the check into the exact evaluation of a
+    rational polynomial at y_val.
     """
     for form in (pt, qt):
         c2, c1, c0 = _x_coefficients(form)
         # lin1^2 * f(-lin0/lin1, y, 1)
         num = c2 * (lin0 * lin0) - (c1 * lin0) * lin1 + c0 * (lin1 * lin1)
-        if (num % y_val.minpoly).is_zero:
-            continue
-        val = num(y_val)
-        if not isinstance(val, AlgebraicNumber):
-            val = AlgebraicNumber.from_rational(val)
-        if not val.is_zero:
+        if not _number(num(y_val)).is_zero:
             raise IntersectionError("back-substitution verification failed")
 
 
 def tangent_line(curve: PlaneCurve, point: ProjectivePoint
                  ) -> tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]:
     """Tangent of the curve at a point of it: the gradient, as a line."""
-    value = curve.form(*point.coords)
-    if not isinstance(value, AlgebraicNumber):
-        value = AlgebraicNumber.from_rational(value)
-    if not value.is_zero:
+    if not _number(curve.form(*point.coords)).is_zero:
         raise ValidationError("point does not lie on the curve")
     out = []
     for part in curve.form.gradient():
@@ -214,9 +230,7 @@ def tangent_line(curve: PlaneCurve, point: ProjectivePoint
         elif isinstance(part, Fraction):
             out.append(AlgebraicNumber.from_rational(part))
         else:
-            v = part(*point.coords)
-            out.append(v if isinstance(v, AlgebraicNumber)
-                       else AlgebraicNumber.from_rational(v))
+            out.append(_number(part(*point.coords)))
     return tuple(out)
 
 
@@ -227,70 +241,15 @@ def _tangents_proportional(u, v) -> bool:
     return all(m.is_zero for m in minors)
 
 
-@dataclass
-class _Occurrence:
-    point: ProjectivePoint
-    pair: tuple[int, int]
-    mult: int
-
-
-def cluster_points(pair_results: dict[tuple[int, int], PairResult]
-                   ) -> list[SingularPoint]:
-    """Group pairwise intersection points by exact projective equality.
-
-    Every pairwise point lies on >= 2 curves by construction, so every
-    cluster becomes a SingularPoint.  A cluster is ordinary iff every pair
-    of incident curves meets transversally there (all pair mults are 1).
-    """
-    occurrences: list[_Occurrence] = []
-    for pair, results in pair_results.items():
-        for point, mult in results:
-            occurrences.append(_Occurrence(point, pair, mult))
-    # coarse pass: points whose coordinate boxes are disjoint cannot be equal
-    eps = Fraction(1, 2 ** 30)
-    boxes = []
-    for occ in occurrences:
-        boxes.append(tuple(c.refine_box(eps) for c in occ.point.coords))
-    parent = list(range(len(occurrences)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    for i, j in combinations(range(len(occurrences)), 2):
-        if find(i) == find(j):
-            continue
-        if all(boxes[i][c].intersects(boxes[j][c]) for c in range(3)):
-            if occurrences[i].point.same_point(occurrences[j].point):
-                union(i, j)
-    clusters: dict[int, list[_Occurrence]] = {}
-    for i, occ in enumerate(occurrences):
-        clusters.setdefault(find(i), []).append(occ)
-    out = []
-    for root in sorted(clusters):
-        occs = clusters[root]
-        incident = frozenset(idx for occ in occs for idx in occ.pair)
-        ordinary = all(occ.mult == 1 for occ in occs)
-        out.append(SingularPoint(location=occs[0].point,
-                                 incident=incident,
-                                 multiplicity=len(incident),
-                                 ordinary=ordinary))
-    return out
+def _tangents_distinct(arrangement: Arrangement, location: ProjectivePoint,
+                       incident) -> bool:
+    tangents = [tangent_line(arrangement.curves[i], location) for i in sorted(incident)]
+    return not any(_tangents_proportional(u, v) for u, v in combinations(tangents, 2))
 
 
 def check_ordinary(point: SingularPoint, arrangement: Arrangement) -> bool:
     """Decide ordinarity from tangent lines: pairwise non-proportional."""
-    tangents = [tangent_line(arrangement.curves[i], point.location)
-                for i in sorted(point.incident)]
-    for u, v in combinations(tangents, 2):
-        if _tangents_proportional(u, v):
-            return False
-    return True
+    return _tangents_distinct(arrangement, point.location, point.incident)
 
 
 @dataclass
@@ -332,22 +291,59 @@ def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
 
 
 def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
-    """Intersect all curve pairs, cluster, and count r-fold points.
+    """Intersect all curve pairs, decide incidence exactly, and count
+    r-fold points.
+
+    Every point turns up at each pair of its curves; it is collected at the
+    pair of its two lowest-index curves, which the pairs reach first.  A
+    rational point's curves are the union of the pairs it turns up at; an
+    irrational orbit's are found by evaluating the other curves in its
+    field, once for all its conjugates.
 
     Non-ordinary points are flagged, never rejected; the combinatorics are
     still returned so the invariant formulas can be evaluated (with a
     hypothesis warning downstream).
     """
     validate_arrangement(arrangement)
-    pair_results: dict[tuple[int, int], PairResult] = {}
-    n = len(arrangement.curves)
-    for i, j in combinations(range(n), 2):
-        pair_results[(i, j)] = intersect_pair(arrangement.curves[i],
-                                              arrangement.curves[j])
-    points = cluster_points(pair_results)
+    curves = arrangement.curves
+    # (points of one orbit, their incident curve indices), by first pair
+    found: list[tuple[list[ProjectivePoint], set[int]]] = []
+    rational: dict[tuple[Fraction, ...], set[int]] = {}
+    for i, j in combinations(range(len(curves)), 2):
+        for point, _mult in intersect_pair(curves[i], curves[j]):
+            if point.field is None:
+                key = tuple(c.as_fraction() for c in point.coords)
+                if key not in rational:
+                    rational[key] = set()
+                    found.append(([point], rational[key]))
+                rational[key].update((i, j))
+            elif point.conjugate == 0:
+                incident = _orbit_incidence(curves, point, i, j)
+                if incident is not None:
+                    found.append((point.conjugates(), incident))
+    points = []
+    for orbit, incident in found:
+        ordinary = _tangents_distinct(arrangement, orbit[0], incident)
+        points.extend(SingularPoint(location=p, incident=frozenset(incident),
+                                    multiplicity=len(incident), ordinary=ordinary)
+                      for p in orbit)
     t: dict[int, int] = {}
     for p in points:
         t[p.multiplicity] = t.get(p.multiplicity, 0) + 1
     ct = CombinatorialType(d=arrangement.d, k=arrangement.k, t=t)
     return DerivedCombinatorics(ct=ct, points=points,
                                 all_ordinary=all(p.ordinary for p in points))
+
+
+def _orbit_incidence(curves, point: ProjectivePoint, i: int, j: int) -> set[int] | None:
+    """The curves through an irrational orbit found at pair (i, j), or None
+    when a curve of lower index than j other than i passes through it (the
+    orbit is then collected at a lower pair)."""
+    incident = {i, j}
+    for other, curve in enumerate(curves):
+        if other in (i, j) or not _number(curve.form(*point.coords)).is_zero:
+            continue
+        if other < j:
+            return None
+        incident.add(other)
+    return incident

@@ -36,15 +36,16 @@ def h_index(ct: CombinatorialType) -> Fraction:
     """((2k+d)^2 - sum r^2 t_r) / f0.
 
     When the pairwise count balances (bezout_defect == 0) this agrees with
-    the incidence form (4k + d - f1) / f0; the agreement is asserted.
+    the incidence form (4k + d - f1) / f0; a disagreement raises
+    RuntimeError.
     """
     f0, f1 = incidence_sums(ct)
     if f0 == 0:
         raise ValueError("smooth arrangement, H-index undefined")
     sum_r2 = sum(r * r * n for r, n in ct.t.items())
     value = Fraction((2 * ct.k + ct.d) ** 2 - sum_r2, f0)
-    if bezout_defect(ct) == 0:
-        assert value == Fraction(4 * ct.k + ct.d - f1, f0)
+    if bezout_defect(ct) == 0 and value != Fraction(4 * ct.k + ct.d - f1, f0):
+        raise RuntimeError(f"the two H-index forms disagree on {ct}")
     return value
 
 
@@ -73,14 +74,16 @@ def cover_chern(ct: CombinatorialType) -> tuple[int, int, int]:
     """Scaled invariants of the order-2 abelian cover desingularization:
     (e(Y), K_Y^2, BMY defect K_Y^2 - 3e(Y)), all divided by 2^(k+d-3).
 
-    The identity k2 - 3e == defect holds for every input and is asserted.
+    The identity k2 - 3e == defect holds for every input; a violation
+    raises RuntimeError.
     """
     f0, f1 = incidence_sums(ct)
     t2 = ct.t_of(2)
     e_scaled = 12 - 4 * ct.k - 4 * ct.d + f1 - t2
     k2_scaled = 36 - 20 * ct.k - 11 * ct.d + 5 * f1 - 9 * f0 + t2
     defect = 2 * f1 - 9 * f0 + ct.d + 4 * t2 - 8 * ct.k
-    assert k2_scaled - 3 * e_scaled == defect
+    if k2_scaled - 3 * e_scaled != defect:
+        raise RuntimeError(f"cover invariants violate K^2 - 3e = defect on {ct}")
     return e_scaled, k2_scaled, defect
 
 

@@ -164,5 +164,6 @@ def random_balanced_type(rng, d_max: int = 12, k_max: int = 12,
     if remaining:
         t[2] = remaining
     ct = CombinatorialType(d=d, k=k, t=t)
-    assert bezout_defect(ct) == 0
+    if bezout_defect(ct) != 0:
+        raise RuntimeError(f"drew an unbalanced type {ct}")
     return ct

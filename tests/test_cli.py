@@ -1,8 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import coniclines.cli as cli
 from coniclines.cli import EXIT_PARSE, EXIT_VALIDATION, main
+from coniclines.intersect import IntersectionError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEXAGON_AND_TWO_CONICS = """\
+line: 1 0 -1
+line: 1 0 1
+line: 0 1 -1
+line: 0 1 1
+line: 1 1 -2
+line: 1 -1 2
+conic: 1 1 -16 0 0 0
+conic: 2 1 -20 0 0 0
+"""
 
 
 def run(*args, **kwargs):
@@ -170,3 +189,53 @@ def test_check_missing_target():
     result = run("check", "urzua", "missing-file.txt")
     assert result.exit_code != 0
     assert "neither a catalog name nor a file" in result.output
+
+
+def _fail_to_intersect(_arrangement):
+    raise IntersectionError("no generic coordinate change found for conic1 and conic2")
+
+
+def test_analyze_intersection_error(tmp_path, monkeypatch):
+    target = tmp_path / "pair.txt"
+    target.write_text("line: 1 0 -1\nline: 0 1 -1\n")
+    monkeypatch.setattr(cli, "combinatorial_type", _fail_to_intersect)
+    result = run("analyze", str(target))
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.output.strip().splitlines() == [
+        "intersection failed: no generic coordinate change found for conic1 and conic2"]
+
+
+def test_check_intersection_error(tmp_path, monkeypatch):
+    target = tmp_path / "pair.txt"
+    target.write_text("line: 1 0 -1\nline: 0 1 -1\n")
+    monkeypatch.setattr(cli, "combinatorial_type", _fail_to_intersect)
+    result = run("check", "c2-positive", str(target))
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.output.startswith("intersection failed:")
+
+
+def test_check_decides_six_lines_like_analyze(tmp_path):
+    target = tmp_path / "hexagon.txt"
+    target.write_text(HEXAGON_AND_TWO_CONICS)
+    data = json.loads(run("analyze", str(target), "--json").output)
+    hirzebruch = next(c for c in data["checks"] if c["name"] == "hirzebruch")
+    assert hirzebruch["hypotheses_satisfied"]
+    result = run("check", "hirzebruch", str(target))
+    assert result.exit_code == 0
+    assert "hypotheses satisfied" in result.output
+
+
+def test_analyze_gaussian_rational_pair_in_a_subprocess(tmp_path):
+    # sympy 1.14's Poly.all_roots does not return on 9s^2 + 12s + 8, which
+    # this line-conic pair restricts to; the engine must not call it
+    target = tmp_path / "gauss.txt"
+    target.write_text("line: 3 0 4\nconic: 2 -2 0 2 4 0\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "coniclines.cli", "analyze",
+                           str(target), "--json"],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["d"], data["k"], data["t"]) == (1, 1, {"2": 2})
+    assert data["all_ordinary"] is True

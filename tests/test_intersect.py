@@ -8,7 +8,6 @@ from coniclines.curves import Arrangement, PlaneCurve, ProjectivePoint
 from coniclines.intersect import (
     IntersectionError,
     check_ordinary,
-    cluster_points,
     combinatorial_type,
     has_six_line_subarrangement,
     intersect_pair,

@@ -225,3 +225,16 @@ def test_analyze_warns_on_shared_point():
     shared = CombinatorialType(d=3, k=0, t={3: 1})
     report = analyze(shared)
     assert any("share a point" in w for w in report.warnings)
+
+
+def test_source_has_no_assert_statements():
+    # correctness checks must run under python -O, so they are raised
+    import ast
+    from pathlib import Path
+
+    import coniclines
+
+    for path in Path(coniclines.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not asserts, f"{path.name}: assert at lines {asserts}"
