@@ -2,8 +2,8 @@
 
 One binary, four subcommands: ``analyze`` an arrangement or combinatorial-type
 file, ``catalog`` to inspect and export named arrangements, ``search`` to
-enumerate balanced types and scan the open questions, ``check`` to run a
-single named inequality.
+enumerate balanced types and scan the open questions, ``check`` to print
+one named inequality verdict of the report ``analyze`` computes.
 
 Exit codes are stable: 0 success, 2 parse error, 3 validation failure
 (reducible conic, duplicate curve, non-ordinary input under --strict, or
@@ -16,12 +16,15 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
 from . import catalog as cat
 from . import search as searchmod
 from .curves import (
+    Arrangement,
+    CombinatorialType,
     ParseError,
     ValidationError,
     parse_arrangement,
@@ -49,26 +52,66 @@ def _slope_str(slope: Fraction | None) -> str:
     return f"{format_rational(slope)} (~{float(slope):.4f})"
 
 
-def _load_input(path: Path):
-    """Returns ("arrangement", Arrangement) or ("ct", CombinatorialType)."""
-    text = path.read_text(encoding="utf-8")
+def _fail(code: int, message: str) -> NoReturn:
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
+def _load_input(path: Path) -> Arrangement | CombinatorialType:
+    """An arrangement or a combinatorial type, by the file's first record."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(EXIT_PARSE, f"parse error: {path} is not UTF-8 text ({exc.reason})")
+    except OSError as exc:
+        _fail(EXIT_PARSE, f"parse error: cannot read {path} ({exc.strerror})")
     first = next((ln.split("#", 1)[0].strip()
                   for ln in text.splitlines()
                   if ln.split("#", 1)[0].strip()), "")
-    if first.startswith(("line:", "conic:")):
-        return "arrangement", parse_arrangement(text)
-    return "ct", parse_combinatorial_type(text)
-
-
-def _derive(arrangement):
-    """combinatorial_type, with its failures mapped to exit code 3."""
     try:
-        return combinatorial_type(arrangement)
+        if first.startswith(("line:", "conic:")):
+            return parse_arrangement(text)
+        return parse_combinatorial_type(text)
+    except ParseError as exc:
+        _fail(EXIT_PARSE, f"parse error: {exc}")
     except ValidationError as exc:
-        click.echo(f"validation failed: {exc}", err=True)
+        _fail(EXIT_VALIDATION, f"validation failed: {exc}")
+
+
+def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
+    """The AnalysisReport of a target, with the derived combinatorics of an
+    arrangement file (None for a combinatorial type).
+
+    A str target is a catalog name, else a file; a Path is always a file.
+    An arrangement's six-line hypothesis is decided by search; a type's is
+    ``assume_six_lines``.
+    """
+    if isinstance(target, str) and target in cat.catalog_list():
+        data = cat.catalog_get(target).ct
+    elif Path(target).exists():
+        data = _load_input(Path(target))
+    else:
+        _fail(EXIT_PARSE, f"Error: {target!r} is neither a catalog name nor a file")
+    if isinstance(data, CombinatorialType):
+        return analyze_ct(data, source=str(target),
+                          six_lines_subarrangement=assume_six_lines), None
+    try:
+        derived = combinatorial_type(data)
+    except ValidationError as exc:
+        _fail(EXIT_VALIDATION, f"validation failed: {exc}")
     except IntersectionError as exc:
-        click.echo(f"intersection failed: {exc}", err=True)
-    sys.exit(EXIT_VALIDATION)
+        _fail(EXIT_VALIDATION, f"intersection failed: {exc}")
+    warnings = [f"non-ordinary singularity at {p.location}: "
+                "outside the ordinary-arrangement hypotheses"
+                for p in derived.points if not p.ordinary]
+    if strict and not derived.all_ordinary:
+        for w in warnings:
+            click.echo(f"!! {w}", err=True)
+        _fail(EXIT_VALIDATION, "strict mode: non-ordinary arrangement rejected")
+    report = analyze_ct(derived.ct, source=str(target),
+                        six_lines_subarrangement=has_six_line_subarrangement(data),
+                        warnings=warnings)
+    return report, derived
 
 
 @main.command()
@@ -81,49 +124,23 @@ def _derive(arrangement):
                    "combinatorial inputs")
 def analyze(path: Path, as_json: bool, strict: bool, assume_six_lines: bool) -> None:
     """Full invariant report for an arrangement or combinatorial-type file."""
-    try:
-        kind, data = _load_input(path)
-    except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    extra: dict = {}
-    warnings: list[str] = []
-    if kind == "arrangement":
-        derived = _derive(data)
-        ct = derived.ct
-        six_lines = has_six_line_subarrangement(data)
-        for p in derived.points:
-            if not p.ordinary:
-                warnings.append(f"non-ordinary singularity at {p.location}: "
-                                "outside the ordinary-arrangement hypotheses")
-        extra["points"] = [{"location": repr(p.location),
-                            "multiplicity": p.multiplicity,
-                            "ordinary": p.ordinary}
-                           for p in derived.points]
-        extra["all_ordinary"] = derived.all_ordinary
-        if strict and not derived.all_ordinary:
-            for w in warnings:
-                click.echo(f"!! {w}", err=True)
-            click.echo("strict mode: non-ordinary arrangement rejected", err=True)
-            sys.exit(EXIT_VALIDATION)
-        source = str(path)
-    else:
-        ct = data
-        six_lines = assume_six_lines
-        source = str(path)
-    report = analyze_ct(ct, source=source,
-                        six_lines_subarrangement=six_lines, warnings=warnings)
+    report, derived = _report(path, assume_six_lines, strict)
     if as_json:
         payload = report.as_dict()
-        payload.update(extra)
+        if derived is not None:
+            payload["points"] = [{"location": repr(p.location),
+                                  "multiplicity": p.multiplicity,
+                                  "ordinary": p.ordinary}
+                                 for p in derived.points]
+            payload["all_ordinary"] = derived.all_ordinary
         click.echo(json.dumps(payload, indent=2))
     else:
         click.echo(report.render_text(), nl=False)
-        if "points" in extra:
+        if derived is not None:
             click.echo("singular points:")
-            for p in extra["points"]:
-                flag = "" if p["ordinary"] else "  [non-ordinary]"
-                click.echo(f"  {p['location']}  r={p['multiplicity']}{flag}")
+            for p in derived.points:
+                flag = "" if p.ordinary else "  [non-ordinary]"
+                click.echo(f"  {p.location!r}  r={p.multiplicity}{flag}")
 
 
 @main.group()
@@ -172,12 +189,14 @@ def catalog_export(name: str, path: Path, k: int | None, t_params: str | None) -
         if k is not None:
             kwargs["k"] = k
         if t_params is not None:
-            kwargs["t"] = [parse_rational(v) for v in t_params.split(",")]
+            try:
+                kwargs["t"] = [parse_rational(v) for v in t_params.split(",")]
+            except ValueError as exc:
+                _fail(EXIT_PARSE, f"parse error: --t: {exc}")
         try:
             arrangement = entry.build(**kwargs)
         except (ValidationError, TypeError) as exc:
-            click.echo(f"validation failed: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
+            _fail(EXIT_VALIDATION, f"validation failed: {exc}")
         path.write_text(serialize_arrangement(arrangement), encoding="utf-8")
     else:
         path.write_text(serialize_combinatorial_type(entry.ct), encoding="utf-8")
@@ -256,39 +275,14 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
 @click.argument("target")
 @click.option("--assume-six-lines", is_flag=True)
 def check(which: str, target: str, assume_six_lines: bool) -> None:
-    """Run one named inequality on a catalog entry or a type file."""
-    from . import invariants as inv
-
-    six_lines = assume_six_lines
-    if target in cat.catalog_list():
-        ct = cat.catalog_get(target).ct
-    else:
-        path = Path(target)
-        if not path.exists():
-            raise click.ClickException(
-                f"{target!r} is neither a catalog name nor a file")
-        try:
-            kind, data = _load_input(path)
-        except ParseError as exc:
-            click.echo(f"parse error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        if kind == "arrangement":
-            ct = _derive(data).ct
-            six_lines = has_six_line_subarrangement(data)
-        else:
-            ct = data
-    if which in ("hirzebruch", "hirzebruch-improved"):
-        hyp, holds = inv.check_hirzebruch(
-            ct, improved=which.endswith("improved"),
-            six_lines_subarrangement=six_lines)
-    elif which == "debruijn-erdos":
-        hyp, holds = inv.check_debruijn_erdos(ct)
-    elif which == "urzua":
-        hyp, holds, _slope = inv.check_urzua(ct)
-    else:
-        hyp, holds = inv.check_c2_positive(ct)
-    click.echo(f"{which}: conclusion {'holds' if holds else 'FAILS'}; "
-               f"hypotheses {'satisfied' if hyp else 'not satisfied'}")
+    """Run one named inequality on a catalog entry, a type file or an
+    arrangement file."""
+    report, _derived = _report(target, assume_six_lines)
+    name = "urzua-inequality" if which == "urzua" else which
+    result = next(c for c in report.checks if c.name == name)
+    holds = "holds" if result.conclusion_holds else "FAILS"
+    hyp = "satisfied" if result.hypotheses_satisfied else "not satisfied"
+    click.echo(f"{which}: conclusion {holds}; hypotheses {hyp}")
 
 
 if __name__ == "__main__":

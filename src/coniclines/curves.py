@@ -258,6 +258,13 @@ def serialize_arrangement(arrangement: Arrangement) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_combinatorial_type(text: str) -> CombinatorialType:
     d = k = None
     t: dict[int, int] = {}
@@ -269,12 +276,12 @@ def parse_combinatorial_type(text: str) -> CombinatorialType:
             tokens = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
             if "d" not in tokens or "k" not in tokens:
                 raise ParseError(f"line {lineno}: expected header 'd=<int> k=<int>'")
-            d, k = int(tokens["d"]), int(tokens["k"])
+            d, k = _parse_int(tokens["d"], lineno), _parse_int(tokens["k"], lineno)
             continue
         parts = line.replace("=", " ").split()
         if len(parts) != 3 or parts[0] != "t":
             raise ParseError(f"line {lineno}: expected 't <r> = <count>'")
-        t[int(parts[1])] = int(parts[2])
+        t[_parse_int(parts[1], lineno)] = _parse_int(parts[2], lineno)
     if d is None:
         raise ParseError("missing 'd=<int> k=<int>' header")
     return CombinatorialType(d=d, k=k, t=t)

@@ -37,7 +37,7 @@ from .curves import (
     ValidationError,
     validate_arrangement,
 )
-from .polynomials import TernaryForm, UPoly, form_to_upoly, poly_gcd, resultant
+from .polynomials import TernaryForm, UPoly, poly_gcd
 
 PairResult = list[tuple[ProjectivePoint, int]]
 
@@ -171,19 +171,11 @@ def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
                                 matrix) -> PairResult:
     pt = p.compose_linear(matrix)
     qt = q.compose_linear(matrix)
-    a2, a1, a0 = _x_coefficients(pt)
-    b2, b1, b0 = _x_coefficients(qt)
-    if a2 == 0 or b2 == 0:
-        raise _NotGeneric("a conic passes through (1:0:0)")
-    res = resultant(pt, qt, "x")
-    if res is None:
+    quartic, lin1, lin0 = _eliminate_x(pt, qt)
+    if quartic.is_zero:
         raise IntersectionError("identical curves")
-    if res.coeffs.get((0, 4, 0), Fraction(0)) == 0:
+    if quartic.degree < 4:
         raise _NotGeneric("intersection point at infinity")
-    quartic = form_to_upoly(res, "y", "z")
-    # eliminate x^2: b2*p - a2*q is linear in x with polynomial coefficients
-    lin1 = b2 * a1 - a2 * b1
-    lin0 = b2 * a0 - a2 * b0
     if poly_gcd(quartic, lin1).degree >= 1:
         # lin1 vanishes at a root, so x is not determined there
         raise _NotGeneric("two intersection points share a fiber")
@@ -197,6 +189,24 @@ def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
                       AlgebraicNumber.from_rational(0)) for i in range(3)]
         points.append((ProjectivePoint.from_coords(*coords), mult))
     return points
+
+
+def _eliminate_x(p: TernaryForm, q: TernaryForm) -> tuple[UPoly, UPoly, UPoly]:
+    """Eliminate x from two conics at z = 1.
+
+    Returns (quartic, lin1, lin0): the resultant in x, a polynomial in y of
+    degree <= 4, and the coefficients of b2*p - a2*q = lin1*x + lin0, where
+    a2 and b2 are the x^2 coefficients of p and q.
+    """
+    a2, a1, a0 = _x_coefficients(p)
+    b2, b1, b0 = _x_coefficients(q)
+    if a2 == 0 or b2 == 0:
+        raise _NotGeneric("a conic passes through (1:0:0)")
+    lin1 = b2 * a1 - a2 * b1
+    lin0 = b2 * a0 - a2 * b0
+    # (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1)
+    quartic = lin0 * lin0 + lin1 * (a1 * b0 - a0 * b1)
+    return quartic, lin1, lin0
 
 
 def _number(value) -> AlgebraicNumber:
@@ -267,24 +277,23 @@ class DerivedCombinatorics:
 
 def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
     """Is there a 6-line subarrangement meeting only in double and triple
-    points?  Decided exactly by finite search; line-line points are rational,
-    so this never touches algebraic arithmetic."""
-    lines = [c for c in arrangement.curves if c.kind == "line"]
+    points?  Decided exactly by finite search over the meets of the line
+    pairs, which are rational points."""
+    lines = [c.form for c in arrangement.curves if c.kind == "line"]
     if len(lines) < 6:
         return False
-
-    def meet(l1: PlaneCurve, l2: PlaneCurve):
-        a1, b1, c1 = l1.form.line_coefficients()
-        a2, b2, c2 = l2.form.line_coefficients()
-        v = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
-        pivot = next(i for i in (2, 1, 0) if v[i] != 0)
-        return tuple(x / v[pivot] for x in v)
-
+    # each pair of lines meets once; the subsets search over the stored
+    # meets, numbered by their normalized coordinates
+    numbers: dict[tuple[Fraction, ...], int] = {}
+    meets: dict[tuple[int, int], int] = {}
+    for pair in combinations(range(len(lines)), 2):
+        [(point, _mult)] = _intersect_lines(lines[pair[0]], lines[pair[1]])
+        key = tuple(c.as_fraction() for c in point.coords)
+        meets[pair] = numbers.setdefault(key, len(numbers))
     for subset in combinations(range(len(lines)), 6):
-        incidence: dict[tuple, set[int]] = {}
-        for ia, ib in combinations(subset, 2):
-            pt = meet(lines[ia], lines[ib])
-            incidence.setdefault(pt, set()).update((ia, ib))
+        incidence: dict[int, set[int]] = {}
+        for pair in combinations(subset, 2):
+            incidence.setdefault(meets[pair], set()).update(pair)
         if all(len(through) <= 3 for through in incidence.values()):
             return True
     return False

@@ -253,7 +253,11 @@ class AnalysisReport:
         def rat(v):
             if v is None:
                 return "undefined"
-            return f"{format_rational(v)} (~{float(v):.4f})"
+            try:
+                approx = f"{float(v):.4f}"
+            except OverflowError:
+                approx = "inf" if v > 0 else "-inf"
+            return f"{format_rational(v)} (~{approx})"
         lines = []
         for w in self.warnings:
             lines.append(f"!! {w}")

@@ -11,12 +11,11 @@ Two carriers are provided:
 
 Everything here is exact; there is no floating point.  All degrees that
 actually occur are small (<= 4 from conic-conic elimination), so the dense
-univariate representation and cofactor-expansion determinants are fine.
+univariate representation and Euclidean gcds are fine.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -34,8 +33,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational written as ``p/q`` or ``p``."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(v) for v in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 
@@ -60,14 +61,6 @@ class UPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def const(cls, value) -> "UPoly":
-        return cls([value])
-
-    @classmethod
-    def x(cls) -> "UPoly":
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -143,9 +136,6 @@ class UPoly:
             rem.pop()
         return UPoly(quo), UPoly(rem)
 
-    def __floordiv__(self, other: "UPoly") -> "UPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UPoly") -> "UPoly":
         return divmod(self, other)[1]
 
@@ -157,9 +147,6 @@ class UPoly:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * value + c
         return acc
-
-    def derivative(self) -> "UPoly":
-        return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "UPoly":
         if self.is_zero:
@@ -200,91 +187,6 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     if a.is_zero:
         return a
     return a.monic()
-
-
-def squarefree_part(p: UPoly) -> UPoly:
-    """p / gcd(p, p'), primitive-normalized."""
-    if p.is_zero:
-        raise ValueError("squarefree part of the zero polynomial")
-    if p.degree == 0:
-        return UPoly.const(1)
-    g = poly_gcd(p, p.derivative())
-    return (p // g).primitive()
-
-
-def squarefree_decomposition(p: UPoly) -> list[tuple[UPoly, int]]:
-    """Yun's algorithm: return [(factor, multiplicity)] with factors squarefree
-    and pairwise coprime; the product of factor^mult recovers p up to a scalar.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    out: list[tuple[UPoly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        if p.degree >= 1:
-            out.append((p.primitive(), 1))
-        return out
-    w = p // g
-    y = p.derivative() // g
-    i = 1
-    while w.degree >= 1:
-        z = y - w.derivative()
-        f = poly_gcd(w, z)
-        if f.degree >= 1:
-            out.append((f.primitive(), i))
-        w = w // f
-        y = z // f
-        i += 1
-    return out
-
-
-def resultant_univariate(p: UPoly, q: UPoly) -> Fraction:
-    """Sylvester resultant of two univariate polynomials over Q.
-
-    The row-block order matches :func:`resultant` so that specializing a
-    ternary resultant agrees with the univariate one.
-    """
-    p, q = q, p
-    m, n = p.degree, q.degree
-    if m < 0 or n < 0:
-        raise ValueError("resultant of the zero polynomial")
-    if m == 0 and n == 0:
-        return Fraction(1)
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    rows: list[list[Fraction]] = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - n - 1 - i))
-    return _det_fraction(rows)
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
 
 
 # --------------------------------------------------------------------------
@@ -428,103 +330,3 @@ class TernaryForm:
             else:
                 terms.append(cs)
         return "TernaryForm(" + " + ".join(terms) + ")"
-
-
-# Bivariate polynomials (dict {(i, j): Fraction}) appear only as entries of
-# the Sylvester matrix during elimination.
-
-_BiPoly = dict[tuple[int, int], Fraction]
-
-
-def _bi_add(a: _BiPoly, b: _BiPoly) -> _BiPoly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _bi_mul(a: _BiPoly, b: _BiPoly) -> _BiPoly:
-    out: _BiPoly = {}
-    for (i, j), c in a.items():
-        for (k, l), d in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _bi_det(rows: list[list[_BiPoly]]) -> _BiPoly:
-    """Determinant with polynomial entries by cofactor expansion (n <= 4)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc: _BiPoly = {}
-    for col in range(n):
-        entry = rows[0][col]
-        if not entry:
-            continue
-        minor = [[rows[r][c] for c in range(n) if c != col] for r in range(1, n)]
-        term = _bi_mul(entry, _bi_det(minor))
-        if col % 2:
-            term = {e: -c for e, c in term.items()}
-        acc = _bi_add(acc, term)
-    return acc
-
-
-def resultant(p: TernaryForm, q: TernaryForm, variable: str = "x") -> TernaryForm:
-    """Sylvester resultant of two ternary forms w.r.t. one variable.
-
-    The result is a homogeneous form of degree deg(p)*deg(q) in the two
-    remaining variables (returned as a TernaryForm in which the eliminated
-    variable does not occur).  An identically vanishing resultant (the
-    inputs share a factor) is returned as None, since forms are nonzero by
-    construction.  Raises ValueError when either input has degree zero in
-    the eliminated variable (nothing to eliminate).
-    """
-    axis = VARS.index(variable)
-    others = [i for i in range(3) if i != axis]
-
-    def as_poly_in(form: TernaryForm) -> list[_BiPoly]:
-        deg = max(e[axis] for e in form.coeffs)
-        cs: list[_BiPoly] = [{} for _ in range(deg + 1)]
-        for expo, c in form.coeffs.items():
-            key = (expo[others[0]], expo[others[1]])
-            cs[expo[axis]][key] = cs[expo[axis]].get(key, Fraction(0)) + c
-        return cs
-
-    pc, qc = as_poly_in(q), as_poly_in(p)  # row order fixes the sign convention
-    m, n = len(pc) - 1, len(qc) - 1
-    if m == 0 or n == 0:
-        raise ValueError(f"nothing to eliminate: degree 0 in {variable}")
-    size = m + n
-    prow = list(reversed(pc))
-    qrow = list(reversed(qc))
-    rows: list[list[_BiPoly]] = []
-    for i in range(n):
-        rows.append([{} for _ in range(i)] + prow + [{} for _ in range(size - m - 1 - i)])
-    for i in range(m):
-        rows.append([{} for _ in range(i)] + qrow + [{} for _ in range(size - n - 1 - i)])
-    det = _bi_det(rows)
-    out: dict[Exponent, Fraction] = {}
-    for (i, j), c in det.items():
-        expo = [0, 0, 0]
-        expo[others[0]] = i
-        expo[others[1]] = j
-        out[tuple(expo)] = c
-    if not out:
-        # identically zero resultant: common factor; callers treat as error/None
-        return None  # type: ignore[return-value]
-    return TernaryForm(p.degree * q.degree, out)
-
-
-def form_to_upoly(form: TernaryForm, variable: str, at_one: str) -> UPoly:
-    """Dehomogenize: read ``form`` as a univariate polynomial in ``variable``
-    with the ``at_one`` variable set to 1; the third variable must not occur.
-    """
-    vi, oi = VARS.index(variable), VARS.index(at_one)
-    third = ({0, 1, 2} - {vi, oi}).pop()
-    coeffs = [Fraction(0)] * (form.degree + 1)
-    for expo, c in form.coeffs.items():
-        if expo[third] != 0:
-            raise ValueError(f"form involves {VARS[third]}")
-        coeffs[expo[vi]] += c
-    return UPoly(coeffs)

@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import coniclines.cli as cli
 from coniclines.cli import EXIT_PARSE, EXIT_VALIDATION, main
@@ -187,7 +189,7 @@ def test_check_file_target(tmp_path):
 
 def test_check_missing_target():
     result = run("check", "urzua", "missing-file.txt")
-    assert result.exit_code != 0
+    assert result.exit_code == EXIT_PARSE
     assert "neither a catalog name nor a file" in result.output
 
 
@@ -239,3 +241,80 @@ def test_analyze_gaussian_rational_pair_in_a_subprocess(tmp_path):
     data = json.loads(proc.stdout)
     assert (data["d"], data["k"], data["t"]) == (1, 1, {"2": 2})
     assert data["all_ordinary"] is True
+
+
+def _assert_clean_exit(result, code):
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, code", [
+    ("line: 1 0 1/0\n", EXIT_PARSE),
+    ("d=x k=1\n", EXIT_PARSE),
+    ("d=2 k=1\nt 1 = 1\n", EXIT_VALIDATION),
+    ("d=2 k=1\nt 2 = -1\n", EXIT_VALIDATION),
+], ids=["zero-denominator", "non-integer-header", "t1", "negative-count"])
+def test_analyze_malformed_input(tmp_path, text, code):
+    target = tmp_path / "bad.txt"
+    target.write_text(text)
+    _assert_clean_exit(run("analyze", str(target)), code)
+
+
+def test_analyze_utf16_file(tmp_path):
+    target = tmp_path / "utf16.txt"
+    target.write_text("line: 1 0 -1\nline: 0 1 -1\n", encoding="utf-16")
+    _assert_clean_exit(run("analyze", str(target)), EXIT_PARSE)
+
+
+def test_analyze_directory(tmp_path):
+    _assert_clean_exit(run("analyze", str(tmp_path)), EXIT_PARSE)
+
+
+@pytest.mark.parametrize("params", ["1,x", "1/0,2"])
+def test_export_malformed_parameters(tmp_path, params):
+    result = run("catalog", "export", "pencil4", str(tmp_path / "out.txt"),
+                 "--k", "2", "--t", params)
+    _assert_clean_exit(result, EXIT_PARSE)
+
+
+def test_analyze_renders_huge_invariants(tmp_path):
+    # H-index 10^400 - 4 does not fit in a float
+    target = tmp_path / "huge.txt"
+    target.write_text(f"d={10 ** 200} k=0\nt 2 = 1\n")
+    result = run("analyze", str(target))
+    assert result.exit_code == 0, result.output
+    assert f"H-index: {10 ** 400 - 4} (~inf)" in result.output
+
+
+_FRAGMENTS = st.sampled_from(["line:", "conic:", "d=", "k=", "d=2", "k=1", "t", "=",
+                              "#", "0", "1", "-2", "3/0", "x", "1/2", "2/-3", ":", "\t"])
+_RANDOM_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.lists(_FRAGMENTS, max_size=8).map(" ".join), max_size=5).map("\n".join),
+)
+_COEFF = st.builds(lambda p, q: str(p) if q == 1 else f"{p}/{q}",
+                   st.integers(-3, 3), st.sampled_from([1] * 20 + [2, 3, 0]))
+_RECORD = st.one_of(
+    st.lists(_COEFF, min_size=3, max_size=3).map(lambda cs: "line: " + " ".join(cs)),
+    st.lists(_COEFF, min_size=6, max_size=6).map(lambda cs: "conic: " + " ".join(cs)),
+)
+_RECORDS = st.lists(_RECORD, min_size=1, max_size=4).map(lambda rs: "\n".join(rs) + "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_RANDOM_TEXT.map(str.encode), st.binary(max_size=40)))
+def test_analyze_exit_contract_on_random_text(tmp_path_factory, data):
+    target = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    target.write_bytes(data)
+    result = run("analyze", str(target))
+    assert result.exit_code in (0, EXIT_PARSE, EXIT_VALIDATION), repr(result.exception)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_RECORDS)
+def test_analyze_exit_contract_on_random_records(tmp_path_factory, text):
+    target = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    target.write_text(text)
+    result = run("analyze", str(target), "--json")
+    assert result.exit_code in (0, EXIT_PARSE, EXIT_VALIDATION), repr(result.exception)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import coniclines.intersect as intersect
 from coniclines.catalog import build_dbe_sharpness, build_pencil4, build_tangency_demo
 from coniclines.curves import Arrangement, PlaneCurve, ProjectivePoint
 from coniclines.intersect import (
@@ -183,3 +184,17 @@ def test_six_line_subarrangement():
     # six concurrent lines fail the multiplicity bound
     pencil = Arrangement(tuple(line(1, i, 0) for i in range(6)))
     assert not has_six_line_subarrangement(pencil)
+
+
+def test_six_line_search_meets_each_line_pair_once(monkeypatch):
+    meets = []
+    original = intersect._intersect_lines
+
+    def counting(l1, l2):
+        meets.append((l1, l2))
+        return original(l1, l2)
+
+    monkeypatch.setattr(intersect, "_intersect_lines", counting)
+    concurrent = Arrangement(tuple(line(1, i, 0) for i in range(12)))
+    assert not has_six_line_subarrangement(concurrent)
+    assert len(meets) == 12 * 11 // 2

@@ -1,19 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
+from coniclines.intersect import IntersectionError, _eliminate_x, _intersect_conics, _NotGeneric
 from coniclines.polynomials import (
     TernaryForm,
     UPoly,
-    form_to_upoly,
     format_rational,
     parse_rational,
     poly_gcd,
-    resultant,
-    resultant_univariate,
-    squarefree_decomposition,
-    squarefree_part,
 )
 
 
@@ -37,23 +34,14 @@ def test_upoly_eval_horner():
     assert p(F(1, 2)) == 1 + 1 + F(3, 4)
 
 
-def test_gcd_and_squarefree():
-    a = UPoly([-1, 1])  # x - 1
-    b = UPoly([1, 1])   # x + 1
-    p = a * a * b
-    assert poly_gcd(p, p.derivative()) == a.monic()
-    assert squarefree_part(p) == (a * b).primitive()
-    assert squarefree_part(UPoly([-2, 0, 1])) == UPoly([-2, 0, 1])
-    assert squarefree_part(UPoly([5])) == UPoly([1])
-
-
-def test_squarefree_decomposition():
-    a = UPoly([-1, 1])
-    b = UPoly([1, 1])
-    p = a * a * a * b
-    decomp = squarefree_decomposition(p)
-    assert (b.primitive(), 1) in decomp
-    assert (a.primitive(), 3) in decomp
+def test_poly_gcd_common_factor():
+    a = UPoly([-1, 1])      # x - 1
+    b = UPoly([1, 1])       # x + 1
+    c = UPoly([2, 0, 1])    # x^2 + 2
+    assert poly_gcd(a * a * b, a * c * 3) == a.monic()
+    assert poly_gcd(a * b * c, UPoly([F(1, 2)]) * b * c) == (b * c).monic()
+    assert poly_gcd(a, b) == UPoly([1])
+    assert poly_gcd(UPoly(), c) == c.monic()
 
 
 def test_primitive_normalization():
@@ -63,63 +51,37 @@ def test_primitive_normalization():
     assert prim.leading > 0
 
 
-def test_resultant_quadric_line():
-    p = TernaryForm(2, {(2, 0, 0): 1, (0, 0, 2): -2})  # x^2 - 2z^2
-    q = TernaryForm(1, {(1, 0, 0): 1, (0, 1, 0): -1})  # x - y
-    r = resultant(p, q, "x")
-    assert r == TernaryForm(2, {(0, 2, 0): 1, (0, 0, 2): -2})
-
-
-def test_resultant_two_lines():
-    a, b = F(3), F(5)
-    p = TernaryForm.line(1, 0, -a)
-    q = TernaryForm.line(1, 0, -b)
-    r = resultant(p, q, "x")
-    # (b - a) z
-    assert r == TernaryForm(1, {(0, 0, 1): b - a})
-
-
 def test_resultant_self_vanishes():
     p = TernaryForm.conic(1, 1, -2, 0, 0, 0)
-    assert resultant(p, p, "x") is None
+    assert _eliminate_x(p, p)[0].is_zero
+    assert _eliminate_x(p, p.scale(F(-3, 2)))[0].is_zero
+    with pytest.raises(IntersectionError, match="identical curves"):
+        _intersect_conics(p, p.scale(3))
 
 
 def test_resultant_nothing_to_eliminate():
-    p = TernaryForm.line(0, 1, -1)  # no x
+    # without an x^2 term the conic passes through (1:0:0), where the
+    # elimination would lose a point; the engine changes coordinates
+    p = TernaryForm.conic(0, 1, -1, 1, 0, 0)
     q = TernaryForm.conic(1, 1, -1, 0, 0, 0)
-    with pytest.raises(ValueError, match="nothing to eliminate"):
-        resultant(p, q, "x")
+    with pytest.raises(_NotGeneric, match="passes through"):
+        _eliminate_x(p, q)
 
 
-@given(st.fractions(max_denominator=20))
-def test_resultant_specialization(lam):
-    # res_x(p, q) at (y, z) = (lam, 1) equals the univariate resultant of the
-    # specialized polynomials when the leading x-coefficients survive
-    p = TernaryForm.conic(1, 2, -3, 1, 0, 0)
-    q = TernaryForm.conic(2, -1, 1, 0, 1, 2)
-    r = resultant(p, q, "x")
-    specialized = sum(
-        c * lam ** e[1] for e, c in r.coeffs.items())
-    pu = UPoly([p.coeffs.get((0, 2, 0), F(0)) * lam ** 2
-                + p.coeffs.get((0, 1, 1), F(0)) * lam
-                + p.coeffs.get((0, 0, 2), F(0)),
-                p.coeffs.get((1, 1, 0), F(0)) * lam
-                + p.coeffs.get((1, 0, 1), F(0)),
-                p.coeffs.get((2, 0, 0), F(0))])
-    qu = UPoly([q.coeffs.get((0, 2, 0), F(0)) * lam ** 2
-                + q.coeffs.get((0, 1, 1), F(0)) * lam
-                + q.coeffs.get((0, 0, 2), F(0)),
-                q.coeffs.get((1, 1, 0), F(0)) * lam
-                + q.coeffs.get((1, 0, 1), F(0)),
-                q.coeffs.get((2, 0, 0), F(0))])
-    assert resultant_univariate(pu, qu) == specialized
+_COEFF = st.integers(-6, 6)
+_CONIC = st.tuples(*[_COEFF] * 6)
 
 
-def test_form_to_upoly():
-    r = TernaryForm(2, {(0, 2, 0): 1, (0, 0, 2): -2})
-    assert form_to_upoly(r, "y", "z") == UPoly([-2, 0, 1])
-    with pytest.raises(ValueError):
-        form_to_upoly(TernaryForm.conic(1, 1, -1, 0, 0, 0), "y", "z")
+@settings(max_examples=60, deadline=None)
+@given(_CONIC, _CONIC)
+def test_resultant_specialization(pc, qc):
+    # the closed-form quartic is sympy's resultant in x at z = 1
+    assume(pc[0] != 0 and qc[0] != 0)
+    x, y = sp.symbols("x y")
+    p, q = TernaryForm.conic(*pc), TernaryForm.conic(*qc)
+    expected = sp.Poly(sp.resultant(p(x, y, 1), q(x, y, 1), x), y)
+    coeffs = [F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+    assert _eliminate_x(p, q)[0] == UPoly(coeffs)
 
 
 def test_compose_linear_swap():
