@@ -3,22 +3,35 @@
 Every irrational number the engine meets is born as a root of an
 irreducible factor f of a univariate rational polynomial (a line-conic
 quadratic or an eliminated conic-conic quartic).  It then lives in the
-number field Q[a]/(f): an AlgebraicNumber is a rational, or a polynomial in
-a reduced modulo f together with the index k of the conjugate root a_k of f
-it is evaluated at.  The deg f conjugates share one exact representation;
-anything decided by field arithmetic (zero tests, incidence, tangency)
-holds for all of them at once.
+number field Q[a]/(f): an AlgebraicNumber is a rational, or a field element
+together with the index k of the conjugate root a_k of f it is evaluated
+at.  The deg f conjugates share one exact representation; anything decided
+by field arithmetic (zero tests, incidence, tangency) holds for all of them
+at once.
 
-Arithmetic, zero tests and equality are exact Fraction polynomial
-arithmetic.  The only sympy call is ``factor_list``, which splits a
-polynomial into its irreducible factors.  Numeric values are for display
-only: mpmath ``polyroots`` (mpmath ships with sympy) finds the roots of f,
-taken in a fixed order, and conjugate k evaluates its polynomial at the k-th.
+Field arithmetic is integer arithmetic.  For the primitive integer witness
+f = c_n a^n + ... + c_0, the number b = c_n a is a root of the monic integer
+polynomial g(b) = c_n^(n-1) f(b / c_n) (Cohen, A Course in Computational
+Algebraic Number Theory, GTM 138).  A field element is an integer
+coefficient vector in 1, b, ..., b^(n-1) over one positive integer
+denominator.  Because g is monic, a product is reduced modulo g by integer
+multiply and subtract alone: no Fraction, no gcd per operation, no modular
+inverse.  The reduced vector of an integral element is unique, so the zero
+test is the zero vector.  Only division needs an inverse; it solves the
+element's multiplication matrix by Cramer's rule over the integers, and the
+engine uses it only to normalize a point for display.
+
+The only sympy call is ``factor_list`` over ZZ, which splits a primitive
+integer polynomial into its irreducible factors.  Numeric values are for
+display only: mpmath ``polyroots`` (mpmath ships with sympy) finds the
+roots of f, taken in a fixed order, and conjugate k evaluates its vector at
+b_k = c_n a_k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import sympy as sp
 
@@ -27,55 +40,116 @@ from .polynomials import UPoly, format_rational
 _X = sp.Symbol("x")
 
 
-def upoly_to_sympy(p: UPoly) -> sp.Poly:
-    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-                   _X, domain="QQ")
-
-
-def sympy_to_upoly(p) -> UPoly:
-    poly = sp.Poly(p, _X, domain="QQ")
-    return UPoly([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
-
-
-def _poly_inverse_mod(g: UPoly, f: UPoly) -> UPoly:
-    """Inverse of g modulo the irreducible polynomial f (extended Euclid)."""
-    r0, r1 = f, g
-    s0, s1 = UPoly(), UPoly([Fraction(1)])
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise ZeroDivisionError("element not invertible modulo the witness")
-    inv_lead = Fraction(1) / r0.coeffs[0]
-    return UPoly([c * inv_lead for c in s0.coeffs])
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination, every
+    division exact)."""
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 class NumberField:
-    """Q[a]/(f) for an irreducible witness f of degree >= 2.
+    """Q[a]/(f) for an irreducible witness f of degree n >= 2, computed in
+    the integral generator b = c_n a, a root of the monic g.
 
-    Fields compare equal when their primitive witnesses do.  The complex
-    roots of f are computed on first use, for display only, and kept in one
-    fixed order: conjugate k is the k-th root.
+    ``witness`` is the primitive integer f with positive leading coefficient
+    ``lead`` = c_n; ``monic`` holds g_0 .. g_(n-1), where g(b) = b^n +
+    g_(n-1) b^(n-1) + ... + g_0 and g_i = c_i c_n^(n-1-i).  Fields compare
+    equal when their witnesses do.  The complex roots of f are computed on
+    first use, for display only, and kept in one fixed order: conjugate k
+    is the k-th root.
     """
 
-    __slots__ = ("witness", "_roots")
+    __slots__ = ("witness", "lead", "monic", "_roots")
 
     def __init__(self, witness: UPoly):
         if witness.degree < 2:
             raise ValueError("a number field witness has degree >= 2")
         self.witness = witness.primitive()
+        coeffs = [int(c) for c in self.witness.coeffs]
+        n = len(coeffs) - 1
+        self.lead = coeffs[-1]
+        self.monic = tuple(c * self.lead ** (n - 1 - i) for i, c in enumerate(coeffs[:-1]))
         self._roots: dict[int, list] = {}
 
     @property
     def degree(self) -> int:
-        return self.witness.degree
+        return len(self.monic)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.witness == other.witness
 
     def __hash__(self) -> int:
         return hash(self.witness)
+
+    # -- integer kernel -------------------------------------------------------
+
+    def reduce(self, coeffs: list[int]) -> list[int]:
+        """The integer vector in b of length n congruent to the polynomial
+        ``coeffs`` (in b, lowest first, any length) modulo g; ``coeffs`` is
+        consumed."""
+        n, g = len(self.monic), self.monic
+        for top in range(len(coeffs) - 1, n - 1, -1):
+            c = coeffs[top]
+            if c:
+                base = top - n
+                for i in range(n):
+                    coeffs[base + i] -= c * g[i]
+        del coeffs[n:]
+        coeffs.extend([0] * (n - len(coeffs)))
+        return coeffs
+
+    def dot(self, us, vs) -> list[int]:
+        """The reduced vector of sum_i us[i] * vs[i], for integer vectors in
+        b of length at most n; one reduction for the whole sum."""
+        acc = [0] * (2 * len(self.monic) - 1)
+        for u, v in zip(us, vs):
+            for i, ui in enumerate(u):
+                if ui:
+                    for j, vj in enumerate(v):
+                        acc[i + j] += ui * vj
+        return self.reduce(acc)
+
+    def element(self, coeffs, den: int = 1, conjugate: int = 0) -> "AlgebraicNumber":
+        """The number (sum_i coeffs[i] b^i) / den at conjugate k."""
+        return AlgebraicNumber(tuple(coeffs), self, conjugate, den)
+
+    def generator(self, conjugate: int = 0) -> "AlgebraicNumber":
+        """The root a_k = b_k / c_n of the witness, for k = ``conjugate``."""
+        return self.element((0, 1) + (0,) * (self.degree - 2), self.lead, conjugate)
+
+    def _inverse(self, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """(w, D) with (sum_i w_i b^i) / D the inverse of the nonzero
+        element sum_i coeffs[i] b^i: Cramer's rule on its multiplication
+        matrix, whose column j is coeffs * b^j."""
+        n = self.degree
+        columns, col = [], list(coeffs)
+        for _ in range(n):
+            columns.append(col)
+            col = self.reduce([0] + col)
+        matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
+        den = _det(matrix)
+        if den == 0:
+            raise ZeroDivisionError("element not invertible modulo the witness")
+        unit = [1] + [0] * (n - 1)
+        out = tuple(_det([row[:j] + [unit[i]] + row[j + 1:] for i, row in enumerate(matrix)])
+                    for j in range(n))
+        if den < 0:
+            return tuple(-c for c in out), -den
+        return out, den
+
+    # -- display ----------------------------------------------------------------
 
     def roots(self, dps: int = 30) -> list:
         """The roots of the witness as mpmath numbers accurate to ``dps``
@@ -94,35 +168,29 @@ class NumberField:
             self._roots[dps] = found
         return self._roots[dps]
 
-    def generator(self, conjugate: int = 0) -> "AlgebraicNumber":
-        """The root a_k of the witness, for k = ``conjugate``."""
-        return AlgebraicNumber(UPoly([0, 1]), self, conjugate)
-
 
 class AlgebraicNumber:
-    """A rational, or the value at a_k of a polynomial reduced modulo the
-    witness of a number field.
+    """A rational, or a field element at the conjugate root a_k.
 
-    ``value`` is a Fraction when ``field`` is None, else a UPoly of degree
-    1 .. deg f - 1 (the witness is irreducible, so such a value is never
-    rational and is zero only as the zero polynomial).  Arithmetic mixes
-    rationals with anything, and field elements only within one field at
-    one conjugate; equality across fields or conjugates is not decided.
+    When ``field`` is None, ``value`` is a Fraction.  Otherwise ``value`` is
+    the integer vector in b and ``den`` the positive denominator, and some
+    coefficient of b^1 .. b^(n-1) is nonzero (such a value is never
+    rational, so it is never zero).  Arithmetic mixes rationals with
+    anything, and field elements only within one field at one conjugate;
+    equality across fields or conjugates is not decided.
     """
 
-    __slots__ = ("value", "field", "conjugate")
+    __slots__ = ("value", "den", "field", "conjugate")
 
-    def __init__(self, value, field: NumberField | None = None, conjugate: int = 0):
-        if field is not None:
-            if value.degree >= field.degree:
-                value = value % field.witness
-            if value.degree <= 0:
-                value = value.coeffs[0] if value.coeffs else Fraction(0)
-                field = None
+    def __init__(self, value, field: NumberField | None = None,
+                 conjugate: int = 0, den: int = 1):
+        if field is not None and not any(value[1:]):
+            value, field = Fraction(value[0], den), None
         if field is None:
             value = value if isinstance(value, Fraction) else Fraction(value)
-            conjugate = 0
+            den, conjugate = 1, 0
         self.value = value
+        self.den = den
         self.field = field
         self.conjugate = conjugate
 
@@ -149,20 +217,24 @@ class AlgebraicNumber:
         """The same field element evaluated at another conjugate root."""
         if self.field is None:
             return self
-        return AlgebraicNumber(self.value, self.field, conjugate)
+        return AlgebraicNumber(self.value, self.field, conjugate, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _operands(self, other):
-        """(field, conjugate, value of self, value of other), the values as
-        UPolys in the common field of two numbers, at least one irrational."""
+        """(field, conjugate, (vector, den) of self, (vector, den) of other)
+        in the common field of two numbers, at least one irrational."""
         if self.field is not None and other.field is not None and (
                 self.field != other.field or self.conjugate != other.conjugate):
             raise ValueError("the numbers lie in different fields or conjugates")
         lead = self if self.field is not None else other
-        a = self.value if self.field is not None else UPoly([self.value])
-        b = other.value if other.field is not None else UPoly([other.value])
-        return lead.field, lead.conjugate, a, b
+        n = lead.field.degree
+        return lead.field, lead.conjugate, self._vector(n), other._vector(n)
+
+    def _vector(self, n: int) -> tuple[tuple[int, ...], int]:
+        if self.field is not None:
+            return self.value, self.den
+        return (self.value.numerator,) + (0,) * (n - 1), self.value.denominator
 
     def __add__(self, other):
         other = _coerce(other)
@@ -170,13 +242,17 @@ class AlgebraicNumber:
             return NotImplemented
         if self.field is None and other.field is None:
             return AlgebraicNumber(self.value + other.value)
-        field, k, a, b = self._operands(other)
-        return AlgebraicNumber(a + b, field, k)
+        field, k, (u, du), (v, dv) = self._operands(other)
+        if du == dv:
+            return AlgebraicNumber(tuple(a + b for a, b in zip(u, v)), field, k, du)
+        return AlgebraicNumber(tuple(a * dv + b * du for a, b in zip(u, v)), field, k, du * dv)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(-self.value, self.field, self.conjugate)
+        if self.field is None:
+            return AlgebraicNumber(-self.value)
+        return AlgebraicNumber(tuple(-c for c in self.value), self.field, self.conjugate, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -196,27 +272,33 @@ class AlgebraicNumber:
             return NotImplemented
         if self.field is None and other.field is None:
             return AlgebraicNumber(self.value * other.value)
-        field, k, a, b = self._operands(other)
-        return AlgebraicNumber(a * b, field, k)
+        field, k, (u, du), (v, dv) = self._operands(other)
+        if self.field is None or other.field is None:
+            scalar, vector = (u[0], v) if self.field is None else (v[0], u)
+            return AlgebraicNumber(tuple(scalar * c for c in vector), field, k, du * dv)
+        return AlgebraicNumber(tuple(field.dot((u,), (v,))), field, k, du * dv)
 
     __rmul__ = __mul__
+
+    def inverse(self) -> "AlgebraicNumber":
+        if self.is_zero:
+            raise ZeroDivisionError("division by an algebraic zero")
+        if self.field is None:
+            return AlgebraicNumber(1 / self.value)
+        w, den = self.field._inverse(self.value)
+        return AlgebraicNumber(tuple(c * self.den for c in w), self.field, self.conjugate, den)
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by an algebraic zero")
-        if self.field is None and other.field is None:
-            return AlgebraicNumber(self.value / other.value)
-        field, k, a, b = self._operands(other)
-        return AlgebraicNumber(a * _poly_inverse_mod(b, field.witness), field, k)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        return other * self.inverse()
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -226,12 +308,14 @@ class AlgebraicNumber:
             return self.field is other.field and self.value == other.value
         if self.field != other.field or self.conjugate != other.conjugate:
             raise ValueError("equality across fields or conjugates is not decided")
-        return self.value == other.value
+        return all(a * other.den == b * self.den for a, b in zip(self.value, other.value))
 
     def __hash__(self):
         if self.field is None:
             return hash(self.value)
-        return hash((self.field, self.value, self.conjugate))
+        common = gcd(self.den, *self.value)
+        return hash((self.field, tuple(c // common for c in self.value),
+                     self.den // common, self.conjugate))
 
     # -- display ------------------------------------------------------------
 
@@ -245,11 +329,11 @@ class AlgebraicNumber:
 
         dps = 30
         while True:
-            root = self.field.roots(dps)[self.conjugate]
             with mpmath.workdps(dps):
+                b = self.field.roots(dps)[self.conjugate] * self.field.lead
                 total, scale = mpmath.mpc(0), mpmath.mpf(0)
-                for i, c in enumerate(self.value.coeffs):
-                    term = mpmath.mpf(c.numerator) / c.denominator * root ** i
+                for i, c in enumerate(self.value):
+                    term = mpmath.mpf(c) / self.den * b ** i
                     total += term
                     scale = max(scale, abs(term))
                 lost = mpmath.log10(scale / abs(total)) if total != 0 else dps
@@ -282,12 +366,13 @@ def root_orbits(p: UPoly) -> list[tuple[AlgebraicNumber, int]]:
     """
     if p.is_zero:
         raise ValueError("cannot find the roots of the zero polynomial")
+    coeffs = [int(c) for c in reversed(p.primitive().coeffs)]
     out = []
-    _coeff, factors = upoly_to_sympy(p).factor_list()
+    _content, factors = sp.Poly(coeffs, _X, domain="ZZ").factor_list()
     for factor_sp, mult in factors:
-        factor = sympy_to_upoly(factor_sp)
-        if factor.degree == 1:
-            out.append((AlgebraicNumber(-factor.coeffs[0] / factor.coeffs[1]), int(mult)))
+        factor = [int(c) for c in reversed(factor_sp.rep.to_list())]
+        if len(factor) == 2:
+            out.append((AlgebraicNumber(Fraction(-factor[0], factor[1])), int(mult)))
         else:
-            out.append((NumberField(factor).generator(), int(mult)))
+            out.append((NumberField(UPoly(factor)).generator(), int(mult)))
     return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebraic import AlgebraicNumber, NumberField
 from .polynomials import TernaryForm, format_rational, parse_rational
@@ -130,18 +131,23 @@ class CombinatorialType:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Point of P^2 with algebraic coordinates, normalized so the last
-    nonzero coordinate is 1.
+    """Point of P^2 with algebraic coordinates.
 
-    The coordinates are rationals or elements of one number field at one
-    conjugate; the point then stands for itself and the other deg f
-    conjugate points of its orbit, which share its exact coordinates.
+    A rational point is normalized so the last nonzero coordinate is 1, so
+    its coordinates can serve as a dict key.  An irrational point has its
+    coordinates in one number field at one conjugate and stands for itself
+    and the other deg f conjugate points of its orbit, which share its exact
+    coordinates.  The engine builds it projectively from integer vectors in
+    the field's integral generator b and never divides it; ``normalized``
+    divides by the last nonzero coordinate (with the field inverse), and
+    display goes through it.
     """
 
     coords: tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]
 
     @classmethod
     def from_coords(cls, x, y, z) -> "ProjectivePoint":
+        """The point (x : y : z), normalized."""
         coords = [v if isinstance(v, AlgebraicNumber)
                   else AlgebraicNumber.from_rational(v) for v in (x, y, z)]
         pivot = None
@@ -151,12 +157,21 @@ class ProjectivePoint:
                 break
         if pivot is None:
             raise ValidationError("(0 : 0 : 0) is not a projective point")
-        div = coords[pivot]
-        normalized = [coords[i] / div for i in range(pivot)]
+        div = coords[pivot].inverse()
+        normalized = [coords[i] * div for i in range(pivot)]
         normalized.append(AlgebraicNumber.from_rational(1))
         normalized.extend(AlgebraicNumber.from_rational(0)
                           for _ in range(pivot + 1, 3))
         return cls(tuple(normalized))
+
+    @classmethod
+    def in_field(cls, field: NumberField, vectors) -> "ProjectivePoint":
+        """The point at conjugate 0 whose coordinates are the three integer
+        vectors in b (length deg f each), not normalized."""
+        coords = tuple(field.element(v) for v in vectors)
+        if all(c.is_zero for c in coords):
+            raise ValidationError("(0 : 0 : 0) is not a projective point")
+        return cls(coords)
 
     @property
     def field(self) -> NumberField | None:
@@ -176,17 +191,38 @@ class ProjectivePoint:
         return [ProjectivePoint(tuple(c.at_conjugate(k) for c in self.coords))
                 for k in range(field.degree)]
 
+    def vectors(self) -> list[list[int]]:
+        """The coordinates times one positive integer, as integer vectors in
+        b of length deg f (length 1 for a rational point): the same point."""
+        field = self.field
+        n = 1 if field is None else field.degree
+        dens = [c.den if c.field is not None else c.value.denominator for c in self.coords]
+        common = lcm(*dens)
+        out = []
+        for c, den in zip(self.coords, dens):
+            scale = common // den
+            if c.field is not None:
+                out.append([v * scale for v in c.value])
+            else:
+                out.append([c.value.numerator * scale] + [0] * (n - 1))
+        return out
+
+    def normalized(self) -> "ProjectivePoint":
+        """The same point with its last nonzero coordinate 1."""
+        return ProjectivePoint.from_coords(*self.coords)
+
     def same_point(self, other: "ProjectivePoint") -> bool:
-        """Exact equality; decided for rational points and for points of one
-        field at one conjugate, else ValueError."""
-        return all(a == b for a, b in zip(self.coords, other.coords))
+        """Exact projective equality; decided for rational points and for
+        points of one field at one conjugate, else ValueError."""
+        a, b = self.coords, other.coords
+        return all(a[i] * b[j] == a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2)))
 
     def approx(self) -> tuple[complex, complex, complex]:
-        return tuple(c.approx() for c in self.coords)
+        return tuple(c.approx() for c in self.normalized().coords)
 
     def __repr__(self) -> str:
         parts = []
-        for c in self.coords:
+        for c in self.normalized().coords:
             if c.is_rational:
                 parts.append(format_rational(c.as_fraction()))
             else:

@@ -26,8 +26,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
-from .algebraic import AlgebraicNumber, root_orbits
+from .algebraic import AlgebraicNumber, NumberField, root_orbits
 from .curves import (
     Arrangement,
     CombinatorialType,
@@ -89,33 +90,79 @@ def _intersect_lines(l1: TernaryForm, l2: TernaryForm) -> PairResult:
     return [(ProjectivePoint.from_coords(*cross), 1)]
 
 
-def _line_basis(line: TernaryForm) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Two independent rational points spanning the line a*x + b*y + c*z = 0."""
-    a, b, c = line.line_coefficients()
+def _integer_coefficients(form: TernaryForm) -> tuple[int, ...]:
+    """A line's (a, b, c) or a conic's (a, b, c, d, e, f), scaled to coprime
+    integers: the same curve."""
+    values = form.line_coefficients() if form.degree == 1 else form.conic_coefficients()
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    common = gcd(*ints)
+    return tuple(v // common for v in ints)
+
+
+def _gradient(coeffs: tuple[int, ...], point: list[list[int]]) -> list[list[int]]:
+    """The gradient of an integer line or conic at the integer vectors of a
+    point, as three integer vectors.  It is linear in the point, so nothing
+    needs reducing; by Euler's identity point . gradient is deg * value."""
+    if len(coeffs) == 3:
+        return [[c] for c in coeffs]
+    a, b, c, d, e, f = coeffs
+    xs, ys, zs = point
+    return [[2 * a * x + d * y + e * z for x, y, z in zip(xs, ys, zs)],
+            [d * x + 2 * b * y + f * z for x, y, z in zip(xs, ys, zs)],
+            [e * x + f * y + 2 * c * z for x, y, z in zip(xs, ys, zs)]]
+
+
+def _dot(field: NumberField | None, us, vs) -> list[int]:
+    """The reduced vector of sum_i us[i] * vs[i]; a 1-vector over Q."""
+    if field is None:
+        return [sum(u[0] * v[0] for u, v in zip(us, vs))]
+    return field.dot(us, vs)
+
+
+def _vanishes(coeffs: tuple[int, ...], field: NumberField | None, point) -> bool:
+    """Does the integer curve pass through the point (integer vectors)?"""
+    return not any(_dot(field, point, _gradient(coeffs, point)))
+
+
+def _line_basis(a: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two independent integer points spanning the line a*x + b*y + c*z = 0."""
     if a != 0:
-        return (-b, a, Fraction(0)), (-c, Fraction(0), a)
+        return (-b, a, 0), (-c, 0, a)
     if b != 0:
-        return (Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), -c, b)
-    return (Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))
+        return (1, 0, 0), (0, -c, b)
+    return (1, 0, 0), (0, 1, 0)
+
+
+def _conic_value(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
+    a, b, c, d, e, f = coeffs
+    return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
 
 def _intersect_line_conic(line: TernaryForm, conic: TernaryForm) -> PairResult:
-    p0, p1 = _line_basis(line)
+    p0, p1 = _line_basis(*_integer_coefficients(line))
+    coeffs = _integer_coefficients(conic)
     # restrict the conic to the line: Q(s*P0 + t*P1) = A s^2 + B st + C t^2
-    quad_a = conic(*p0)
-    quad_c = conic(*p1)
-    both = tuple(u + v for u, v in zip(p0, p1))
-    quad_b = conic(*both) - quad_a - quad_c
+    quad_a = _conic_value(coeffs, *p0)
+    quad_c = _conic_value(coeffs, *p1)
+    quad_b = _conic_value(coeffs, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
     points: PairResult = []
     if quad_a != 0:
         for s, mult in root_orbits(UPoly([quad_c, quad_b, quad_a])):
-            coords = [s * p0[i] + p1[i] for i in range(3)]
-            points.append((ProjectivePoint.from_coords(*coords), mult))
+            if s.is_rational:
+                value = s.as_fraction()
+                coords = [value * p0[i] + p1[i] for i in range(3)]
+                points.append((ProjectivePoint.from_coords(*coords), mult))
+                continue
+            # s = b / c_n, so s*P0 + P1 is the point b*P0 + c_n*P1
+            field = s.field
+            zeros = [0] * (field.degree - 2)
+            vectors = [[field.lead * p1[i], p0[i], *zeros] for i in range(3)]
+            points.append((ProjectivePoint.in_field(field, vectors), mult))
     elif quad_b != 0:
         # t * (B s + C t): the parameter point (1 : 0) plus one simple root
         points.append((ProjectivePoint.from_coords(*p0), 1))
-        s = -quad_c / quad_b
-        coords = [s * p0[i] + p1[i] for i in range(3)]
+        coords = [quad_b * p1[i] - quad_c * p0[i] for i in range(3)]
         points.append((ProjectivePoint.from_coords(*coords), 1))
     else:
         if quad_c == 0:
@@ -179,15 +226,33 @@ def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
     if poly_gcd(quartic, lin1).degree >= 1:
         # lin1 vanishes at a root, so x is not determined there
         raise _NotGeneric("two intersection points share a fiber")
+    # x = -lin0(y) / lin1(y): in the changed coordinates a point is
+    # (-lin0(y) : y lin1(y) : lin1(y)), and M maps it back; the coefficients
+    # of lin0 and lin1 are scaled by one integer, which keeps the point
+    scale = lcm(*(c.denominator for c in lin0.coeffs + lin1.coeffs))
+    l0 = [int(c * scale) for c in lin0.coeffs] + [0] * (3 - len(lin0.coeffs))
+    l1 = [int(c * scale) for c in lin1.coeffs] + [0] * (2 - len(lin1.coeffs))
+    m = [[int(v) for v in row] for row in matrix]
+    curves = (_integer_coefficients(p), _integer_coefficients(q))
     points: PairResult = []
-    for y_val, mult in root_orbits(quartic):
-        x_val = -_number(lin0(y_val)) / _number(lin1(y_val))
-        _verify_on_both(pt, qt, lin0, lin1, y_val)
-        # map back: original point is M . (x, y, 1)
-        vec = (x_val, y_val, AlgebraicNumber.from_rational(1))
-        coords = [sum((matrix[i][j] * vec[j] for j in range(3)),
-                      AlgebraicNumber.from_rational(0)) for i in range(3)]
-        points.append((ProjectivePoint.from_coords(*coords), mult))
+    for y, mult in root_orbits(quartic):
+        if y.is_rational:
+            value = y.as_fraction()
+            lin1_y = l1[0] + l1[1] * value
+            vec = [-(l0[0] + l0[1] * value + l0[2] * value * value), value * lin1_y, lin1_y]
+            point = ProjectivePoint.from_coords(
+                *(sum(m[i][j] * vec[j] for j in range(3)) for i in range(3)))
+        else:
+            # at y = b / c_n, times c_n^2: polynomials in b of degree <= 2
+            field, c = y.field, y.field.lead
+            vec = [field.reduce([-l0[0] * c * c, -l0[1] * c, -l0[2]]),
+                   field.reduce([0, l1[0] * c, l1[1]]),
+                   field.reduce([l1[0] * c * c, l1[1] * c])]
+            point = ProjectivePoint.in_field(field, [
+                [sum(m[i][j] * vec[j][k] for j in range(3)) for k in range(field.degree)]
+                for i in range(3)])
+        _verify_on_both(curves, point)
+        points.append((point, mult))
     return points
 
 
@@ -209,57 +274,57 @@ def _eliminate_x(p: TernaryForm, q: TernaryForm) -> tuple[UPoly, UPoly, UPoly]:
     return quartic, lin1, lin0
 
 
-def _number(value) -> AlgebraicNumber:
-    return value if isinstance(value, AlgebraicNumber) else AlgebraicNumber.from_rational(value)
-
-
-def _verify_on_both(pt: TernaryForm, qt: TernaryForm,
-                    lin0: UPoly, lin1: UPoly, y_val: AlgebraicNumber) -> None:
-    """Check x = -lin0/lin1 satisfies both conics at the fiber of y_val.
-
-    Clearing denominators turns the check into the exact evaluation of a
-    rational polynomial at y_val.
-    """
-    for form in (pt, qt):
-        c2, c1, c0 = _x_coefficients(form)
-        # lin1^2 * f(-lin0/lin1, y, 1)
-        num = c2 * (lin0 * lin0) - (c1 * lin0) * lin1 + c0 * (lin1 * lin1)
-        if not _number(num(y_val)).is_zero:
+def _verify_on_both(curves, point: ProjectivePoint) -> None:
+    """Check that the point lies on both conics, by exact evaluation of
+    their integer forms at its integer vectors."""
+    vectors = point.vectors()
+    for coeffs in curves:
+        if not _vanishes(coeffs, point.field, vectors):
             raise IntersectionError("back-substitution verification failed")
+
+
+def _element(field: NumberField | None, conjugate: int, vector: list[int]) -> AlgebraicNumber:
+    if field is None:
+        return AlgebraicNumber.from_rational(vector[0])
+    return field.element(vector + [0] * (field.degree - len(vector)), conjugate=conjugate)
 
 
 def tangent_line(curve: PlaneCurve, point: ProjectivePoint
                  ) -> tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]:
-    """Tangent of the curve at a point of it: the gradient, as a line."""
-    if not _number(curve.form(*point.coords)).is_zero:
+    """Tangent of the curve at a point of it, as a line: the gradient of the
+    curve's integer form at the point's integer vectors (a multiple of the
+    gradient at the normalized point)."""
+    field, vectors = point.field, point.vectors()
+    return tuple(_element(field, point.conjugate, g)
+                 for g in _tangent(_integer_coefficients(curve.form), field, vectors))
+
+
+def _tangent(coeffs: tuple[int, ...], field: NumberField | None, point) -> list[list[int]]:
+    """The gradient of an integer curve at a point of it (integer vectors)."""
+    gradient = _gradient(coeffs, point)
+    if any(_dot(field, point, gradient)):
         raise ValidationError("point does not lie on the curve")
-    out = []
-    for part in curve.form.gradient():
-        if part is None:
-            out.append(AlgebraicNumber.from_rational(0))
-        elif isinstance(part, Fraction):
-            out.append(AlgebraicNumber.from_rational(part))
-        else:
-            out.append(_number(part(*point.coords)))
-    return tuple(out)
+    return gradient
 
 
-def _tangents_proportional(u, v) -> bool:
-    minors = (u[0] * v[1] - u[1] * v[0],
-              u[0] * v[2] - u[2] * v[0],
-              u[1] * v[2] - u[2] * v[1])
-    return all(m.is_zero for m in minors)
+def _tangents_proportional(field: NumberField | None, u, v) -> bool:
+    # reduced vectors are unique, so each 2x2 minor vanishes iff its two
+    # products have equal vectors
+    return all(_dot(field, (u[i],), (v[j],)) == _dot(field, (u[j],), (v[i],))
+               for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
-def _tangents_distinct(arrangement: Arrangement, location: ProjectivePoint,
-                       incident) -> bool:
-    tangents = [tangent_line(arrangement.curves[i], location) for i in sorted(incident)]
-    return not any(_tangents_proportional(u, v) for u, v in combinations(tangents, 2))
+def _tangents_distinct(curves: list[tuple[int, ...]], location: ProjectivePoint) -> bool:
+    """Are the tangents of the integer curves at the point pairwise distinct?"""
+    field, vectors = location.field, location.vectors()
+    tangents = [_tangent(coeffs, field, vectors) for coeffs in curves]
+    return not any(_tangents_proportional(field, u, v) for u, v in combinations(tangents, 2))
 
 
 def check_ordinary(point: SingularPoint, arrangement: Arrangement) -> bool:
     """Decide ordinarity from tangent lines: pairwise non-proportional."""
-    return _tangents_distinct(arrangement, point.location, point.incident)
+    curves = [_integer_coefficients(arrangement.curves[i].form) for i in sorted(point.incident)]
+    return _tangents_distinct(curves, point.location)
 
 
 @dataclass
@@ -277,26 +342,41 @@ class DerivedCombinatorics:
 
 def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
     """Is there a 6-line subarrangement meeting only in double and triple
-    points?  Decided exactly by finite search over the meets of the line
-    pairs, which are rational points."""
+    points?  Decided exactly by a search over the meets of the line pairs,
+    which are rational points.
+
+    Subsets grow one line at a time, by increasing index.  A point through
+    four lines of a subset is met by the last of them at a point shared with
+    three chosen lines, and every superset keeps it, so such a branch is
+    abandoned as soon as that happens.
+    """
     lines = [c.form for c in arrangement.curves if c.kind == "line"]
-    if len(lines) < 6:
+    n = len(lines)
+    if n < 6:
         return False
-    # each pair of lines meets once; the subsets search over the stored
-    # meets, numbered by their normalized coordinates
+    # each pair of lines meets once; the search runs over the stored meets,
+    # numbered by their normalized coordinates
     numbers: dict[tuple[Fraction, ...], int] = {}
-    meets: dict[tuple[int, int], int] = {}
-    for pair in combinations(range(len(lines)), 2):
-        [(point, _mult)] = _intersect_lines(lines[pair[0]], lines[pair[1]])
+    meet = [[-1] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        [(point, _mult)] = _intersect_lines(lines[i], lines[j])
         key = tuple(c.as_fraction() for c in point.coords)
-        meets[pair] = numbers.setdefault(key, len(numbers))
-    for subset in combinations(range(len(lines)), 6):
-        incidence: dict[int, set[int]] = {}
-        for pair in combinations(subset, 2):
-            incidence.setdefault(meets[pair], set()).update(pair)
-        if all(len(through) <= 3 for through in incidence.values()):
+        meet[i][j] = meet[j][i] = numbers.setdefault(key, len(numbers))
+
+    def extend(chosen: list[int], start: int) -> bool:
+        if len(chosen) == 6:
             return True
-    return False
+        for line in range(start, n - 5 + len(chosen)):
+            through = [meet[other][line] for other in chosen]
+            if any(through.count(point) >= 3 for point in through):
+                continue
+            chosen.append(line)
+            if extend(chosen, line + 1):
+                return True
+            chosen.pop()
+        return False
+
+    return extend([], 0)
 
 
 def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
@@ -315,6 +395,7 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     """
     validate_arrangement(arrangement)
     curves = arrangement.curves
+    forms = [_integer_coefficients(c.form) for c in curves]
     # (points of one orbit, their incident curve indices), by first pair
     found: list[tuple[list[ProjectivePoint], set[int]]] = []
     rational: dict[tuple[Fraction, ...], set[int]] = {}
@@ -327,12 +408,12 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
                     found.append(([point], rational[key]))
                 rational[key].update((i, j))
             elif point.conjugate == 0:
-                incident = _orbit_incidence(curves, point, i, j)
+                incident = _orbit_incidence(forms, point, i, j)
                 if incident is not None:
                     found.append((point.conjugates(), incident))
     points = []
     for orbit, incident in found:
-        ordinary = _tangents_distinct(arrangement, orbit[0], incident)
+        ordinary = _tangents_distinct([forms[i] for i in sorted(incident)], orbit[0])
         points.extend(SingularPoint(location=p, incident=frozenset(incident),
                                     multiplicity=len(incident), ordinary=ordinary)
                       for p in orbit)
@@ -344,13 +425,15 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
                                 all_ordinary=all(p.ordinary for p in points))
 
 
-def _orbit_incidence(curves, point: ProjectivePoint, i: int, j: int) -> set[int] | None:
+def _orbit_incidence(forms, point: ProjectivePoint, i: int, j: int) -> set[int] | None:
     """The curves through an irrational orbit found at pair (i, j), or None
     when a curve of lower index than j other than i passes through it (the
-    orbit is then collected at a lower pair)."""
+    orbit is then collected at a lower pair).  ``forms`` are the integer
+    forms of the curves."""
+    field, vectors = point.field, point.vectors()
     incident = {i, j}
-    for other, curve in enumerate(curves):
-        if other in (i, j) or not _number(curve.form(*point.coords)).is_zero:
+    for other, coeffs in enumerate(forms):
+        if other in (i, j) or not _vanishes(coeffs, field, vectors):
             continue
         if other < j:
             return None
