@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import coniclines.intersect as intersect
 from coniclines.catalog import build_dbe_sharpness, build_pencil4, build_tangency_demo
@@ -198,3 +199,53 @@ def test_six_line_search_meets_each_line_pair_once(monkeypatch):
     concurrent = Arrangement(tuple(line(1, i, 0) for i in range(12)))
     assert not has_six_line_subarrangement(concurrent)
     assert len(meets) == 12 * 11 // 2
+
+
+def _brute_force_six_lines(vectors):
+    """Some 6 of the lines meet only in double and triple points: every
+    6-subset tried, its meets computed from exact cross products."""
+    for subset in combinations(range(len(vectors)), 6):
+        through = {}
+        for i, j in combinations(subset, 2):
+            (a1, b1, c1), (a2, b2, c2) = vectors[i], vectors[j]
+            v = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+            pivot = next(x for x in reversed(v) if x != 0)
+            through.setdefault(tuple(F(x, pivot) for x in v), set()).update((i, j))
+        if all(len(lines) <= 3 for lines in through.values()):
+            return True
+    return False
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+_SMALL = st.integers(-3, 3)
+_VECTOR = st.tuples(_SMALL, _SMALL, _SMALL)
+
+
+@st.composite
+def _line_vectors(draw):
+    """Up to 9 distinct lines; most pass through one of two drawn points, so
+    4- and 5-fold points are common."""
+    centers = draw(st.lists(_VECTOR.filter(any), min_size=2, max_size=2))
+    vectors, seen = [], set()
+    for _ in range(draw(st.integers(6, 9))):
+        center = draw(st.sampled_from(centers + [None]))
+        v = draw(_VECTOR) if center is None else _cross(center, draw(_VECTOR))
+        if not any(v):
+            continue
+        pivot = next(x for x in v if x != 0)
+        key = tuple(F(x, pivot) for x in v)
+        if key not in seen:
+            seen.add(key)
+            vectors.append(v)
+    assume(len(vectors) >= 6)
+    return vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(_line_vectors())
+def test_six_line_search_agrees_with_brute_force(vectors):
+    arrangement = Arrangement(tuple(line(*v) for v in vectors))
+    assert has_six_line_subarrangement(arrangement) == _brute_force_six_lines(vectors)
