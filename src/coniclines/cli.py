@@ -5,7 +5,8 @@ file, ``catalog`` to inspect and export named arrangements, ``search`` to
 enumerate balanced types and scan the open questions, ``check`` to print
 one named inequality verdict of the report ``analyze`` computes.
 
-Exit codes are stable: 0 success, 2 parse error, 3 validation failure
+Exit codes are stable: 0 success, 2 parse error (including an unknown
+catalog name and a bad ``search`` argument), 3 validation failure
 (reducible conic, duplicate curve, non-ordinary input under --strict, or
 an intersection the engine could not complete).
 """
@@ -148,6 +149,13 @@ def catalog() -> None:
     """Inspect the built-in catalog of named arrangements."""
 
 
+def _catalog_entry(name: str) -> cat.CatalogEntry:
+    try:
+        return cat.catalog_get(name)
+    except KeyError as exc:
+        _fail(EXIT_PARSE, f"Error: {exc.args[0]}")
+
+
 @catalog.command("list")
 def catalog_list_cmd() -> None:
     for name in cat.catalog_list():
@@ -157,10 +165,7 @@ def catalog_list_cmd() -> None:
 @catalog.command("show")
 @click.argument("name")
 def catalog_show(name: str) -> None:
-    try:
-        entry = cat.catalog_get(name)
-    except KeyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    entry = _catalog_entry(name)
     click.echo(f"{entry.name} ({entry.kind})")
     click.echo(f"  {entry.provenance}")
     if entry.parameters:
@@ -180,10 +185,7 @@ def catalog_show(name: str) -> None:
               help="comma-separated pencil parameters, e.g. 1,2,3")
 def catalog_export(name: str, path: Path, k: int | None, t_params: str | None) -> None:
     """Write a catalog entry to an arrangement or combinatorial-type file."""
-    try:
-        entry = cat.catalog_get(name)
-    except KeyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    entry = _catalog_entry(name)
     if entry.builder is not None:
         kwargs = {}
         if k is not None:
@@ -223,10 +225,13 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
         labels = {id(ct): n for n, ct in named}
     else:
         if d is None or k is None:
-            raise click.ClickException("--d and --k are required without --catalog")
+            _fail(EXIT_PARSE, "Error: --d and --k are required without --catalog")
         if max_mult is None:
             max_mult = d + k
-        types = list(searchmod.enumerate_types(d, k, max_mult))
+        try:
+            types = list(searchmod.enumerate_types(d, k, max_mult))
+        except ValueError as exc:
+            _fail(EXIT_PARSE, f"Error: {exc}")
         labels = {}
 
     def describe(ct) -> str:
@@ -253,7 +258,7 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
         try:
             result = searchmod.extremal_slopes(types)
         except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
+            _fail(EXIT_PARSE, f"Error: {exc}")
         click.echo(f"{result.considered} types with defined slope "
                    f"({result.skipped_zero_c2} skipped, c2 = 0); {result.note}")
         click.echo(f"  min slope {_slope_str(result.minimum.slope)} "

@@ -317,7 +317,10 @@ def parse_combinatorial_type(text: str) -> CombinatorialType:
         parts = line.replace("=", " ").split()
         if len(parts) != 3 or parts[0] != "t":
             raise ParseError(f"line {lineno}: expected 't <r> = <count>'")
-        t[_parse_int(parts[1], lineno)] = _parse_int(parts[2], lineno)
+        r = _parse_int(parts[1], lineno)
+        if r in t:
+            raise ParseError(f"line {lineno}: t {r} is given twice")
+        t[r] = _parse_int(parts[2], lineno)
     if d is None:
         raise ParseError("missing 'd=<int> k=<int>' header")
     return CombinatorialType(d=d, k=k, t=t)

@@ -53,6 +53,16 @@ def test_catalog_show_unknown():
     assert "unknown catalog entry" in result.output
 
 
+def test_catalog_show_unknown_exits_with_parse_error():
+    _assert_clean_exit(run("catalog", "show", "nope"), EXIT_PARSE)
+
+
+def test_catalog_export_unknown_exits_with_parse_error(tmp_path):
+    target = tmp_path / "out.txt"
+    _assert_clean_exit(run("catalog", "export", "nope", str(target)), EXIT_PARSE)
+    assert not target.exists()
+
+
 def test_export_and_analyze_round_trip(tmp_path):
     target = tmp_path / "pencil.txt"
     result = run("catalog", "export", "pencil4", str(target))
@@ -150,6 +160,17 @@ def test_search_extremal():
 
 def test_search_requires_dimensions():
     assert run("search", "--extremal").exit_code != 0
+
+
+def test_search_extremal_without_dimensions_exits_with_parse_error():
+    _assert_clean_exit(run("search", "--extremal"), EXIT_PARSE)
+
+
+@pytest.mark.parametrize("args", [["--d", "-1", "--k", "1"],
+                                  ["--d", "1", "--k", "0", "--max-mult", "5"]],
+                         ids=["negative-d", "max-mult-too-large"])
+def test_search_bad_dimensions_exit_with_parse_error(args):
+    _assert_clean_exit(run("search", *args), EXIT_PARSE)
 
 
 def test_search_catalog_slope_scan():
@@ -259,6 +280,31 @@ def test_analyze_malformed_input(tmp_path, text, code):
     target = tmp_path / "bad.txt"
     target.write_text(text)
     _assert_clean_exit(run("analyze", str(target)), code)
+
+
+def test_analyze_repeated_type_count(tmp_path):
+    target = tmp_path / "twice.txt"
+    target.write_text("d=2 k=1\nt 2 = 1\nt 2 = 5\n")
+    result = run("analyze", str(target))
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert "t 2 is given twice" in result.stderr
+
+
+def test_analyze_forty_concurrent_lines_in_a_subprocess(tmp_path):
+    # no 6 of the lines qualify, so the six-line search must prune: the full
+    # walk over C(40, 6) subsets takes half a minute
+    target = tmp_path / "pencil.txt"
+    target.write_text("".join(f"line: 1 {i} 0\n" for i in range(40)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "coniclines.cli", "analyze",
+                           str(target), "--json"],
+                          capture_output=True, text=True, timeout=15, env=env)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["d"], data["k"], data["t"]) == (40, 0, {"40": 1})
+    hirzebruch = next(c for c in data["checks"] if c["name"] == "hirzebruch")
+    assert not hirzebruch["hypotheses_satisfied"]
 
 
 def test_analyze_utf16_file(tmp_path):

@@ -129,6 +129,11 @@ def test_combinatorial_type_file_format():
         parse_combinatorial_type("d=2 k=0\nt2=1\n")
 
 
+def test_repeated_type_count_rejected():
+    with pytest.raises(ParseError, match="line 3: t 2 is given twice"):
+        parse_combinatorial_type("d=2 k=1\nt 2 = 1\nt 2 = 5\n")
+
+
 def test_projective_point_normalization():
     p = ProjectivePoint.from_coords(F(2), F(4), F(2))
     assert [c.as_fraction() for c in p.coords] == [1, 2, 1]
