@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from coniclines.algebraic import AlgebraicNumber, NumberField, root_orbits
 from coniclines.polynomials import UPoly
@@ -147,3 +149,89 @@ def test_approx_survives_cancellation():
         expected = float(mpmath.sqrt(2) - mpmath.mpf(p) / q)
     assert abs(expected) < 1e-28
     assert value.approx().real == pytest.approx(expected, rel=1e-6)
+
+
+# -- the integer kernel on random witnesses ----------------------------------
+
+
+@st.composite
+def _witnesses(draw):
+    """A primitive irreducible f of degree 2, 3 or 4 whose leading
+    coefficient is not a unit, so b = c_n a differs from a."""
+    degree = draw(st.integers(2, 4))
+    lead = draw(st.integers(2, 7)) * draw(st.sampled_from([1, -1]))
+    coeffs = draw(st.lists(st.integers(-7, 7), min_size=degree, max_size=degree)) + [lead]
+    assume(sp.Poly(list(reversed(coeffs)), sp.Symbol("x"), domain="QQ").is_irreducible)
+    field = NumberField(UPoly(coeffs))
+    assume(field.lead >= 2)
+    return field
+
+
+def _elements(field):
+    """Field elements (random integer vectors in b over a random positive
+    denominator) and rationals."""
+    vector = st.lists(st.integers(-30, 30), min_size=field.degree, max_size=field.degree)
+    return st.one_of(
+        st.builds(field.element, vector, st.integers(1, 12)),
+        st.builds(lambda p, q: AlgebraicNumber.from_rational(F(p, q)),
+                  st.integers(-9, 9), st.integers(1, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_ring_laws(data):
+    field = data.draw(_witnesses())
+    x, y, z = (data.draw(_elements(field)) for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    assert (x + y) + z == x + (y + z)
+    assert x * (y + z) == x * y + x * z
+    assert x * y == y * x and x + y == y + x
+
+
+def _mp_values(field, p, dps=60):
+    """p(a_k) at every conjugate root of the witness, for a polynomial p in a
+    with integer coefficients (lowest first)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return [mpmath.polyval(list(reversed(p)), root) for root in field.roots(dps)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_zero_test_agrees_with_numerics(data):
+    # P = q * f + r is zero in the field iff r is; the exact test must agree
+    # with P evaluated at every conjugate root of f
+    field = data.draw(_witnesses())
+    n = field.degree
+    q = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+    r = data.draw(st.one_of(st.just([0] * n),
+                            st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    f = [int(c) for c in field.witness.coeffs]
+    p = [0] * (len(q) + n)
+    for i, qi in enumerate(q):
+        for j, fj in enumerate(f):
+            p[i + j] += qi * fj
+    p = [pi + (r[i] if i < n else 0) for i, pi in enumerate(p)]
+    a = field.generator()
+    value = AlgebraicNumber.from_rational(0)
+    for c in reversed(p):
+        value = value * a + c
+    numeric = _mp_values(field, p)
+    scale = max(1, *(abs(c) for c in p)) * max(1, *(abs(root) for root in field.roots(60))) ** len(p)
+    assert value.is_zero == all(abs(v) < scale * 1e-40 for v in numeric)
+    assert value.is_zero == (not any(r))
+    for k, v in enumerate(numeric):
+        assert abs(complex(v) - value.at_conjugate(k).approx()) <= 1e-9 * max(1, abs(complex(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_inverse(data):
+    field = data.draw(_witnesses())
+    x = data.draw(_elements(field))
+    assume(not x.is_zero)
+    assert x * x.inverse() == 1
+    assert x / x == 1
+    y = data.draw(_elements(field))
+    assert (y / x) * x == y
