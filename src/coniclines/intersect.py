@@ -9,12 +9,18 @@ elimination fiber), and maps the points back afterwards.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
-coordinates in Q[a]/(f), which stands for deg f geometric points.
-Incidence and tangency are Galois-invariant, so one exact evaluation in the
-field decides them for the whole orbit.  Rational points are grouped by
-their normalized coordinates; an irrational orbit is evaluated against the
-other curves and counted at the pair of its two lowest-index curves.  A
-point is ordinary iff the tangents of its curves are pairwise distinct.
+coordinates in Q[a]/(f), which stands for deg f geometric points.  The
+point is built projectively, never divided: with b = c_n a the integral
+generator of the field, a line-conic point is b*P0 + c_n*P1 and a
+conic-conic point is M (-lin0(y) : y lin1(y) : lin1(y)) times c_n^2, so its
+coordinates are integer vectors in b.  Incidence and tangency are
+Galois-invariant, so one exact evaluation in the field decides them for the
+whole orbit: the curves' primitive integer forms and their gradients are
+evaluated at those vectors, with integer arithmetic modulo the monic
+witness of b.  Rational points are normalized and grouped by their
+coordinates; an irrational orbit is evaluated against the other curves and
+counted at the pair of its two lowest-index curves.  A point is ordinary
+iff the tangents of its curves are pairwise distinct.
 
 Pair multiplicities always sum to the product of the curve degrees; a pair
 multiplicity >= 2 at a point is a tangency and makes the point non-ordinary.
@@ -171,13 +177,13 @@ def _intersect_line_conic(line: TernaryForm, conic: TernaryForm) -> PairResult:
     return points
 
 
-def _identity() -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+def _identity() -> list[list[int]]:
+    return [[int(i == j) for j in range(3)] for i in range(3)]
 
 
-def _random_matrix(rng: random.Random) -> list[list[Fraction]]:
+def _random_matrix(rng: random.Random) -> list[list[int]]:
     while True:
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
@@ -232,7 +238,6 @@ def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
     scale = lcm(*(c.denominator for c in lin0.coeffs + lin1.coeffs))
     l0 = [int(c * scale) for c in lin0.coeffs] + [0] * (3 - len(lin0.coeffs))
     l1 = [int(c * scale) for c in lin1.coeffs] + [0] * (2 - len(lin1.coeffs))
-    m = [[int(v) for v in row] for row in matrix]
     curves = (_integer_coefficients(p), _integer_coefficients(q))
     points: PairResult = []
     for y, mult in root_orbits(quartic):
@@ -241,7 +246,7 @@ def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
             lin1_y = l1[0] + l1[1] * value
             vec = [-(l0[0] + l0[1] * value + l0[2] * value * value), value * lin1_y, lin1_y]
             point = ProjectivePoint.from_coords(
-                *(sum(m[i][j] * vec[j] for j in range(3)) for i in range(3)))
+                *(sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)))
         else:
             # at y = b / c_n, times c_n^2: polynomials in b of degree <= 2
             field, c = y.field, y.field.lead
@@ -249,7 +254,7 @@ def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
                    field.reduce([0, l1[0] * c, l1[1]]),
                    field.reduce([l1[0] * c * c, l1[1] * c])]
             point = ProjectivePoint.in_field(field, [
-                [sum(m[i][j] * vec[j][k] for j in range(3)) for k in range(field.degree)]
+                [sum(matrix[i][j] * vec[j][k] for j in range(3)) for k in range(field.degree)]
                 for i in range(3)])
         _verify_on_both(curves, point)
         points.append((point, mult))

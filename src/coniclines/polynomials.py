@@ -267,30 +267,6 @@ class TernaryForm:
             total = term if total is None else total + term
         return total
 
-    def gradient(self) -> tuple["TernaryForm | Fraction | None", ...]:
-        """Partial derivatives (df/dx, df/dy, df/dz).
-
-        Each entry is a TernaryForm, or a plain Fraction when this form is
-        linear (the partials are constants), or None for a zero partial.
-        """
-        parts: list[TernaryForm | Fraction | None] = []
-        for axis in range(3):
-            d: dict[Exponent, Fraction] = {}
-            for expo, c in self.coeffs.items():
-                if expo[axis] == 0:
-                    continue
-                new = list(expo)
-                new[axis] -= 1
-                d[tuple(new)] = d.get(tuple(new), Fraction(0)) + c * expo[axis]
-            d = {e: c for e, c in d.items() if c != 0}
-            if not d:
-                parts.append(None)
-            elif self.degree == 1:
-                parts.append(d[(0, 0, 0)])
-            else:
-                parts.append(TernaryForm(self.degree - 1, d))
-        return tuple(parts)
-
     def compose_linear(self, matrix: Sequence[Sequence[Fraction]]) -> "TernaryForm":
         """Substitute (x, y, z) -> M . (x, y, z) and expand."""
         rows = [[_frac(v) for v in row] for row in matrix]

@@ -88,11 +88,3 @@ def test_compose_linear_swap():
     p = TernaryForm.conic(1, 2, 3, 0, 0, 0)
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     assert p.compose_linear(swap) == TernaryForm.conic(2, 1, 3, 0, 0, 0)
-
-
-def test_gradient():
-    p = TernaryForm.conic(1, 1, -1, 0, 0, 0)
-    gx, gy, gz = p.gradient()
-    assert gx == TernaryForm.line(2, 0, 0)
-    assert gy == TernaryForm.line(0, 2, 0)
-    assert gz == TernaryForm.line(0, 0, -2)
