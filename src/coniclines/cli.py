@@ -6,7 +6,8 @@ enumerate balanced types and scan the open questions, ``check`` to print
 one named inequality verdict of the report ``analyze`` computes.
 
 Exit codes are stable: 0 success, 2 parse error (including an unknown
-catalog name and a bad ``search`` argument), 3 validation failure
+catalog name, an export path that cannot be written and a bad ``search``
+argument), 3 validation failure
 (reducible conic, duplicate curve, non-ordinary input under --strict, or
 an intersection the engine could not complete).
 """
@@ -199,9 +200,13 @@ def catalog_export(name: str, path: Path, k: int | None, t_params: str | None) -
             arrangement = entry.build(**kwargs)
         except (ValidationError, TypeError) as exc:
             _fail(EXIT_VALIDATION, f"validation failed: {exc}")
-        path.write_text(serialize_arrangement(arrangement), encoding="utf-8")
+        text = serialize_arrangement(arrangement)
     else:
-        path.write_text(serialize_combinatorial_type(entry.ct), encoding="utf-8")
+        text = serialize_combinatorial_type(entry.ct)
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_PARSE, f"Error: cannot write {path} ({exc.strerror})")
     click.echo(f"wrote {path}")
 
 

@@ -63,6 +63,11 @@ def test_catalog_export_unknown_exits_with_parse_error(tmp_path):
     assert not target.exists()
 
 
+def test_catalog_export_to_a_missing_directory(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    _assert_clean_exit(run("catalog", "export", "pencil4", str(target)), EXIT_PARSE)
+
+
 def test_export_and_analyze_round_trip(tmp_path):
     target = tmp_path / "pencil.txt"
     result = run("catalog", "export", "pencil4", str(target))
