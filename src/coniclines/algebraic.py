@@ -1,7 +1,7 @@
 """Exact algebraic numbers as elements of number fields.
 
 Every irrational number the engine meets is born as a root of an
-irreducible factor f of a univariate rational polynomial (a line-conic
+irreducible factor f of a univariate integer polynomial (a line-conic
 quadratic or an eliminated conic-conic quartic).  It then lives in the
 number field Q[a]/(f): an AlgebraicNumber is a rational, or a field element
 together with the index k of the conjugate root a_k of f it is evaluated
@@ -21,21 +21,27 @@ test is the zero vector.  Only division needs an inverse; it solves the
 element's multiplication matrix by Cramer's rule over the integers, and the
 engine uses it only to normalize a point for display.
 
-The only sympy call is ``factor_list`` over ZZ, which splits a primitive
-integer polynomial into its irreducible factors.  Numeric values are for
-display only: mpmath ``polyroots`` (mpmath ships with sympy) finds the
-roots of f, taken in a fixed order, and conjugate k evaluates its vector at
-b_k = c_n a_k.
+Roots come in orbits (``root_orbits``), one per irreducible factor, and
+integers decide the factors wherever they can.  A linear or quadratic
+polynomial is split by the integer square root of its discriminant.  One of
+degree >= 3 is a single orbit when a modular certificate proves it
+irreducible: its factor degrees modulo a few fixed small primes (by
+distinct-degree factorization) leave no degree for a rational factor.  What
+is reducible, has a repeated factor or is not certified goes to sympy's
+``factor_list`` over ZZ, the only sympy call.  Numeric values are for
+display only: mpmath ``polyroots`` finds the roots of f, taken in a fixed
+order, and conjugate k evaluates its vector at b_k = c_n a_k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from typing import Sequence
 
 import sympy as sp
 
-from .polynomials import UPoly, format_rational
+from .polynomials import format_rational, primitive
 
 _X = sp.Symbol("x")
 
@@ -63,21 +69,20 @@ class NumberField:
     """Q[a]/(f) for an irreducible witness f of degree n >= 2, computed in
     the integral generator b = c_n a, a root of the monic g.
 
-    ``witness`` is the primitive integer f with positive leading coefficient
-    ``lead`` = c_n; ``monic`` holds g_0 .. g_(n-1), where g(b) = b^n +
-    g_(n-1) b^(n-1) + ... + g_0 and g_i = c_i c_n^(n-1-i).  Fields compare
-    equal when their witnesses do.  The complex roots of f are computed on
-    first use, for display only, and kept in one fixed order: conjugate k
-    is the k-th root.
+    ``witness`` is the primitive integer f (coefficients lowest degree
+    first) with positive leading coefficient ``lead`` = c_n; ``monic`` holds
+    g_0 .. g_(n-1), where g(b) = b^n + g_(n-1) b^(n-1) + ... + g_0 and
+    g_i = c_i c_n^(n-1-i).  Fields compare equal when their witnesses do.
+    The complex roots of f are computed on first use, for display only, and
+    kept in one fixed order: conjugate k is the k-th root.
     """
 
     __slots__ = ("witness", "lead", "monic", "_roots")
 
-    def __init__(self, witness: UPoly):
-        if witness.degree < 2:
+    def __init__(self, witness: Sequence[int]):
+        if len(witness) < 3 or witness[-1] == 0:
             raise ValueError("a number field witness has degree >= 2")
-        self.witness = witness.primitive()
-        coeffs = [int(c) for c in self.witness.coeffs]
+        self.witness = coeffs = primitive(witness)
         n = len(coeffs) - 1
         self.lead = coeffs[-1]
         self.monic = tuple(c * self.lead ** (n - 1 - i) for i, c in enumerate(coeffs[:-1]))
@@ -157,7 +162,7 @@ class NumberField:
         if dps not in self._roots:
             import mpmath
 
-            coeffs = [int(c) for c in reversed(self.witness.coeffs)]
+            coeffs = list(reversed(self.witness))
             with mpmath.workdps(dps):
                 found = list(mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps + 20))
             if self._roots:
@@ -356,23 +361,178 @@ def _coerce(value):
     return NotImplemented
 
 
-def root_orbits(p: UPoly) -> list[tuple[AlgebraicNumber, int]]:
-    """One root per irreducible factor of p, with the factor's multiplicity.
+# The primes of the irreducibility certificate, tried in this order.
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def root_orbits(coeffs: Sequence[int]) -> list[tuple[AlgebraicNumber, int]]:
+    """One root per irreducible factor of a nonzero integer polynomial
+    (coefficients lowest degree first), with the factor's multiplicity.
 
     A linear factor gives its rational root; a factor f of degree >= 2 gives
     the generator of Q[a]/(f) at conjugate 0, which stands for all deg f
-    roots of f.  Factors come in sympy's order; the roots counted with
-    degree and multiplicity number deg p.
+    roots of f.  Factors come in sympy's order (degree, then multiplicity,
+    then coefficients); the roots counted with degree and multiplicity
+    number the degree of the polynomial.
+
+    Integers decide what they can: a linear or quadratic polynomial is
+    split by the integer square root of its discriminant, and one of degree
+    >= 3 is one orbit when a modular certificate proves it irreducible.
+    Only a polynomial that is reducible, has a repeated factor or is not
+    certified goes to sympy's ``factor_list``.
     """
-    if p.is_zero:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
         raise ValueError("cannot find the roots of the zero polynomial")
-    coeffs = [int(c) for c in reversed(p.primitive().coeffs)]
+    f = primitive(coeffs)
+    n = len(f) - 1
+    if n == 0:
+        return []
+    if n == 1:
+        return [(AlgebraicNumber(Fraction(-f[0], f[1])), 1)]
+    if n == 2:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        root = isqrt(disc) if disc >= 0 else -1
+        if root * root == disc:
+            if root == 0:
+                return [(AlgebraicNumber(Fraction(-b, 2 * a)), 2)]
+            # the primitive factor of p/q is q x - p: sympy sorts by q, then -p
+            roots = sorted((Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)),
+                           key=lambda r: (r.denominator, -r.numerator))
+            return [(AlgebraicNumber(r), 1) for r in roots]
+        return [(NumberField(f).generator(), 1)]
+    if _certified_irreducible(f):
+        return [(NumberField(f).generator(), 1)]
     out = []
-    _content, factors = sp.Poly(coeffs, _X, domain="ZZ").factor_list()
+    _content, factors = sp.Poly(list(reversed(f)), _X, domain="ZZ").factor_list()
     for factor_sp, mult in factors:
         factor = [int(c) for c in reversed(factor_sp.rep.to_list())]
         if len(factor) == 2:
             out.append((AlgebraicNumber(Fraction(-factor[0], factor[1])), int(mult)))
         else:
-            out.append((NumberField(UPoly(factor)).generator(), int(mult)))
+            out.append((NumberField(factor).generator(), int(mult)))
     return out
+
+
+# -- the irreducibility certificate ----------------------------------------------
+#
+# A factor of f over Q of degree d reduces, modulo a prime p that does not
+# divide the leading coefficient, to a product of irreducible factors of f
+# mod p, so d is a sum of some of their degrees.  When f is squarefree mod p,
+# distinct-degree factorization gives those degrees.  f is irreducible once
+# no d in 1 .. n/2 is such a sum for every prime tried (von zur Gathen and
+# Gerhard, Modern Computer Algebra, ch. 14-15).  Polynomials mod p are lists
+# of residues, lowest degree first: without trailing zeros, or as vectors of
+# length n when reduced modulo a polynomial of degree n.
+
+
+def _certified_irreducible(f: tuple[int, ...]) -> bool:
+    """Is f, primitive of degree >= 2, proved irreducible over Q by its
+    factor degrees modulo the primes of _PRIMES?"""
+    possible = set(range(1, (len(f) - 1) // 2 + 1))
+    for p in _PRIMES:
+        if f[-1] % p == 0:
+            continue
+        pattern = _degree_pattern(f, p)
+        if pattern is None:
+            continue
+        sums = {0}
+        for d in pattern:
+            sums |= {s + d for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return False
+
+
+def _degree_pattern(f: tuple[int, ...], p: int) -> list[int] | None:
+    """The degrees of the irreducible factors of f modulo p, a prime not
+    dividing its leading coefficient, by distinct-degree factorization;
+    None when f is not squarefree modulo p.
+
+    The product of the factors of degree d is gcd(f, x^(p^d) - x) once the
+    factors of lower degree are divided out.  x^(p^d) is kept modulo f
+    itself and raised to the p-th power by the Frobenius map
+    h -> sum_i h_i x^(i p), which is linear over the integers mod p.
+    """
+    inverse = pow(f[-1], -1, p)
+    g = [c * inverse % p for c in f]
+    n = len(g) - 1
+    derivative = _gf_trim([i * c % p for i, c in enumerate(g)][1:])
+    if len(_gf_gcd(g, derivative, p)) > 1:
+        return None
+    xp = [0, 1] + [0] * (n - 2)
+    for bit in bin(p)[3:]:
+        xp = _gf_mul_mod(xp, xp, g, p)
+        if bit == "1":
+            top, xp = xp[-1], [0] + xp[:-1]
+            xp = [(c - top * gi) % p for c, gi in zip(xp, g)]
+    powers = [[1] + [0] * (n - 1), xp]  # x^(i p) modulo g
+    while len(powers) < n:
+        powers.append(_gf_mul_mod(powers[-1], xp, g, p))
+    pattern, rest, h, d = [], g, xp, 1
+    while 2 * d < len(rest):
+        if d > 1:
+            h = [sum(hi * row[j] for hi, row in zip(h, powers)) % p for j in range(n)]
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        common = _gf_gcd(rest, _gf_trim(h_minus_x), p)
+        if len(common) > 1:
+            pattern += [d] * ((len(common) - 1) // d)
+            rest = _gf_divmod(rest, common, p)[0]
+        d += 1
+    if len(rest) > 1:
+        pattern.append(len(rest) - 1)
+    return pattern
+
+
+def _gf_trim(u: list[int]) -> list[int]:
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def _gf_divmod(u: list[int], v: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of u by v != 0 modulo p."""
+    rem = list(u)
+    dv = len(v) - 1
+    if len(rem) <= dv:
+        return [], rem
+    inverse = pow(v[-1], -1, p)
+    quo = [0] * (len(rem) - dv)
+    for top in range(len(rem) - 1, dv - 1, -1):
+        c = rem[top] * inverse % p
+        if c:
+            quo[top - dv] = c
+            base = top - dv
+            for i, vi in enumerate(v):
+                rem[base + i] = (rem[base + i] - c * vi) % p
+    return _gf_trim(quo), _gf_trim(rem[:dv])
+
+
+def _gf_gcd(u: list[int], v: list[int], p: int) -> list[int]:
+    """A gcd of u and v modulo p (the zero list when both are zero)."""
+    while v:
+        u, v = v, _gf_divmod(u, v, p)[1]
+    return u
+
+
+def _gf_mul_mod(u: list[int], v: list[int], g: list[int], p: int) -> list[int]:
+    """u * v modulo the monic g of degree n and p, for vectors u and v of
+    length n."""
+    n = len(g) - 1
+    acc = [0] * (2 * n - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                acc[i + j] += ui * vj
+    for top in range(2 * n - 2, n - 1, -1):
+        c = acc[top] % p
+        if c:
+            base = top - n
+            for i in range(n):
+                acc[base + i] -= c * g[i]
+    return [c % p for c in acc[:n]]

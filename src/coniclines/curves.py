@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .algebraic import AlgebraicNumber, NumberField
-from .polynomials import TernaryForm, format_rational, parse_rational
+from .polynomials import TernaryForm, coprime_integers, format_rational, parse_rational
 
 
 class ValidationError(ValueError):
@@ -52,6 +53,15 @@ class PlaneCurve:
     @property
     def degree(self) -> int:
         return self.form.degree
+
+    @cached_property
+    def coefficients(self) -> tuple[int, ...]:
+        """The line's (a, b, c) or the conic's (a, b, c, d, e, f), scaled to
+        coprime integers: the same curve.  The engine computes with these;
+        they are worked out once per curve."""
+        form = self.form
+        values = form.line_coefficients() if form.degree == 1 else form.conic_coefficients()
+        return coprime_integers(values)
 
 
 def conic_matrix_det(form: TernaryForm) -> Fraction:

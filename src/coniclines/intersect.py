@@ -1,11 +1,16 @@
 """Exact intersection of arrangement curves and derived combinatorics.
 
-Pairwise intersections are computed exactly: linear solving for two lines,
-substitution into a rational parametrization for line/conic, and resultant
+Pairwise intersections are computed exactly, in integers, from each
+curve's coprime integer coefficients: linear solving for two lines,
+substitution into an integer parametrization for line/conic, and resultant
 elimination with back-substitution for conic/conic.  The conic/conic route
 works in randomly changed projective coordinates, retried until the change
 is generic (no intersection at infinity, no two points sharing an
-elimination fiber), and maps the points back afterwards.
+elimination fiber), and maps the points back afterwards.  The changed
+conic is M^T (2A) M of the conic's integer symmetric matrix 2A; the
+eliminated quartic and the x-equation lin1(y) x + lin0(y) are integer
+polynomials; and with lin1 = u y + v, the fiber test is
+u^4 quartic(-v/u) != 0.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
@@ -32,7 +37,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 
 from .algebraic import AlgebraicNumber, NumberField, root_orbits
 from .curves import (
@@ -44,7 +48,6 @@ from .curves import (
     ValidationError,
     validate_arrangement,
 )
-from .polynomials import TernaryForm, UPoly, poly_gcd
 
 PairResult = list[tuple[ProjectivePoint, int]]
 
@@ -65,18 +68,20 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     The deg f points of an orbit come consecutively, by conjugate index,
     and share their exact coordinates.
     """
-    if c1.form.proportional_to(c2.form):
+    u, v = c1.coefficients, c2.coefficients
+    # the coprime integer coefficients of one curve agree up to sign
+    if u == v or u == tuple(-c for c in v):
         raise _pair_error(c1, c2, "identical curves")
     kinds = (c1.kind, c2.kind)
     try:
         if kinds == ("line", "line"):
-            orbits = _intersect_lines(c1.form, c2.form)
+            orbits = _intersect_lines(u, v)
         elif kinds == ("line", "conic"):
-            orbits = _intersect_line_conic(c1.form, c2.form)
+            orbits = _intersect_line_conic(u, v)
         elif kinds == ("conic", "line"):
-            orbits = _intersect_line_conic(c2.form, c1.form)
+            orbits = _intersect_line_conic(v, u)
         else:
-            orbits = _intersect_conics(c1.form, c2.form)
+            orbits = _intersect_conics(c1, c2)
     except IntersectionError as exc:
         raise _pair_error(c1, c2, exc) from None
     points = [(conj, mult) for point, mult in orbits for conj in point.conjugates()]
@@ -87,23 +92,13 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     return points
 
 
-def _intersect_lines(l1: TernaryForm, l2: TernaryForm) -> PairResult:
-    a1, b1, c1 = l1.line_coefficients()
-    a2, b2, c2 = l2.line_coefficients()
+def _intersect_lines(l1: tuple[int, ...], l2: tuple[int, ...]) -> PairResult:
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
     cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
     if all(v == 0 for v in cross):
         raise IntersectionError("identical curves")
     return [(ProjectivePoint.from_coords(*cross), 1)]
-
-
-def _integer_coefficients(form: TernaryForm) -> tuple[int, ...]:
-    """A line's (a, b, c) or a conic's (a, b, c, d, e, f), scaled to coprime
-    integers: the same curve."""
-    values = form.line_coefficients() if form.degree == 1 else form.conic_coefficients()
-    den = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
-    common = gcd(*ints)
-    return tuple(v // common for v in ints)
 
 
 def _gradient(coeffs: tuple[int, ...], point: list[list[int]]) -> list[list[int]]:
@@ -145,19 +140,19 @@ def _conic_value(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
     return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
 
-def _intersect_line_conic(line: TernaryForm, conic: TernaryForm) -> PairResult:
-    p0, p1 = _line_basis(*_integer_coefficients(line))
-    coeffs = _integer_coefficients(conic)
+def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> PairResult:
+    p0, p1 = _line_basis(*line)
     # restrict the conic to the line: Q(s*P0 + t*P1) = A s^2 + B st + C t^2
-    quad_a = _conic_value(coeffs, *p0)
-    quad_c = _conic_value(coeffs, *p1)
-    quad_b = _conic_value(coeffs, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
+    quad_a = _conic_value(conic, *p0)
+    quad_c = _conic_value(conic, *p1)
+    quad_b = _conic_value(conic, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
     points: PairResult = []
     if quad_a != 0:
-        for s, mult in root_orbits(UPoly([quad_c, quad_b, quad_a])):
+        for s, mult in root_orbits([quad_c, quad_b, quad_a]):
             if s.is_rational:
-                value = s.as_fraction()
-                coords = [value * p0[i] + p1[i] for i in range(3)]
+                # s = num / den, so s*P0 + P1 is the point num*P0 + den*P1
+                num, den = s.as_fraction().as_integer_ratio()
+                coords = [num * p0[i] + den * p1[i] for i in range(3)]
                 points.append((ProjectivePoint.from_coords(*coords), mult))
                 continue
             # s = b / c_n, so s*P0 + P1 is the point b*P0 + c_n*P1
@@ -191,25 +186,14 @@ def _random_matrix(rng: random.Random) -> list[list[int]]:
             return m
 
 
-def _x_coefficients(conic: TernaryForm) -> tuple[Fraction, UPoly, UPoly]:
-    """Read a conic as a2*x^2 + a1(y)*x + a0(y) at z = 1."""
-    a2 = conic.coeffs.get((2, 0, 0), Fraction(0))
-    a1 = UPoly([conic.coeffs.get((1, 0, 1), Fraction(0)),
-                conic.coeffs.get((1, 1, 0), Fraction(0))])
-    a0 = UPoly([conic.coeffs.get((0, 0, 2), Fraction(0)),
-                conic.coeffs.get((0, 1, 1), Fraction(0)),
-                conic.coeffs.get((0, 2, 0), Fraction(0))])
-    return a2, a1, a0
-
-
-def _intersect_conics(p: TernaryForm, q: TernaryForm) -> PairResult:
-    seed = repr(sorted(p.coeffs.items())) + "|" + repr(sorted(q.coeffs.items()))
+def _intersect_conics(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
+    seed = repr(sorted(c1.form.coeffs.items())) + "|" + repr(sorted(c2.form.coeffs.items()))
     rng = random.Random(seed)
     last_reason = "no attempt made"
     for attempt in range(25):
         matrix = _identity() if attempt == 0 else _random_matrix(rng)
         try:
-            return _intersect_conics_in_coords(p, q, matrix)
+            return _intersect_conics_in_coords(c1.coefficients, c2.coefficients, matrix)
         except _NotGeneric as exc:
             last_reason = str(exc)
     raise IntersectionError(
@@ -220,62 +204,87 @@ class _NotGeneric(Exception):
     pass
 
 
-def _intersect_conics_in_coords(p: TernaryForm, q: TernaryForm,
+def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
                                 matrix) -> PairResult:
-    pt = p.compose_linear(matrix)
-    qt = q.compose_linear(matrix)
-    quartic, lin1, lin0 = _eliminate_x(pt, qt)
-    if quartic.is_zero:
+    quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, matrix), _changed_conic(q, matrix))
+    if not any(quartic):
         raise IntersectionError("identical curves")
-    if quartic.degree < 4:
+    if quartic[4] == 0:
         raise _NotGeneric("intersection point at infinity")
-    if poly_gcd(quartic, lin1).degree >= 1:
-        # lin1 vanishes at a root, so x is not determined there
+    # lin1 = u*y + v must not vanish at a root, else x is not determined
+    # there: lin1 is not zero, and u^4 quartic(-v/u) != 0 when u != 0
+    v, u = lin1
+    if u == v == 0 or u != 0 and not sum(
+            c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
         raise _NotGeneric("two intersection points share a fiber")
     # x = -lin0(y) / lin1(y): in the changed coordinates a point is
-    # (-lin0(y) : y lin1(y) : lin1(y)), and M maps it back; the coefficients
-    # of lin0 and lin1 are scaled by one integer, which keeps the point
-    scale = lcm(*(c.denominator for c in lin0.coeffs + lin1.coeffs))
-    l0 = [int(c * scale) for c in lin0.coeffs] + [0] * (3 - len(lin0.coeffs))
-    l1 = [int(c * scale) for c in lin1.coeffs] + [0] * (2 - len(lin1.coeffs))
-    curves = (_integer_coefficients(p), _integer_coefficients(q))
+    # (-lin0(y) : y lin1(y) : lin1(y)), and M maps it back
     points: PairResult = []
     for y, mult in root_orbits(quartic):
         if y.is_rational:
-            value = y.as_fraction()
-            lin1_y = l1[0] + l1[1] * value
-            vec = [-(l0[0] + l0[1] * value + l0[2] * value * value), value * lin1_y, lin1_y]
+            # at y = num / den, times den^2
+            num, den = y.as_fraction().as_integer_ratio()
+            lin1_y = lin1[0] * den + lin1[1] * num
+            vec = [-(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num),
+                   num * lin1_y, den * lin1_y]
             point = ProjectivePoint.from_coords(
                 *(sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)))
         else:
             # at y = b / c_n, times c_n^2: polynomials in b of degree <= 2
             field, c = y.field, y.field.lead
-            vec = [field.reduce([-l0[0] * c * c, -l0[1] * c, -l0[2]]),
-                   field.reduce([0, l1[0] * c, l1[1]]),
-                   field.reduce([l1[0] * c * c, l1[1] * c])]
+            vec = [field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]]),
+                   field.reduce([0, lin1[0] * c, lin1[1]]),
+                   field.reduce([lin1[0] * c * c, lin1[1] * c])]
             point = ProjectivePoint.in_field(field, [
                 [sum(matrix[i][j] * vec[j][k] for j in range(3)) for k in range(field.degree)]
                 for i in range(3)])
-        _verify_on_both(curves, point)
+        _verify_on_both((p, q), point)
         points.append((point, mult))
     return points
 
 
-def _eliminate_x(p: TernaryForm, q: TernaryForm) -> tuple[UPoly, UPoly, UPoly]:
-    """Eliminate x from two conics at z = 1.
+def _changed_conic(coeffs: tuple[int, ...], matrix) -> tuple[int, ...]:
+    """The integer conic Q(M v) in the coordinates v: M^T (2A) M is the
+    symmetric matrix of 2 Q(M v), where 2A = [[2a, d, e], [d, 2b, f],
+    [e, f, 2c]] is that of 2 Q.  Its diagonal is even."""
+    a, b, c, d, e, f = coeffs
+    twice = ((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c))
+    right = [[sum(twice[i][k] * matrix[k][j] for k in range(3)) for j in range(3)]
+             for i in range(3)]
+    t = [[sum(matrix[k][i] * right[k][j] for k in range(3)) for j in range(3)]
+         for i in range(3)]
+    return t[0][0] // 2, t[1][1] // 2, t[2][2] // 2, t[0][1], t[0][2], t[1][2]
 
-    Returns (quartic, lin1, lin0): the resultant in x, a polynomial in y of
-    degree <= 4, and the coefficients of b2*p - a2*q = lin1*x + lin0, where
-    a2 and b2 are the x^2 coefficients of p and q.
+
+def _poly_mul(u: list[int], v: list[int]) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    return out
+
+
+def _eliminate_x(p: tuple[int, ...], q: tuple[int, ...]
+                 ) -> tuple[list[int], list[int], list[int]]:
+    """Eliminate x from two integer conics at z = 1.
+
+    Each conic a x^2 + b y^2 + c z^2 + d xy + e xz + f yz is read as
+    a2 x^2 + a1(y) x + a0(y), with a2 = a, a1 = e + d y, a0 = c + f y + b y^2.
+    Returns (quartic, lin1, lin0), integer coefficients lowest degree first
+    (5, 2 and 3 of them): the resultant in x, a polynomial in y of degree
+    <= 4, and b2*p - a2*q = lin1*x + lin0, where a2 and b2 are the x^2
+    coefficients of p and q.
     """
-    a2, a1, a0 = _x_coefficients(p)
-    b2, b1, b0 = _x_coefficients(q)
+    a2, b2 = p[0], q[0]
     if a2 == 0 or b2 == 0:
         raise _NotGeneric("a conic passes through (1:0:0)")
-    lin1 = b2 * a1 - a2 * b1
-    lin0 = b2 * a0 - a2 * b0
+    a1, b1 = [p[4], p[3]], [q[4], q[3]]
+    a0, b0 = [p[2], p[5], p[1]], [q[2], q[5], q[1]]
+    lin1 = [b2 * u - a2 * v for u, v in zip(a1, b1)]
+    lin0 = [b2 * u - a2 * v for u, v in zip(a0, b0)]
     # (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1)
-    quartic = lin0 * lin0 + lin1 * (a1 * b0 - a0 * b1)
+    cross = [u - v for u, v in zip(_poly_mul(a1, b0), _poly_mul(a0, b1))]
+    quartic = [u + v for u, v in zip(_poly_mul(lin0, lin0), _poly_mul(lin1, cross))]
     return quartic, lin1, lin0
 
 
@@ -301,7 +310,7 @@ def tangent_line(curve: PlaneCurve, point: ProjectivePoint
     gradient at the normalized point)."""
     field, vectors = point.field, point.vectors()
     return tuple(_element(field, point.conjugate, g)
-                 for g in _tangent(_integer_coefficients(curve.form), field, vectors))
+                 for g in _tangent(curve.coefficients, field, vectors))
 
 
 def _tangent(coeffs: tuple[int, ...], field: NumberField | None, point) -> list[list[int]]:
@@ -328,7 +337,7 @@ def _tangents_distinct(curves: list[tuple[int, ...]], location: ProjectivePoint)
 
 def check_ordinary(point: SingularPoint, arrangement: Arrangement) -> bool:
     """Decide ordinarity from tangent lines: pairwise non-proportional."""
-    curves = [_integer_coefficients(arrangement.curves[i].form) for i in sorted(point.incident)]
+    curves = [arrangement.curves[i].coefficients for i in sorted(point.incident)]
     return _tangents_distinct(curves, point.location)
 
 
@@ -355,7 +364,7 @@ def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
     three chosen lines, and every superset keeps it, so such a branch is
     abandoned as soon as that happens.
     """
-    lines = [c.form for c in arrangement.curves if c.kind == "line"]
+    lines = [c.coefficients for c in arrangement.curves if c.kind == "line"]
     n = len(lines)
     if n < 6:
         return False
@@ -400,7 +409,7 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     """
     validate_arrangement(arrangement)
     curves = arrangement.curves
-    forms = [_integer_coefficients(c.form) for c in curves]
+    forms = [c.coefficients for c in curves]
     # (points of one orbit, their incident curve indices), by first pair
     found: list[tuple[list[ProjectivePoint], set[int]]] = []
     rational: dict[tuple[Fraction, ...], set[int]] = {}

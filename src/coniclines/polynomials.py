@@ -1,24 +1,22 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomials over the rationals.
 
-Two carriers are provided:
+  TernaryForm       -- homogeneous forms in (x, y, z) with Fraction
+                       coefficients, stored sparsely by exponent triple.
+                       Used as the defining equations of lines and conics.
+  coprime_integers  -- rational coefficients scaled to coprime integers;
+  primitive         -- the same for a univariate polynomial, with positive
+                       leading coefficient.  The engine computes in these
+                       integers.
 
-  UPoly       -- dense univariate polynomials with Fraction coefficients,
-                 lowest degree first.  Used for eliminated/restricted
-                 equations and as minimal-polynomial witnesses.
-  TernaryForm -- homogeneous forms in (x, y, z) with Fraction coefficients,
-                 stored sparsely by exponent triple.  Used as the defining
-                 equations of lines and conics.
-
-Everything here is exact; there is no floating point.  All degrees that
-actually occur are small (<= 4 from conic-conic elimination), so the dense
-univariate representation and Euclidean gcds are fine.
+Everything here is exact; there is no floating point.  Rational parsing and
+formatting for the file formats live here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponent = tuple[int, int, int]
 
@@ -47,146 +45,22 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class UPoly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first.
-
-    The zero polynomial has an empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(out)
-
-    def __neg__(self) -> "UPoly":
-        return UPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UPoly":
-        if isinstance(other, (int, Fraction)):
-            return UPoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return UPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.leading
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlead
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return UPoly(quo), UPoly(rem)
-
-    def __mod__(self, other: "UPoly") -> "UPoly":
-        return divmod(self, other)[1]
-
-    def __call__(self, value):
-        """Horner evaluation; works for Fraction and AlgebraicNumber inputs."""
-        if self.is_zero:
-            return Fraction(0)
-        acc = self.coeffs[-1] + 0 * value  # coerce into the argument's ring
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * value + c
-        return acc
-
-    def monic(self) -> "UPoly":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return UPoly([c / lead for c in self.coeffs])
-
-    def primitive(self) -> "UPoly":
-        """Integer-content-normalized copy with positive leading coefficient."""
-        if self.is_zero:
-            return self
-        den = lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return UPoly([Fraction(c, g) for c in ints])
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "UPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(format_rational(c))
-            else:
-                pw = "x" if i == 1 else f"x^{i}"
-                terms.append(pw if c == 1 else f"{format_rational(c)}*{pw}")
-        return "UPoly(" + " + ".join(terms) + ")"
+def coprime_integers(values: Sequence) -> tuple[int, ...]:
+    """Integer or rational values, not all zero, scaled by one rational to
+    coprime integers (the same curve or polynomial)."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    common = gcd(*ints)
+    return tuple(v // common for v in ints)
 
 
-def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic gcd by the Euclidean algorithm (fine at these degrees)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+def primitive(coeffs: Sequence) -> tuple[int, ...]:
+    """The primitive integer polynomial of a nonzero univariate polynomial
+    (integer or rational coefficients, lowest degree first, the last one
+    nonzero): coprime integer coefficients with positive leading
+    coefficient."""
+    ints = coprime_integers(coeffs)
+    return ints if ints[-1] > 0 else tuple(-v for v in ints)
 
 
 # --------------------------------------------------------------------------
@@ -266,34 +140,6 @@ class TernaryForm:
                     term = term * base
             total = term if total is None else total + term
         return total
-
-    def compose_linear(self, matrix: Sequence[Sequence[Fraction]]) -> "TernaryForm":
-        """Substitute (x, y, z) -> M . (x, y, z) and expand."""
-        rows = [[_frac(v) for v in row] for row in matrix]
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.coeffs.items():
-            # product of the three substituted linear forms, each repeated
-            factors = []
-            for axis in range(3):
-                factors.extend([rows[axis]] * expo[axis])
-            terms: dict[Exponent, Fraction] = {(0, 0, 0): coeff}
-            for lin in factors:
-                nxt: dict[Exponent, Fraction] = {}
-                for e, c in terms.items():
-                    for var in range(3):
-                        if lin[var] == 0:
-                            continue
-                        ne = list(e)
-                        ne[var] += 1
-                        key = tuple(ne)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c * lin[var]
-                terms = nxt
-            for e, c in terms.items():
-                out[e] = out.get(e, Fraction(0)) + c
-        out = {e: c for e, c in out.items() if c != 0}
-        if not out:
-            raise ValueError("singular substitution matrix")
-        return TernaryForm(self.degree, out)
 
     def __repr__(self) -> str:
         terms = []

@@ -5,8 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from coniclines.algebraic import AlgebraicNumber, NumberField, root_orbits
-from coniclines.polynomials import UPoly
+from coniclines.algebraic import AlgebraicNumber, NumberField, _certified_irreducible, root_orbits
 
 
 def conjugate_values(p):
@@ -18,17 +17,29 @@ def conjugate_values(p):
     return out
 
 
+def _product(*factors):
+    """The product of integer polynomials (coefficients lowest first)."""
+    out = [1]
+    for factor in factors:
+        acc = [0] * (len(out) + len(factor) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(factor):
+                acc[i + j] += u * v
+        out = acc
+    return out
+
+
 def sqrt2():
-    field = NumberField(UPoly([-2, 0, 1]))
+    field = NumberField([-2, 0, 1])
     return max((field.generator(k) for k in (0, 1)), key=lambda r: r.approx().real)
 
 
 def test_isolate_sqrt2():
-    orbits = root_orbits(UPoly([-2, 0, 1]))
+    orbits = root_orbits([-2, 0, 1])
     assert len(orbits) == 1
     root, mult = orbits[0]
-    assert mult == 1 and root.field.witness == UPoly([-2, 0, 1])
-    values = sorted(v.real for v, _m in conjugate_values(UPoly([-2, 0, 1])))
+    assert mult == 1 and root.field.witness == (-2, 0, 1)
+    values = sorted(v.real for v, _m in conjugate_values([-2, 0, 1]))
     assert values[0] == pytest.approx(-1.41421356, abs=1e-6)
     assert values[1] == pytest.approx(1.41421356, abs=1e-6)
     # the conjugates are one exact element at two roots
@@ -37,13 +48,13 @@ def test_isolate_sqrt2():
 
 
 def test_isolate_conjugate_pair():
-    imags = sorted(v.imag for v, _m in conjugate_values(UPoly([1, 0, 1])))  # x^2 + 1
+    imags = sorted(v.imag for v, _m in conjugate_values([1, 0, 1]))  # x^2 + 1
     assert imags[0] == pytest.approx(-1.0, abs=1e-9)
     assert imags[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_isolate_repeated_root():
-    roots = root_orbits(UPoly([1, -2, 1]))  # (x - 1)^2
+    roots = root_orbits([1, -2, 1])  # (x - 1)^2
     assert len(roots) == 1
     num, mult = roots[0]
     assert mult == 2
@@ -51,15 +62,15 @@ def test_isolate_repeated_root():
 
 
 def test_isolate_multiplicities_sum_to_degree():
-    p = UPoly([-1, 1]) * UPoly([-1, 1]) * UPoly([1, 0, 1]) * UPoly([-2, 0, 1])
+    p = _product([-1, 1], [-1, 1], [1, 0, 1], [-2, 0, 1])
     values = conjugate_values(p)
-    assert sum(m for _v, m in values) == p.degree
+    assert sum(m for _v, m in values) == len(p) - 1
     assert len(values) == 5
 
 
 def test_isolate_zero_rejected():
     with pytest.raises(ValueError):
-        root_orbits(UPoly())
+        root_orbits([])
 
 
 def test_alg_equal_rationals():
@@ -94,7 +105,7 @@ def test_alg_equal_is_an_equivalence_relation():
 
 
 def test_equality_across_conjugates_is_not_decided():
-    field = NumberField(UPoly([-2, 0, 1]))
+    field = NumberField([-2, 0, 1])
     with pytest.raises(ValueError):
         field.generator(0) == field.generator(1)
     with pytest.raises(ValueError):
@@ -120,8 +131,8 @@ def test_division_by_zero_rejected():
 
 def test_isolate_rescaled_sympy_roots():
     # x^2 + 4: the conjugates are +-2i, each a root of the witness
-    roots = root_orbits(UPoly([4, 0, 1]))
-    imags = sorted(v.imag for v, _m in conjugate_values(UPoly([4, 0, 1])))
+    roots = root_orbits([4, 0, 1])
+    imags = sorted(v.imag for v, _m in conjugate_values([4, 0, 1]))
     assert imags[0] == pytest.approx(-2.0, abs=1e-9)
     assert imags[1] == pytest.approx(2.0, abs=1e-9)
     for r, _m in roots:
@@ -162,7 +173,7 @@ def _witnesses(draw):
     lead = draw(st.integers(2, 7)) * draw(st.sampled_from([1, -1]))
     coeffs = draw(st.lists(st.integers(-7, 7), min_size=degree, max_size=degree)) + [lead]
     assume(sp.Poly(list(reversed(coeffs)), sp.Symbol("x"), domain="QQ").is_irreducible)
-    field = NumberField(UPoly(coeffs))
+    field = NumberField(coeffs)
     assume(field.lead >= 2)
     return field
 
@@ -207,7 +218,7 @@ def test_kernel_zero_test_agrees_with_numerics(data):
     q = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
     r = data.draw(st.one_of(st.just([0] * n),
                             st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
-    f = [int(c) for c in field.witness.coeffs]
+    f = field.witness
     p = [0] * (len(q) + n)
     for i, qi in enumerate(q):
         for j, fj in enumerate(f):
@@ -235,3 +246,84 @@ def test_kernel_inverse(data):
     assert x / x == 1
     y = data.draw(_elements(field))
     assert (y / x) * x == y
+
+
+# -- root_orbits against sympy's factor_list -----------------------------------
+
+
+def _sympy_factors(coeffs):
+    """sympy's irreducible factors over ZZ with their multiplicities, in its
+    order; each factor as integer coefficients lowest first."""
+    _content, factors = sp.Poly(list(reversed(coeffs)), sp.Symbol("x"), domain="ZZ").factor_list()
+    return [(tuple(int(c) for c in reversed(f.all_coeffs())), int(m)) for f, m in factors]
+
+
+def _orbit_factors(orbits):
+    """The primitive factor of each orbit: q x - p for a rational root p/q,
+    else the witness, whose generator at conjugate 0 the orbit must be."""
+    out = []
+    for root, mult in orbits:
+        if root.is_rational:
+            value = root.as_fraction()
+            out.append(((-value.numerator, value.denominator), mult))
+        else:
+            field = root.field
+            assert root == field.generator(0)
+            out.append((field.witness, mult))
+    return out
+
+
+@st.composite
+def _factor(draw, degree):
+    lead = draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+    return draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree)) + [lead]
+
+
+@st.composite
+def _polynomials(draw):
+    """Integer polynomials of degree 1-4 with a non-unit leading
+    coefficient: random ones, products of random factors, and products with
+    a squared factor; times a random integer."""
+    kind = draw(st.sampled_from(["random", "product", "square"]))
+    if kind == "random":
+        degree = draw(st.integers(1, 4))
+        lead = draw(st.integers(2, 9)) * draw(st.sampled_from([1, -1]))
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree)) + [lead]
+    else:
+        factors, budget = [], 4
+        if kind == "square":
+            square = draw(_factor(draw(st.integers(1, 2))))
+            factors, budget = [square, square], 4 - 2 * (len(square) - 1)
+        while budget > 0 and (len(factors) < 2 or draw(st.booleans())):
+            factors.append(draw(_factor(draw(st.integers(1, min(3, budget))))))
+            budget -= len(factors[-1]) - 1
+        coeffs = _product(*factors)
+    assume(abs(coeffs[-1]) >= 2)
+    return [c * draw(st.sampled_from([1, -1, 2, -3])) for c in coeffs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomials())
+def test_root_orbits_agree_with_sympy(coeffs):
+    assert _orbit_factors(root_orbits(coeffs)) == _sympy_factors(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    # irreducible, but reducible modulo every prime: no certificate exists
+    ([1, 0, -10, 0, 1], [((1, 0, -10, 0, 1), 1)]),
+    ([1, 0, 0, 0, 1], [((1, 0, 0, 0, 1), 1)]),
+    # (2x^2 + 1)^2: never squarefree modulo a prime
+    ([1, 0, 4, 0, 4], [((1, 0, 2), 2)]),
+    # (3x - 2)(2x^3 + x + 1)
+    (_product([-2, 3], [1, 1, 0, 2]), [((-2, 3), 1), ((1, 1, 0, 2), 1)]),
+], ids=["x4-10x2+1", "x4+1", "square", "cubic-times-linear"])
+def test_root_orbits_fixed_cases(coeffs, expected):
+    assert _orbit_factors(root_orbits(coeffs)) == expected == _sympy_factors(coeffs)
+
+
+def test_certificate_needs_an_irreducible_pattern():
+    # x^3 + x + 1 has no root modulo 2; x^4 - 10x^2 + 1 and x^4 + 1 split
+    # modulo every prime, so only factor_list decides them
+    assert _certified_irreducible((1, 1, 0, 1))
+    assert not _certified_irreducible((1, 0, -10, 0, 1))
+    assert not _certified_irreducible((1, 0, 0, 0, 1))

@@ -4,13 +4,20 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from coniclines.intersect import IntersectionError, _eliminate_x, _intersect_conics, _NotGeneric
+from coniclines.curves import PlaneCurve
+from coniclines.intersect import (
+    IntersectionError,
+    _changed_conic,
+    _conic_value,
+    _eliminate_x,
+    _intersect_conics,
+    _NotGeneric,
+)
 from coniclines.polynomials import (
     TernaryForm,
-    UPoly,
     format_rational,
     parse_rational,
-    poly_gcd,
+    primitive,
 )
 
 
@@ -21,49 +28,27 @@ def test_rational_round_trip():
     assert format_rational(F(5)) == "5"
 
 
-def test_upoly_divmod():
-    p = UPoly([1, -3, 0, 2])  # 2x^3 - 3x + 1
-    q = UPoly([-1, 1])        # x - 1
-    quo, rem = divmod(p, q)
-    assert rem.is_zero
-    assert quo * q == p
-
-
-def test_upoly_eval_horner():
-    p = UPoly([1, 2, 3])
-    assert p(F(1, 2)) == 1 + 1 + F(3, 4)
-
-
-def test_poly_gcd_common_factor():
-    a = UPoly([-1, 1])      # x - 1
-    b = UPoly([1, 1])       # x + 1
-    c = UPoly([2, 0, 1])    # x^2 + 2
-    assert poly_gcd(a * a * b, a * c * 3) == a.monic()
-    assert poly_gcd(a * b * c, UPoly([F(1, 2)]) * b * c) == (b * c).monic()
-    assert poly_gcd(a, b) == UPoly([1])
-    assert poly_gcd(UPoly(), c) == c.monic()
-
-
 def test_primitive_normalization():
-    p = UPoly([F(1, 2), F(-3, 4)])
-    prim = p.primitive()
-    assert prim == UPoly([-2, 3])
-    assert prim.leading > 0
+    prim = primitive([F(1, 2), F(-3, 4)])
+    assert prim == (-2, 3)
+    assert prim[-1] > 0
+    assert primitive([4, -6, -8]) == (-2, 3, 4)
 
 
 def test_resultant_self_vanishes():
-    p = TernaryForm.conic(1, 1, -2, 0, 0, 0)
-    assert _eliminate_x(p, p)[0].is_zero
-    assert _eliminate_x(p, p.scale(F(-3, 2)))[0].is_zero
+    p = (1, 1, -2, 0, 0, 0)
+    assert not any(_eliminate_x(p, p)[0])
+    assert not any(_eliminate_x(p, tuple(-3 * c for c in p))[0])
+    conic = TernaryForm.conic(*p)
     with pytest.raises(IntersectionError, match="identical curves"):
-        _intersect_conics(p, p.scale(3))
+        _intersect_conics(PlaneCurve("conic", conic), PlaneCurve("conic", conic.scale(3)))
 
 
 def test_resultant_nothing_to_eliminate():
     # without an x^2 term the conic passes through (1:0:0), where the
     # elimination would lose a point; the engine changes coordinates
-    p = TernaryForm.conic(0, 1, -1, 1, 0, 0)
-    q = TernaryForm.conic(1, 1, -1, 0, 0, 0)
+    p = (0, 1, -1, 1, 0, 0)
+    q = (1, 1, -1, 0, 0, 0)
     with pytest.raises(_NotGeneric, match="passes through"):
         _eliminate_x(p, q)
 
@@ -80,11 +65,18 @@ def test_resultant_specialization(pc, qc):
     x, y = sp.symbols("x y")
     p, q = TernaryForm.conic(*pc), TernaryForm.conic(*qc)
     expected = sp.Poly(sp.resultant(p(x, y, 1), q(x, y, 1), x), y)
-    coeffs = [F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
-    assert _eliminate_x(p, q)[0] == UPoly(coeffs)
+    coeffs = [int(c) for c in reversed(expected.all_coeffs())]
+    quartic = _eliminate_x(pc, qc)[0]
+    assert quartic == coeffs + [0] * (5 - len(coeffs))
 
 
-def test_compose_linear_swap():
-    p = TernaryForm.conic(1, 2, 3, 0, 0, 0)
+@settings(max_examples=60, deadline=None)
+@given(_CONIC, st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+       st.tuples(*[st.integers(-5, 5)] * 3))
+def test_changed_conic_is_the_substitution(pc, entries, v):
+    # the changed conic at v is the conic at M v
+    matrix = [entries[0:3], entries[3:6], entries[6:9]]
+    mv = [sum(matrix[i][j] * v[j] for j in range(3)) for i in range(3)]
+    assert _conic_value(_changed_conic(pc, matrix), *v) == _conic_value(pc, *mv)
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    assert p.compose_linear(swap) == TernaryForm.conic(2, 1, 3, 0, 0, 0)
+    assert _changed_conic((1, 2, 3, 0, 0, 0), swap) == (2, 1, 3, 0, 0, 0)
