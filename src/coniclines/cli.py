@@ -6,14 +6,15 @@ enumerate balanced types and scan the open questions, ``check`` to print
 one named inequality verdict of the report ``analyze`` computes.
 
 Exit codes are stable: 0 success, 2 parse error (including an unknown
-catalog name, an export path that cannot be written and a bad ``search``
-argument), 3 validation failure
+catalog name, an export option the entry does not take, an export path
+that cannot be written and a bad ``search`` argument), 3 validation failure
 (reducible conic, duplicate curve, non-ordinary input under --strict, or
 an intersection the engine could not complete).
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -187,6 +188,10 @@ def catalog_show(name: str) -> None:
 def catalog_export(name: str, path: Path, k: int | None, t_params: str | None) -> None:
     """Write a catalog entry to an arrangement or combinatorial-type file."""
     entry = _catalog_entry(name)
+    takes = inspect.signature(entry.builder).parameters if entry.builder else {}
+    for option, value in (("k", k), ("t", t_params)):
+        if value is not None and option not in takes:
+            _fail(EXIT_PARSE, f"Error: catalog entry {name} takes no --{option}")
     if entry.builder is not None:
         kwargs = {}
         if k is not None:
@@ -198,7 +203,7 @@ def catalog_export(name: str, path: Path, k: int | None, t_params: str | None) -
                 _fail(EXIT_PARSE, f"parse error: --t: {exc}")
         try:
             arrangement = entry.build(**kwargs)
-        except (ValidationError, TypeError) as exc:
+        except ValidationError as exc:
             _fail(EXIT_VALIDATION, f"validation failed: {exc}")
         text = serialize_arrangement(arrangement)
     else:

@@ -68,6 +68,22 @@ def test_catalog_export_to_a_missing_directory(tmp_path):
     _assert_clean_exit(run("catalog", "export", "pencil4", str(target)), EXIT_PARSE)
 
 
+def test_export_combinatorial_entry_rejects_parameters(tmp_path):
+    target = tmp_path / "klein.txt"
+    result = run("catalog", "export", "klein", str(target), "--k", "3")
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert "takes no --k" in result.output
+    assert not target.exists()
+
+
+def test_export_entry_without_parameters_rejects_them(tmp_path):
+    target = tmp_path / "dbe.txt"
+    result = run("catalog", "export", "dbe-sharpness", str(target), "--k", "3")
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert "takes no --k" in result.output and "TypeError" not in result.output
+    assert not target.exists()
+
+
 def test_export_and_analyze_round_trip(tmp_path):
     target = tmp_path / "pencil.txt"
     result = run("catalog", "export", "pencil4", str(target))
