@@ -23,11 +23,14 @@ engine uses it only to normalize a point for display.
 
 Roots come in orbits (``root_orbits``), one per irreducible factor, and
 integers decide the factors wherever they can.  A linear or quadratic
-polynomial is split by the integer square root of its discriminant.  One of
-degree >= 3 is a single orbit when a modular certificate proves it
-irreducible: its factor degrees modulo a few fixed small primes (by
-distinct-degree factorization) leave no degree for a rational factor.  What
-is reducible, has a repeated factor or is not certified goes to sympy's
+polynomial is split by the integer square root of its discriminant.  A
+cubic or quartic is a single orbit when a modular certificate proves it
+irreducible: its factor degrees modulo a few fixed small primes leave no
+degree for a rational factor.  Modulo a prime that divides neither its
+leading coefficient nor its discriminant D, those degrees follow from two
+numbers: its count of roots mod p, and the parity of the factor count,
+which the Legendre symbol (D/p) gives.  What is reducible, has a repeated
+factor, is not certified or has degree >= 5 goes to sympy's
 ``factor_list`` over ZZ, the only sympy call.  Numeric values are for
 display only: mpmath ``polyroots`` finds the roots of f, taken in a fixed
 order, and conjugate k evaluates its vector at b_k = c_n a_k.
@@ -376,10 +379,10 @@ def root_orbits(coeffs: Sequence[int]) -> list[tuple[AlgebraicNumber, int]]:
     number the degree of the polynomial.
 
     Integers decide what they can: a linear or quadratic polynomial is
-    split by the integer square root of its discriminant, and one of degree
-    >= 3 is one orbit when a modular certificate proves it irreducible.
-    Only a polynomial that is reducible, has a repeated factor or is not
-    certified goes to sympy's ``factor_list``.
+    split by the integer square root of its discriminant, and a cubic or
+    quartic is one orbit when a modular certificate proves it irreducible.
+    Only a polynomial that is reducible, has a repeated factor, is not
+    certified or has degree >= 5 goes to sympy's ``factor_list``.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -404,7 +407,7 @@ def root_orbits(coeffs: Sequence[int]) -> list[tuple[AlgebraicNumber, int]]:
                            key=lambda r: (r.denominator, -r.numerator))
             return [(AlgebraicNumber(r), 1) for r in roots]
         return [(NumberField(f).generator(), 1)]
-    if _certified_irreducible(f):
+    if n <= 4 and _certified_irreducible(f):
         return [(NumberField(f).generator(), 1)]
     out = []
     _content, factors = sp.Poly(list(reversed(f)), _X, domain="ZZ").factor_list()
@@ -421,22 +424,26 @@ def root_orbits(coeffs: Sequence[int]) -> list[tuple[AlgebraicNumber, int]]:
 #
 # A factor of f over Q of degree d reduces, modulo a prime p that does not
 # divide the leading coefficient, to a product of irreducible factors of f
-# mod p, so d is a sum of some of their degrees.  When f is squarefree mod p,
-# distinct-degree factorization gives those degrees.  f is irreducible once
-# no d in 1 .. n/2 is such a sum for every prime tried (von zur Gathen and
-# Gerhard, Modern Computer Algebra, ch. 14-15).  Polynomials mod p are lists
-# of residues, lowest degree first: without trailing zeros, or as vectors of
-# length n when reduced modulo a polynomial of degree n.
+# mod p, so d is a sum of some of their degrees.  f is irreducible once no d
+# in 1 .. n/2 is such a sum for every prime tried (von zur Gathen and
+# Gerhard, Modern Computer Algebra, ch. 14-15).  For a cubic or a quartic
+# two numbers fix those degrees modulo a prime p dividing neither the
+# leading coefficient nor the discriminant D (f is then squarefree mod p):
+# the count of its roots mod p, and for odd p the Legendre symbol (D/p),
+# which is (-1)^(n - r) for r irreducible factors (Stickelberger; Swan,
+# Pacific J. Math. 12, 1962).
 
 
 def _certified_irreducible(f: tuple[int, ...]) -> bool:
-    """Is f, primitive of degree >= 2, proved irreducible over Q by its
-    factor degrees modulo the primes of _PRIMES?"""
+    """Is f, a primitive cubic or quartic, proved irreducible over Q by its
+    factor degrees modulo the primes of _PRIMES?  A polynomial with a
+    repeated factor (discriminant 0) is never certified."""
+    disc = _discriminant(f)
+    if disc == 0:
+        return False
     possible = set(range(1, (len(f) - 1) // 2 + 1))
     for p in _PRIMES:
-        if f[-1] % p == 0:
-            continue
-        pattern = _degree_pattern(f, p)
+        pattern = _degree_pattern(f, disc, p)
         if pattern is None:
             continue
         sums = {0}
@@ -448,91 +455,40 @@ def _certified_irreducible(f: tuple[int, ...]) -> bool:
     return False
 
 
-def _degree_pattern(f: tuple[int, ...], p: int) -> list[int] | None:
-    """The degrees of the irreducible factors of f modulo p, a prime not
-    dividing its leading coefficient, by distinct-degree factorization;
-    None when f is not squarefree modulo p.
+def _discriminant(f: Sequence[int]) -> int:
+    """The discriminant of an integer cubic or quartic (coefficients lowest
+    degree first), from its closed form."""
+    if len(f) == 4:
+        d, c, b, a = f
+        return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d
+                + 18 * a * b * c * d)
+    e, d, c, b, a = f
+    return (256 * a ** 3 * e ** 3 - 192 * a * a * b * d * e * e
+            - 128 * a * a * c * c * e * e + 144 * a * a * c * d * d * e
+            - 27 * a * a * d ** 4 + 144 * a * b * b * c * e * e - 6 * a * b * b * d * d * e
+            - 80 * a * b * c * c * d * e + 18 * a * b * c * d ** 3 + 16 * a * c ** 4 * e
+            - 4 * a * c ** 3 * d * d - 27 * b ** 4 * e * e + 18 * b ** 3 * c * d * e
+            - 4 * b ** 3 * d ** 3 - 4 * b * b * c ** 3 * e + b * b * c * c * d * d)
 
-    The product of the factors of degree d is gcd(f, x^(p^d) - x) once the
-    factors of lower degree are divided out.  x^(p^d) is kept modulo f
-    itself and raised to the p-th power by the Frobenius map
-    h -> sum_i h_i x^(i p), which is linear over the integers mod p.
+
+def _degree_pattern(f: Sequence[int], disc: int, p: int) -> tuple[int, ...] | None:
+    """The sorted degrees of the irreducible factors of the cubic or quartic
+    f modulo the prime p, given its discriminant; None when p divides the
+    leading coefficient or the discriminant.
+
+    Otherwise f is squarefree mod p, so its roots mod p are its linear
+    factors.  A cubic with none is irreducible; a quartic with none is one
+    factor of degree 4 or two of degree 2, told apart by the Legendre symbol
+    (D/p) = (-1)^(n - r) for r factors.  Over GF(2) there is one irreducible
+    quadratic, so a squarefree quartic without roots is irreducible there.
     """
-    inverse = pow(f[-1], -1, p)
-    g = [c * inverse % p for c in f]
-    n = len(g) - 1
-    derivative = _gf_trim([i * c % p for i, c in enumerate(g)][1:])
-    if len(_gf_gcd(g, derivative, p)) > 1:
+    if f[-1] % p == 0 or disc % p == 0:
         return None
-    xp = [0, 1] + [0] * (n - 2)
-    for bit in bin(p)[3:]:
-        xp = _gf_mul_mod(xp, xp, g, p)
-        if bit == "1":
-            top, xp = xp[-1], [0] + xp[:-1]
-            xp = [(c - top * gi) % p for c, gi in zip(xp, g)]
-    powers = [[1] + [0] * (n - 1), xp]  # x^(i p) modulo g
-    while len(powers) < n:
-        powers.append(_gf_mul_mod(powers[-1], xp, g, p))
-    pattern, rest, h, d = [], g, xp, 1
-    while 2 * d < len(rest):
-        if d > 1:
-            h = [sum(hi * row[j] for hi, row in zip(h, powers)) % p for j in range(n)]
-        h_minus_x = list(h)
-        h_minus_x[1] = (h_minus_x[1] - 1) % p
-        common = _gf_gcd(rest, _gf_trim(h_minus_x), p)
-        if len(common) > 1:
-            pattern += [d] * ((len(common) - 1) // d)
-            rest = _gf_divmod(rest, common, p)[0]
-        d += 1
-    if len(rest) > 1:
-        pattern.append(len(rest) - 1)
-    return pattern
-
-
-def _gf_trim(u: list[int]) -> list[int]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _gf_divmod(u: list[int], v: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of u by v != 0 modulo p."""
-    rem = list(u)
-    dv = len(v) - 1
-    if len(rem) <= dv:
-        return [], rem
-    inverse = pow(v[-1], -1, p)
-    quo = [0] * (len(rem) - dv)
-    for top in range(len(rem) - 1, dv - 1, -1):
-        c = rem[top] * inverse % p
-        if c:
-            quo[top - dv] = c
-            base = top - dv
-            for i, vi in enumerate(v):
-                rem[base + i] = (rem[base + i] - c * vi) % p
-    return _gf_trim(quo), _gf_trim(rem[:dv])
-
-
-def _gf_gcd(u: list[int], v: list[int], p: int) -> list[int]:
-    """A gcd of u and v modulo p (the zero list when both are zero)."""
-    while v:
-        u, v = v, _gf_divmod(u, v, p)[1]
-    return u
-
-
-def _gf_mul_mod(u: list[int], v: list[int], g: list[int], p: int) -> list[int]:
-    """u * v modulo the monic g of degree n and p, for vectors u and v of
-    length n."""
-    n = len(g) - 1
-    acc = [0] * (2 * n - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                acc[i + j] += ui * vj
-    for top in range(2 * n - 2, n - 1, -1):
-        c = acc[top] % p
-        if c:
-            base = top - n
-            for i in range(n):
-                acc[base + i] -= c * g[i]
-    return [c % p for c in acc[:n]]
+    e, d, c, b, a = [v % p for v in f] + [0] * (5 - len(f))
+    roots = sum(1 for x in range(p) if ((((a * x + b) * x + c) * x + d) * x + e) % p == 0)
+    n = len(f) - 1
+    if roots == 0:
+        if n == 3 or p == 2 or pow(disc, (p - 1) // 2, p) != 1:
+            return (n,)
+        return (2, 2)
+    return (1,) * roots + ((n - roots,) if roots < n else ())

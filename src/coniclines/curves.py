@@ -1,7 +1,11 @@
 """Domain model for conic-line arrangements.
 
 Curves are lines or irreducible conics given by homogeneous rational forms.
-An arrangement is a finite list of pairwise non-proportional curves.  The
+An arrangement is a finite list of pairwise non-proportional curves.  Both
+invariants are checked on each curve's coprime integer coefficients, which
+the engine computes with as well: a conic is smooth iff det(2A) != 0 for
+its integer symmetric matrix 2A, and two curves are proportional iff their
+coefficients agree up to sign.  The
 combinatorial type (d, k, t) records the number of lines, conics, and
 r-fold intersection points; it is also a first-class input on its own,
 because several named arrangements are known only through their published
@@ -64,16 +68,17 @@ class PlaneCurve:
         return coprime_integers(values)
 
 
-def conic_matrix_det(form: TernaryForm) -> Fraction:
-    """Determinant of the symmetric matrix of a conic; nonzero iff smooth."""
-    a, b, c, d, e, f = form.conic_coefficients()
-    h, g, i = d / 2, e / 2, f / 2
-    return (a * (b * c - i * i) - h * (h * c - i * g) + g * (h * i - b * g))
+def _det_2a(coeffs: tuple[int, ...]) -> int:
+    """det(2A) of the integer conic (a, b, c, d, e, f), where
+    2A = [[2a, d, e], [d, 2b, f], [e, f, 2c]] is twice its symmetric matrix;
+    nonzero iff the conic is smooth."""
+    a, b, c, d, e, f = coeffs
+    return 2 * (4 * a * b * c + d * e * f - a * f * f - b * e * e - c * d * d)
 
 
 def validate_curve(curve: PlaneCurve) -> None:
     """Raise ValidationError unless the curve invariants hold."""
-    if curve.kind == "conic" and conic_matrix_det(curve.form) == 0:
+    if curve.kind == "conic" and _det_2a(curve.coefficients) == 0:
         raise ValidationError(
             f"conic {curve.label or curve.form!r} is a line pair or double line")
 
@@ -100,10 +105,12 @@ def validate_arrangement(arrangement: Arrangement) -> None:
     """Validate every curve and reject repeated (proportional) forms."""
     for curve in arrangement.curves:
         validate_curve(curve)
-    curves = arrangement.curves
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            if curves[i].form.proportional_to(curves[j].form):
+    # proportional forms have coprime integer coefficients equal up to sign
+    keys = [max(c.coefficients, tuple(-v for v in c.coefficients))
+            for c in arrangement.curves]
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            if keys[i] == keys[j]:
                 raise ValidationError(f"duplicate curve: pair ({i}, {j})")
 
 
@@ -155,11 +162,27 @@ class ProjectivePoint:
 
     coords: tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]
 
+    def __post_init__(self):
+        # ``field``: the number field of the coordinates, None for a rational
+        # point; ``conjugate``: the index of the point in its orbit, 0 for a
+        # rational point.  Set once, read by every incidence and tangent test.
+        lead = next((c for c in self.coords if c.field is not None), None)
+        object.__setattr__(self, "field", None if lead is None else lead.field)
+        object.__setattr__(self, "conjugate", 0 if lead is None else lead.conjugate)
+
     @classmethod
     def from_coords(cls, x, y, z) -> "ProjectivePoint":
-        """The point (x : y : z), normalized."""
+        """The point (x : y : z), normalized.  Integer or Fraction
+        coordinates are divided as Fractions; AlgebraicNumber ones by the
+        field inverse of the pivot."""
+        values = (x, y, z)
+        if not any(isinstance(v, AlgebraicNumber) for v in values):
+            pivot = next((v for v in reversed(values) if v != 0), None)
+            if pivot is None:
+                raise ValidationError("(0 : 0 : 0) is not a projective point")
+            return cls(tuple(AlgebraicNumber(Fraction(v, pivot)) for v in values))
         coords = [v if isinstance(v, AlgebraicNumber)
-                  else AlgebraicNumber.from_rational(v) for v in (x, y, z)]
+                  else AlgebraicNumber.from_rational(v) for v in values]
         pivot = None
         for i in (2, 1, 0):
             if not coords[i].is_zero:
@@ -183,25 +206,18 @@ class ProjectivePoint:
             raise ValidationError("(0 : 0 : 0) is not a projective point")
         return cls(coords)
 
-    @property
-    def field(self) -> NumberField | None:
-        """The number field of the coordinates; None for a rational point."""
-        return next((c.field for c in self.coords if c.field is not None), None)
-
-    @property
-    def conjugate(self) -> int:
-        """Index of this point in its orbit; 0 for a rational point."""
-        return next((c.conjugate for c in self.coords if c.field is not None), 0)
-
     def conjugates(self) -> list["ProjectivePoint"]:
-        """The points of this point's orbit, by conjugate index."""
+        """The points of this point's orbit, by conjugate index; this point
+        is one of them."""
         field = self.field
         if field is None:
             return [self]
-        return [ProjectivePoint(tuple(c.at_conjugate(k) for c in self.coords))
+        return [self if k == self.conjugate
+                else ProjectivePoint(tuple(c.at_conjugate(k) for c in self.coords))
                 for k in range(field.degree)]
 
-    def vectors(self) -> list[list[int]]:
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
         """The coordinates times one positive integer, as integer vectors in
         b of length deg f (length 1 for a rational point): the same point."""
         field = self.field
@@ -212,10 +228,10 @@ class ProjectivePoint:
         for c, den in zip(self.coords, dens):
             scale = common // den
             if c.field is not None:
-                out.append([v * scale for v in c.value])
+                out.append(tuple(v * scale for v in c.value))
             else:
-                out.append([c.value.numerator * scale] + [0] * (n - 1))
-        return out
+                out.append((c.value.numerator * scale,) + (0,) * (n - 1))
+        return tuple(out)
 
     def normalized(self) -> "ProjectivePoint":
         """The same point with its last nonzero coordinate 1."""

@@ -291,7 +291,7 @@ def _eliminate_x(p: tuple[int, ...], q: tuple[int, ...]
 def _verify_on_both(curves, point: ProjectivePoint) -> None:
     """Check that the point lies on both conics, by exact evaluation of
     their integer forms at its integer vectors."""
-    vectors = point.vectors()
+    vectors = point.vectors
     for coeffs in curves:
         if not _vanishes(coeffs, point.field, vectors):
             raise IntersectionError("back-substitution verification failed")
@@ -308,7 +308,7 @@ def tangent_line(curve: PlaneCurve, point: ProjectivePoint
     """Tangent of the curve at a point of it, as a line: the gradient of the
     curve's integer form at the point's integer vectors (a multiple of the
     gradient at the normalized point)."""
-    field, vectors = point.field, point.vectors()
+    field, vectors = point.field, point.vectors
     return tuple(_element(field, point.conjugate, g)
                  for g in _tangent(curve.coefficients, field, vectors))
 
@@ -330,7 +330,7 @@ def _tangents_proportional(field: NumberField | None, u, v) -> bool:
 
 def _tangents_distinct(curves: list[tuple[int, ...]], location: ProjectivePoint) -> bool:
     """Are the tangents of the integer curves at the point pairwise distinct?"""
-    field, vectors = location.field, location.vectors()
+    field, vectors = location.field, location.vectors
     tangents = [_tangent(coeffs, field, vectors) for coeffs in curves]
     return not any(_tangents_proportional(field, u, v) for u, v in combinations(tangents, 2))
 
@@ -444,7 +444,7 @@ def _orbit_incidence(forms, point: ProjectivePoint, i: int, j: int) -> set[int] 
     when a curve of lower index than j other than i passes through it (the
     orbit is then collected at a lower pair).  ``forms`` are the integer
     forms of the curves."""
-    field, vectors = point.field, point.vectors()
+    field, vectors = point.field, point.vectors
     incident = {i, j}
     for other, coeffs in enumerate(forms):
         if other in (i, j) or not _vanishes(coeffs, field, vectors):

@@ -122,25 +122,6 @@ class TernaryForm:
             raise ValueError("scaling a form by zero")
         return TernaryForm(self.degree, {e: c * factor for e, c in self.coeffs.items()})
 
-    def proportional_to(self, other: "TernaryForm") -> bool:
-        if self.degree != other.degree or set(self.coeffs) != set(other.coeffs):
-            return False
-        expo = next(iter(self.coeffs))
-        ratio = other.coeffs[expo] / self.coeffs[expo]
-        return all(other.coeffs[e] == c * ratio for e, c in self.coeffs.items())
-
-    def __call__(self, x, y, z):
-        """Evaluate; works for Fraction, sympy, and AlgebraicNumber inputs."""
-        total = None
-        for (a, b, c), coeff in sorted(self.coeffs.items()):
-            # build terms factor-wise: x**0 on foreign types can be surprising
-            term = coeff
-            for base, expo in ((x, a), (y, b), (z, c)):
-                for _ in range(expo):
-                    term = term * base
-            total = term if total is None else total + term
-        return total
-
     def __repr__(self) -> str:
         terms = []
         for expo, c in sorted(self.coeffs.items(), reverse=True):

@@ -5,7 +5,18 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from coniclines.algebraic import AlgebraicNumber, NumberField, _certified_irreducible, root_orbits
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+
+from coniclines.algebraic import (
+    _PRIMES,
+    AlgebraicNumber,
+    NumberField,
+    _certified_irreducible,
+    _degree_pattern,
+    _discriminant,
+    root_orbits,
+)
 
 
 def conjugate_values(p):
@@ -316,7 +327,9 @@ def test_root_orbits_agree_with_sympy(coeffs):
     ([1, 0, 4, 0, 4], [((1, 0, 2), 2)]),
     # (3x - 2)(2x^3 + x + 1)
     (_product([-2, 3], [1, 1, 0, 2]), [((-2, 3), 1), ((1, 1, 0, 2), 1)]),
-], ids=["x4-10x2+1", "x4+1", "square", "cubic-times-linear"])
+    # (x^2 + 1)(x^2 + 2): no root modulo 7, but two quadratic factors there
+    ([2, 0, 3, 0, 1], [((1, 0, 1), 1), ((2, 0, 1), 1)]),
+], ids=["x4-10x2+1", "x4+1", "square", "cubic-times-linear", "two-quadratics"])
 def test_root_orbits_fixed_cases(coeffs, expected):
     assert _orbit_factors(root_orbits(coeffs)) == expected == _sympy_factors(coeffs)
 
@@ -327,3 +340,34 @@ def test_certificate_needs_an_irreducible_pattern():
     assert _certified_irreducible((1, 1, 0, 1))
     assert not _certified_irreducible((1, 0, -10, 0, 1))
     assert not _certified_irreducible((1, 0, 0, 0, 1))
+    # (x^2 + 1)(x^2 + 2) has no root modulo 7; only the parity of the
+    # discriminant tells its pattern [2, 2] there from an irreducible [4]
+    assert _degree_pattern((2, 0, 3, 0, 1), 32, 7) == (2, 2)
+    assert not _certified_irreducible((2, 0, 3, 0, 1))
+
+
+@st.composite
+def _cubics_and_quartics(draw):
+    """Integer cubics and quartics: random ones, and products of a linear
+    or quadratic factor with another, so that every degree pattern shows."""
+    degree = draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        lead = draw(st.integers(1, 60)) * draw(st.sampled_from([1, -1]))
+        return draw(st.lists(st.integers(-60, 60), min_size=degree, max_size=degree)) + [lead]
+    first = draw(st.integers(1, 2))
+    return _product(draw(_factor(first)), draw(_factor(degree - first)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubics_and_quartics(), st.sampled_from(_PRIMES))
+def test_degree_pattern_agrees_with_galoistools(f, p):
+    # sympy is the oracle: its discriminant, and its factorization modulo p
+    disc = _discriminant(f)
+    assert disc == sp.discriminant(sp.Poly(list(reversed(f)), sp.Symbol("x")))
+    pattern = _degree_pattern(f, disc, p)
+    if f[-1] % p == 0 or disc % p == 0:
+        assert pattern is None
+        return
+    _lead, factors = gf_factor(gf_from_int_poly(list(reversed(f)), p), p, ZZ)
+    assert all(mult == 1 for _factor, mult in factors)
+    assert pattern == tuple(sorted(len(factor) - 1 for factor, _mult in factors))

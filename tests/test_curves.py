@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coniclines.catalog import catalog_get, catalog_list
 from coniclines.curves import (
@@ -10,7 +11,7 @@ from coniclines.curves import (
     PlaneCurve,
     ProjectivePoint,
     ValidationError,
-    conic_matrix_det,
+    _det_2a,
     parse_arrangement,
     parse_combinatorial_type,
     serialize_arrangement,
@@ -31,13 +32,14 @@ def conic(*cs):
 
 def test_unit_circle_is_smooth():
     c = conic(1, 1, -1, 0, 0, 0)
-    assert conic_matrix_det(c.form) == -1
+    # det(2A) = 8 det(A), and det(A) = -1
+    assert _det_2a(c.coefficients) == -8
     validate_curve(c)
 
 
 def test_line_pair_rejected():
     c = conic(1, -1, 0, 0, 0, 0)  # x^2 - y^2
-    assert conic_matrix_det(c.form) == 0
+    assert _det_2a(c.coefficients) == 0
     with pytest.raises(ValidationError, match="line pair or double line"):
         validate_curve(c)
 
@@ -59,6 +61,84 @@ def test_proportional_forms_rejected():
     arr = Arrangement((line(1, 0, -1), line(2, 0, -2)))
     with pytest.raises(ValidationError, match=r"pair \(0, 1\)"):
         validate_arrangement(arr)
+
+
+# -- integer validation against the Fraction definitions ----------------------
+
+
+def _fraction_det(values):
+    """Determinant of the symmetric matrix of a conic with rational
+    coefficients a x^2 + b y^2 + c z^2 + d xy + e xz + f yz."""
+    a, b, c, d, e, f = values
+    h, g, i = d / 2, e / 2, f / 2
+    return a * (b * c - i * i) - h * (h * c - i * g) + g * (h * i - b * g)
+
+
+def _fraction_proportional(u, v):
+    """Are two rational coefficient vectors proportional?"""
+    if len(u) != len(v) or [x == 0 for x in u] != [x == 0 for x in v]:
+        return False
+    k = next(i for i, x in enumerate(u) if x != 0)
+    ratio = v[k] / u[k]
+    return all(y == x * ratio for x, y in zip(u, v))
+
+
+_RATIONAL = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _rational_curves(draw):
+    """(kind, rational coefficients): random lines and conics, and line
+    pairs and double lines, whose determinant is zero."""
+    kind = draw(st.sampled_from(["line", "conic", "line pair"]))
+    if kind == "line":
+        values = draw(st.lists(_RATIONAL, min_size=3, max_size=3))
+    elif kind == "conic":
+        values = draw(st.lists(_RATIONAL, min_size=6, max_size=6))
+    else:
+        (a1, b1, c1), (a2, b2, c2) = draw(st.lists(
+            st.lists(_RATIONAL, min_size=3, max_size=3), min_size=2, max_size=2))
+        values = [a1 * a2, b1 * b2, c1 * c2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1,
+                  b1 * c2 + b2 * c1]
+    assume(any(values))
+    return ("line" if len(values) == 3 else "conic"), values
+
+
+def _curve(kind, values):
+    form = TernaryForm.line(*values) if kind == "line" else TernaryForm.conic(*values)
+    return PlaneCurve(kind, form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_curves())
+def test_integer_smoothness_agrees_with_fractions(curve):
+    kind, values = curve
+    singular = kind == "conic" and _fraction_det(values) == 0
+    try:
+        validate_curve(_curve(kind, values))
+    except ValidationError as exc:
+        assert singular and "line pair or double line" in str(exc)
+    else:
+        assert not singular
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_curves(), _rational_curves(),
+       st.sampled_from([None, 1, -1, 3, F(-2, 3), F(5, 7)]))
+def test_integer_duplicates_agree_with_fractions(first, second, scale):
+    # with a scale the second curve is the first one scaled, else drawn
+    # independently; a line never matches a conic
+    if scale is not None:
+        second = (first[0], [scale * v for v in first[1]])
+    for kind, values in (first, second):
+        assume(kind == "line" or _fraction_det(values) != 0)
+    duplicate = _fraction_proportional(first[1], second[1])
+    try:
+        validate_arrangement(Arrangement((_curve(*first), _curve(*second))))
+    except ValidationError as exc:
+        assert duplicate and str(exc) == "duplicate curve: pair (0, 1)"
+    else:
+        assert not duplicate
 
 
 def test_pencil4_catalog_entry_validates():

@@ -63,8 +63,7 @@ def test_resultant_specialization(pc, qc):
     # the closed-form quartic is sympy's resultant in x at z = 1
     assume(pc[0] != 0 and qc[0] != 0)
     x, y = sp.symbols("x y")
-    p, q = TernaryForm.conic(*pc), TernaryForm.conic(*qc)
-    expected = sp.Poly(sp.resultant(p(x, y, 1), q(x, y, 1), x), y)
+    expected = sp.Poly(sp.resultant(_conic_value(pc, x, y, 1), _conic_value(qc, x, y, 1), x), y)
     coeffs = [int(c) for c in reversed(expected.all_coeffs())]
     quartic = _eliminate_x(pc, qc)[0]
     assert quartic == coeffs + [0] * (5 - len(coeffs))
