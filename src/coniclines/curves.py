@@ -9,7 +9,10 @@ coefficients agree up to sign.  The
 combinatorial type (d, k, t) records the number of lines, conics, and
 r-fold intersection points; it is also a first-class input on its own,
 because several named arrangements are known only through their published
-(d, k, t) data.
+(d, k, t) data.  A point of P^2 is stored as integer vectors: a rational
+point as its primitive integer coordinates, which key it, and an irrational
+one as vectors in the integral generator of its number field, shared by its
+conjugates.  Its AlgebraicNumber coordinates are built only when asked for.
 
 File formats (UTF-8 text, ``#`` comments):
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .algebraic import AlgebraicNumber, NumberField
 from .polynomials import TernaryForm, coprime_integers, format_rational, parse_rational
@@ -146,92 +149,124 @@ class CombinatorialType:
         return hash((self.d, self.k, tuple(sorted(self.t.items()))))
 
 
-@dataclass(frozen=True)
 class ProjectivePoint:
-    """Point of P^2 with algebraic coordinates.
+    """Point of P^2 with algebraic coordinates, stored as integer vectors.
 
-    A rational point is normalized so the last nonzero coordinate is 1, so
-    its coordinates can serve as a dict key.  An irrational point has its
-    coordinates in one number field at one conjugate and stands for itself
-    and the other deg f conjugate points of its orbit, which share its exact
-    coordinates.  The engine builds it projectively from integer vectors in
-    the field's integral generator b and never divides it; ``normalized``
-    divides by the last nonzero coordinate (with the field inverse), and
-    display goes through it.
+    ``field`` is the number field of the coordinates, None for a rational
+    point; ``conjugate`` is the index of the point in its orbit, 0 for a
+    rational point; ``vectors`` are the three coordinates times one nonzero
+    number, as integer vectors in the field's integral generator b (length
+    deg f each) or as 1-vectors for a rational point.  A rational point's
+    vectors are primitive with their last nonzero entry positive, so they
+    serve as its dict key.  An irrational point stands for itself and the
+    other deg f conjugate points of its orbit, which share its vectors.  The
+    engine builds every point from integers (``from_integers``,
+    ``in_field``) and never divides it.
+
+    ``coords``, the coordinates as AlgebraicNumbers, are built on first use,
+    for display and the public API; ``normalized`` divides by the last
+    nonzero coordinate (with the field inverse), and display goes through it.
+    Points compare and hash by (field, conjugate, vectors); the three are
+    never changed after construction.
     """
 
-    coords: tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]
+    __slots__ = ("field", "conjugate", "vectors", "_coords")
 
-    def __post_init__(self):
-        # ``field``: the number field of the coordinates, None for a rational
-        # point; ``conjugate``: the index of the point in its orbit, 0 for a
-        # rational point.  Set once, read by every incidence and tangent test.
-        lead = next((c for c in self.coords if c.field is not None), None)
-        object.__setattr__(self, "field", None if lead is None else lead.field)
-        object.__setattr__(self, "conjugate", 0 if lead is None else lead.conjugate)
+    def __init__(self, field: NumberField | None, conjugate: int,
+                 vectors: tuple[tuple[int, ...], ...]):
+        self.field = field
+        self.conjugate = conjugate
+        self.vectors = vectors
+        self._coords = None
+
+    @classmethod
+    def from_integers(cls, x: int, y: int, z: int) -> "ProjectivePoint":
+        """The rational point (x : y : z) of integer coordinates."""
+        common = gcd(x, y, z)
+        if common == 0:
+            raise ValidationError("(0 : 0 : 0) is not a projective point")
+        if (z or y or x) < 0:
+            common = -common
+        return cls(None, 0, ((x // common,), (y // common,), (z // common,)))
 
     @classmethod
     def from_coords(cls, x, y, z) -> "ProjectivePoint":
         """The point (x : y : z), normalized.  Integer or Fraction
-        coordinates are divided as Fractions; AlgebraicNumber ones by the
-        field inverse of the pivot."""
-        values = (x, y, z)
-        if not any(isinstance(v, AlgebraicNumber) for v in values):
-            pivot = next((v for v in reversed(values) if v != 0), None)
-            if pivot is None:
-                raise ValidationError("(0 : 0 : 0) is not a projective point")
-            return cls(tuple(AlgebraicNumber(Fraction(v, pivot)) for v in values))
-        coords = [v if isinstance(v, AlgebraicNumber)
-                  else AlgebraicNumber.from_rational(v) for v in values]
-        pivot = None
-        for i in (2, 1, 0):
-            if not coords[i].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValidationError("(0 : 0 : 0) is not a projective point")
-        div = coords[pivot].inverse()
-        normalized = [coords[i] * div for i in range(pivot)]
-        normalized.append(AlgebraicNumber.from_rational(1))
-        normalized.extend(AlgebraicNumber.from_rational(0)
-                          for _ in range(pivot + 1, 3))
-        return cls(tuple(normalized))
+        coordinates are scaled to integers; AlgebraicNumber ones are divided
+        by the field inverse of the pivot."""
+        values = [v if isinstance(v, AlgebraicNumber)
+                  else AlgebraicNumber.from_rational(v) for v in (x, y, z)]
+        lead = next((c for c in values if c.field is not None), None)
+        if lead is None:
+            den = lcm(*(c.value.denominator for c in values))
+            return cls.from_integers(*(c.value.numerator * (den // c.value.denominator)
+                                       for c in values))
+        pivot = next(i for i in (2, 1, 0) if not values[i].is_zero)
+        div = values[pivot].inverse()
+        coords = [values[i] * div for i in range(pivot)]
+        coords.append(AlgebraicNumber.from_rational(1))
+        coords.extend(AlgebraicNumber.from_rational(0) for _ in range(pivot + 1, 3))
+        n = lead.field.degree
+        dens = [c.den if c.field is not None else c.value.denominator for c in coords]
+        common = lcm(*dens)
+        vectors = []
+        for c, den in zip(coords, dens):
+            scale = common // den
+            if c.field is not None:
+                vectors.append(tuple(v * scale for v in c.value))
+            else:
+                vectors.append((c.value.numerator * scale,) + (0,) * (n - 1))
+        point = cls(lead.field, lead.conjugate, tuple(vectors))
+        point._coords = tuple(coords)
+        return point
 
     @classmethod
-    def in_field(cls, field: NumberField, vectors) -> "ProjectivePoint":
-        """The point at conjugate 0 whose coordinates are the three integer
-        vectors in b (length deg f each), not normalized."""
-        coords = tuple(field.element(v) for v in vectors)
-        if all(c.is_zero for c in coords):
-            raise ValidationError("(0 : 0 : 0) is not a projective point")
-        return cls(coords)
+    def in_field(cls, field: NumberField, vectors, conjugate: int = 0) -> "ProjectivePoint":
+        """The point at the given conjugate whose coordinates are the three
+        integer vectors in b (length deg f each), not normalized; a rational
+        point when no vector has a nonzero entry past its first."""
+        vectors = tuple(tuple(v) for v in vectors)
+        if not any(any(v[1:]) for v in vectors):
+            return cls.from_integers(*(v[0] for v in vectors))
+        return cls(field, conjugate, vectors)
+
+    @property
+    def coords(self) -> tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]:
+        """The coordinates as AlgebraicNumbers: normalized for a rational
+        point, the field elements of ``vectors`` for an irrational one."""
+        if self._coords is None:
+            field = self.field
+            if field is None:
+                pivot = next(v[0] for v in reversed(self.vectors) if v[0])
+                self._coords = tuple(AlgebraicNumber(Fraction(v[0], pivot))
+                                     for v in self.vectors)
+            else:
+                self._coords = tuple(field.element(v, conjugate=self.conjugate)
+                                     for v in self.vectors)
+        return self._coords
 
     def conjugates(self) -> list["ProjectivePoint"]:
         """The points of this point's orbit, by conjugate index; this point
-        is one of them."""
+        is one of them, and all share its vectors."""
         field = self.field
         if field is None:
             return [self]
-        return [self if k == self.conjugate
-                else ProjectivePoint(tuple(c.at_conjugate(k) for c in self.coords))
-                for k in range(field.degree)]
+        orbit = [self if k == self.conjugate else ProjectivePoint(field, k, self.vectors)
+                 for k in range(field.degree)]
+        if self._coords is not None:
+            for k, point in enumerate(orbit):
+                if point is not self:
+                    point._coords = tuple(c.at_conjugate(k) for c in self._coords)
+        return orbit
 
-    @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        """The coordinates times one positive integer, as integer vectors in
-        b of length deg f (length 1 for a rational point): the same point."""
-        field = self.field
-        n = 1 if field is None else field.degree
-        dens = [c.den if c.field is not None else c.value.denominator for c in self.coords]
-        common = lcm(*dens)
-        out = []
-        for c, den in zip(self.coords, dens):
-            scale = common // den
-            if c.field is not None:
-                out.append(tuple(v * scale for v in c.value))
-            else:
-                out.append((c.value.numerator * scale,) + (0,) * (n - 1))
-        return tuple(out)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjectivePoint):
+            return NotImplemented
+        return (self.vectors == other.vectors and self.conjugate == other.conjugate
+                and self.field == other.field)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.conjugate, self.vectors))
 
     def normalized(self) -> "ProjectivePoint":
         """The same point with its last nonzero coordinate 1."""

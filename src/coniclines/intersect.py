@@ -4,13 +4,13 @@ Pairwise intersections are computed exactly, in integers, from each
 curve's coprime integer coefficients: linear solving for two lines,
 substitution into an integer parametrization for line/conic, and resultant
 elimination with back-substitution for conic/conic.  The conic/conic route
-works in randomly changed projective coordinates, retried until the change
-is generic (no intersection at infinity, no two points sharing an
-elimination fiber), and maps the points back afterwards.  The changed
-conic is M^T (2A) M of the conic's integer symmetric matrix 2A; the
-eliminated quartic and the x-equation lin1(y) x + lin0(y) are integer
-polynomials; and with lin1 = u y + v, the fiber test is
-u^4 quartic(-v/u) != 0.
+works in the given coordinates when they are generic (no intersection at
+infinity, no two points sharing an elimination fiber), else in randomly
+changed projective coordinates, retried until they are, and maps the
+points back afterwards.  The changed conic is M^T (2A) M of the conic's
+integer symmetric matrix 2A; the eliminated quartic and the x-equation
+lin1(y) x + lin0(y) are integer polynomials; and with lin1 = u y + v, the
+fiber test is u^4 quartic(-v/u) != 0.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
@@ -22,10 +22,12 @@ coordinates are integer vectors in b.  Incidence and tangency are
 Galois-invariant, so one exact evaluation in the field decides them for the
 whole orbit: the curves' primitive integer forms and their gradients are
 evaluated at those vectors, with integer arithmetic modulo the monic
-witness of b.  Rational points are normalized and grouped by their
-coordinates; an irrational orbit is evaluated against the other curves and
-counted at the pair of its two lowest-index curves.  A point is ordinary
-iff the tangents of its curves are pairwise distinct.
+witness of b.  No point is divided or turned into Fractions on the way:
+a rational point is its primitive integer vector (last nonzero entry
+positive), and rational points are grouped by those vectors; an irrational
+orbit is evaluated against the other curves and counted at the pair of its
+two lowest-index curves.  A point is ordinary iff the tangents of its
+curves are pairwise distinct.
 
 Pair multiplicities always sum to the product of the curve degrees; a pair
 multiplicity >= 2 at a point is a tangency and makes the point non-ordinary.
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .algebraic import AlgebraicNumber, NumberField, root_orbits
@@ -98,7 +99,7 @@ def _intersect_lines(l1: tuple[int, ...], l2: tuple[int, ...]) -> PairResult:
     cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
     if all(v == 0 for v in cross):
         raise IntersectionError("identical curves")
-    return [(ProjectivePoint.from_coords(*cross), 1)]
+    return [(ProjectivePoint.from_integers(*cross), 1)]
 
 
 def _gradient(coeffs: tuple[int, ...], point: list[list[int]]) -> list[list[int]]:
@@ -152,28 +153,24 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
             if s.is_rational:
                 # s = num / den, so s*P0 + P1 is the point num*P0 + den*P1
                 num, den = s.as_fraction().as_integer_ratio()
-                coords = [num * p0[i] + den * p1[i] for i in range(3)]
-                points.append((ProjectivePoint.from_coords(*coords), mult))
+                points.append((ProjectivePoint.from_integers(
+                    *(num * p0[i] + den * p1[i] for i in range(3))), mult))
                 continue
             # s = b / c_n, so s*P0 + P1 is the point b*P0 + c_n*P1
             field = s.field
-            zeros = [0] * (field.degree - 2)
-            vectors = [[field.lead * p1[i], p0[i], *zeros] for i in range(3)]
+            zeros = (0,) * (field.degree - 2)
+            vectors = tuple((field.lead * p1[i], p0[i], *zeros) for i in range(3))
             points.append((ProjectivePoint.in_field(field, vectors), mult))
     elif quad_b != 0:
         # t * (B s + C t): the parameter point (1 : 0) plus one simple root
-        points.append((ProjectivePoint.from_coords(*p0), 1))
-        coords = [quad_b * p1[i] - quad_c * p0[i] for i in range(3)]
-        points.append((ProjectivePoint.from_coords(*coords), 1))
+        points.append((ProjectivePoint.from_integers(*p0), 1))
+        points.append((ProjectivePoint.from_integers(
+            *(quad_b * p1[i] - quad_c * p0[i] for i in range(3))), 1))
     else:
         if quad_c == 0:
             raise IntersectionError("line is a component of the conic")
-        points.append((ProjectivePoint.from_coords(*p0), 2))
+        points.append((ProjectivePoint.from_integers(*p0), 2))
     return points
-
-
-def _identity() -> list[list[int]]:
-    return [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def _random_matrix(rng: random.Random) -> list[list[int]]:
@@ -186,14 +183,22 @@ def _random_matrix(rng: random.Random) -> list[list[int]]:
             return m
 
 
-def _intersect_conics(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
+def _coordinate_changes(c1: PlaneCurve, c2: PlaneCurve):
+    """The 25 coordinate changes to try: the identity (None), then random
+    integer matrices seeded from the pair's coefficients.  The seed and the
+    random generator are made only once the identity has failed."""
+    yield None
     seed = repr(sorted(c1.form.coeffs.items())) + "|" + repr(sorted(c2.form.coeffs.items()))
     rng = random.Random(seed)
-    last_reason = "no attempt made"
-    for attempt in range(25):
-        matrix = _identity() if attempt == 0 else _random_matrix(rng)
+    for _ in range(24):
+        yield _random_matrix(rng)
+
+
+def _intersect_conics(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
+    p, q = c1.coefficients, c2.coefficients
+    for matrix in _coordinate_changes(c1, c2):
         try:
-            return _intersect_conics_in_coords(c1.coefficients, c2.coefficients, matrix)
+            return _intersect_conics_in_coords(p, q, matrix)
         except _NotGeneric as exc:
             last_reason = str(exc)
     raise IntersectionError(
@@ -206,7 +211,13 @@ class _NotGeneric(Exception):
 
 def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
                                 matrix) -> PairResult:
-    quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, matrix), _changed_conic(q, matrix))
+    """The points of the conics p and q, found in the coordinates v of the
+    change x = M v (M = ``matrix``; None for the identity)."""
+    if matrix is None:
+        quartic, lin1, lin0 = _eliminate_x(p, q)
+    else:
+        quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, matrix),
+                                           _changed_conic(q, matrix))
     if not any(quartic):
         raise IntersectionError("identical curves")
     if quartic[4] == 0:
@@ -225,19 +236,21 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
             # at y = num / den, times den^2
             num, den = y.as_fraction().as_integer_ratio()
             lin1_y = lin1[0] * den + lin1[1] * num
-            vec = [-(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num),
-                   num * lin1_y, den * lin1_y]
-            point = ProjectivePoint.from_coords(
-                *(sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)))
+            vec = (-(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num),
+                   num * lin1_y, den * lin1_y)
+            if matrix is not None:
+                vec = [sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)]
+            point = ProjectivePoint.from_integers(*vec)
         else:
             # at y = b / c_n, times c_n^2: polynomials in b of degree <= 2
             field, c = y.field, y.field.lead
-            vec = [field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]]),
+            vec = (field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]]),
                    field.reduce([0, lin1[0] * c, lin1[1]]),
-                   field.reduce([lin1[0] * c * c, lin1[1] * c])]
-            point = ProjectivePoint.in_field(field, [
-                [sum(matrix[i][j] * vec[j][k] for j in range(3)) for k in range(field.degree)]
-                for i in range(3)])
+                   field.reduce([lin1[0] * c * c, lin1[1] * c]))
+            if matrix is not None:
+                vec = [[sum(matrix[i][j] * vec[j][k] for j in range(3))
+                        for k in range(field.degree)] for i in range(3)]
+            point = ProjectivePoint.in_field(field, vec)
         _verify_on_both((p, q), point)
         points.append((point, mult))
     return points
@@ -322,10 +335,10 @@ def _tangent(coeffs: tuple[int, ...], field: NumberField | None, point) -> list[
 
 
 def _tangents_proportional(field: NumberField | None, u, v) -> bool:
-    # reduced vectors are unique, so each 2x2 minor vanishes iff its two
-    # products have equal vectors
-    return all(_dot(field, (u[i],), (v[j],)) == _dot(field, (u[j],), (v[i],))
-               for i, j in ((0, 1), (0, 2), (1, 2)))
+    # reduced vectors are unique, so each 2x2 minor u_i v_j - u_j v_i
+    # vanishes iff its reduced vector is zero
+    return not any(any(_dot(field, (u[i], u[j]), (v[j], [-c for c in v[i]])))
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def _tangents_distinct(curves: list[tuple[int, ...]], location: ProjectivePoint) -> bool:
@@ -369,13 +382,12 @@ def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
     if n < 6:
         return False
     # each pair of lines meets once; the search runs over the stored meets,
-    # numbered by their normalized coordinates
-    numbers: dict[tuple[Fraction, ...], int] = {}
+    # numbered by their primitive integer vectors
+    numbers: dict[tuple[tuple[int], ...], int] = {}
     meet = [[-1] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         [(point, _mult)] = _intersect_lines(lines[i], lines[j])
-        key = tuple(c.as_fraction() for c in point.coords)
-        meet[i][j] = meet[j][i] = numbers.setdefault(key, len(numbers))
+        meet[i][j] = meet[j][i] = numbers.setdefault(point.vectors, len(numbers))
 
     def extend(chosen: list[int], start: int) -> bool:
         if len(chosen) == 6:
@@ -412,15 +424,16 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     forms = [c.coefficients for c in curves]
     # (points of one orbit, their incident curve indices), by first pair
     found: list[tuple[list[ProjectivePoint], set[int]]] = []
-    rational: dict[tuple[Fraction, ...], set[int]] = {}
+    # rational points by their primitive integer vectors
+    rational: dict[tuple[tuple[int], ...], set[int]] = {}
     for i, j in combinations(range(len(curves)), 2):
         for point, _mult in intersect_pair(curves[i], curves[j]):
             if point.field is None:
-                key = tuple(c.as_fraction() for c in point.coords)
-                if key not in rational:
-                    rational[key] = set()
-                    found.append(([point], rational[key]))
-                rational[key].update((i, j))
+                incident = rational.get(point.vectors)
+                if incident is None:
+                    incident = rational[point.vectors] = set()
+                    found.append(([point], incident))
+                incident.update((i, j))
             elif point.conjugate == 0:
                 incident = _orbit_incidence(forms, point, i, j)
                 if incident is not None:

@@ -48,8 +48,11 @@ def format_rational(value: Fraction) -> str:
 def coprime_integers(values: Sequence) -> tuple[int, ...]:
     """Integer or rational values, not all zero, scaled by one rational to
     coprime integers (the same curve or polynomial)."""
-    den = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
+    if all(isinstance(v, int) for v in values):
+        ints = values
+    else:
+        den = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (den // v.denominator) for v in values]
     common = gcd(*ints)
     return tuple(v // common for v in ints)
 

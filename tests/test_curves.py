@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from coniclines.algebraic import root_orbits
 from coniclines.catalog import catalog_get, catalog_list
 from coniclines.curves import (
     Arrangement,
@@ -221,6 +223,67 @@ def test_projective_point_normalization():
     assert [c.as_fraction() for c in q.coords] == [F(3, 5), 1, 0]
     with pytest.raises(ValidationError):
         ProjectivePoint.from_coords(F(0), F(0), F(0))
+
+
+_COORD = st.integers(-40, 40) | st.sampled_from([0, 0, 1, -1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_COORD, _COORD, _COORD).filter(any), st.integers(1, 6),
+       st.sampled_from([1, -1]))
+def test_integer_points_agree_with_from_coords(xyz, den, sign):
+    point = ProjectivePoint.from_integers(*xyz)
+    # the same point given by Fractions over a common denominator
+    other = ProjectivePoint.from_coords(*(F(sign * v, den) for v in xyz))
+    pivot = next(v for v in reversed(xyz) if v != 0)
+    normalized = [F(v, pivot) for v in xyz]
+    common = math.lcm(*(c.denominator for c in normalized))
+    vectors = tuple((c.numerator * (common // c.denominator),) for c in normalized)
+    for p in (point, other):
+        assert [c.as_fraction() for c in p.coords] == normalized
+        assert p.vectors == vectors
+        assert p.field is None and p.conjugate == 0
+        assert repr(p) == repr(point)
+    assert point == other and hash(point) == hash(other)
+
+
+def test_zero_point_rejected():
+    with pytest.raises(ValidationError):
+        ProjectivePoint.from_integers(0, 0, 0)
+    field = root_orbits([-2, 0, 1])[0][0].field
+    with pytest.raises(ValidationError):
+        ProjectivePoint.in_field(field, ((0, 0), (0, 0), (0, 0)))
+    # rational vectors in a field give the rational point
+    assert ProjectivePoint.in_field(field, ((2, 0), (0, 0), (-4, 0))) == \
+        ProjectivePoint.from_integers(-1, 0, 2)
+
+
+@st.composite
+def _irrational_points(draw):
+    """A point of random integer vectors in the field of a random integer
+    quadratic, cubic or quartic's irreducible factor."""
+    degree = draw(st.integers(2, 4))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=degree, max_size=degree))
+    coeffs.append(draw(st.integers(1, 4)))
+    fields = [root.field for root, _mult in root_orbits(coeffs) if root.field is not None]
+    assume(fields)
+    field = draw(st.sampled_from(fields))
+    vector = st.tuples(*[st.integers(-9, 9)] * field.degree)
+    vectors = draw(st.tuples(vector, vector, vector).filter(
+        lambda vs: any(any(v[1:]) for v in vs)))
+    return ProjectivePoint.in_field(field, vectors, draw(st.integers(0, field.degree - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_irrational_points())
+def test_conjugates_share_vectors(point):
+    for p in (point, point.normalized()):
+        orbit = p.conjugates()
+        assert len(orbit) == p.field.degree and orbit[p.conjugate] is p
+        for k, conj in enumerate(orbit):
+            assert conj.conjugate == k and conj.field == p.field
+            assert conj.vectors is p.vectors
+            assert conj.coords == tuple(c.at_conjugate(k) for c in p.coords)
 
 
 def test_projective_point_equality_is_projective():

@@ -168,6 +168,20 @@ def test_check_ordinary_agrees_with_cluster():
             assert check_ordinary(point, arr) == point.ordinary
 
 
+def test_conjugate_points_compare_unequal():
+    # x = 0 meets x^2 + y^2 - 2z^2 at the conjugates (0 : +-sqrt 2 : 1)
+    (p, _), (q, _) = intersect_pair(line(1, 0, 0), conic(1, 1, -2, 0, 0, 0))
+    assert p.field is not None and p.vectors is q.vectors
+    assert p != q and p == p and not p == q
+    assert p not in [q] and len({p, q}) == 2
+    derived = combinatorial_type(Arrangement((
+        line(1, 0, 0), conic(1, 1, -2, 0, 0, 0), conic(1, 2, -3, 0, 0, 0))))
+    # two singular points at the conjugates of one orbit
+    a, b = [s for s in derived.points if s.location.field is not None][:2]
+    assert a.location.vectors is b.location.vectors
+    assert a != b and a == a
+
+
 def test_clusters_are_distinct_points():
     derived = combinatorial_type(build_pencil4(k=3))
     pts = [p.location for p in derived.points]

@@ -15,10 +15,20 @@ from coniclines.intersect import (
 )
 from coniclines.polynomials import (
     TernaryForm,
+    coprime_integers,
     format_rational,
     parse_rational,
     primitive,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6).filter(any),
+       st.integers(1, 30))
+def test_coprime_integers_of_integers_agree_with_fractions(values, den):
+    expected = coprime_integers([F(v, den) for v in values])
+    assert coprime_integers(values) == coprime_integers(tuple(values)) == expected
+    assert primitive(values) == primitive([F(v, den) for v in values])
 
 
 def test_rational_round_trip():
