@@ -228,7 +228,7 @@ def test_projective_point_normalization():
 _COORD = st.integers(-40, 40) | st.sampled_from([0, 0, 1, -1])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.tuples(_COORD, _COORD, _COORD).filter(any), st.integers(1, 6),
        st.sampled_from([1, -1]))
 def test_integer_points_agree_with_from_coords(xyz, den, sign):
