@@ -4,13 +4,16 @@ Pairwise intersections are computed exactly, in integers, from each
 curve's coprime integer coefficients: linear solving for two lines,
 substitution into an integer parametrization for line/conic, and resultant
 elimination with back-substitution for conic/conic.  The conic/conic route
-works in the given coordinates when they are generic (no intersection at
-infinity, no two points sharing an elimination fiber), else in randomly
-changed projective coordinates, retried until they are, and maps the
-points back afterwards.  The changed conic is M^T (2A) M of the conic's
-integer symmetric matrix 2A; the eliminated quartic and the x-equation
-lin1(y) x + lin0(y) are integer polynomials; and with lin1 = u y + v, the
-fiber test is u^4 quartic(-v/u) != 0.
+projects the common points from a centre onto a line: it eliminates x into
+a binary quartic in (y : z), whose roots are the projected points, and
+solves lin1(y, z) x + lin0(y, z) = 0 on each fiber.  With lin1 = u y + v z,
+the fiber test is quartic(-v, u) != 0, and a root (1 : 0) is a point on z = 0.
+The centre is (1 : 0 : 0) of the given coordinates when it lies on neither
+conic and passes the fiber test, else (1 : t : t^3) for the first t that
+does, through x = M_t v with the integer matrix M_t of determinant 1.  The
+changed conic is M_t^T (2A) M_t of the conic's integer symmetric matrix 2A,
+and the points are mapped back by M_t.  At most 30 centres fail (see
+``_CENTRES``), so the first 31 always decide the pair.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
@@ -35,7 +38,6 @@ multiplicity >= 2 at a point is a tangency and makes the point non-ordinary.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -82,7 +84,7 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
         elif kinds == ("conic", "line"):
             orbits = _intersect_line_conic(v, u)
         else:
-            orbits = _intersect_conics(c1, c2)
+            orbits = _intersect_conics(u, v)
     except IntersectionError as exc:
         raise _pair_error(c1, c2, exc) from None
     points = [(conj, mult) for point, mult in orbits for conj in point.conjugates()]
@@ -173,36 +175,28 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
     return points
 
 
-def _random_matrix(rng: random.Random) -> list[list[int]]:
-    while True:
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        if det != 0:
-            return m
+# A projection centre C fails only if it lies on one of the conics, or on a
+# line component of a degenerate member of their pencil: the member through C
+# is lin1 x + lin0, and a root shared by the quartic and lin1 is a root of
+# lin0 (the quartic is a2 lin0^2 - a1 lin0 lin1 + a0 lin1^2 up to a nonzero
+# factor), so the fiber line through it is a component of the member; for
+# lin1 = 0 the member is a binary quadratic in (y : z), two lines through C.
+# The pencil has at most 3 degenerate members, since det(A + s B) is a cubic
+# in s with leading coefficient det B != 0.  The centres C_t = (1 : t : t^3)
+# lie on the irreducible cuspidal cubic x^2 z = y^3, so by Bezout at most
+# 6 + 6 + 6 * 3 = 30 of them fail, and one of the first 31 works.
+_CENTRES = 31
 
 
-def _coordinate_changes(c1: PlaneCurve, c2: PlaneCurve):
-    """The 25 coordinate changes to try: the identity (None), then random
-    integer matrices seeded from the pair's coefficients.  The seed and the
-    random generator are made only once the identity has failed."""
-    yield None
-    seed = repr(sorted(c1.form.coeffs.items())) + "|" + repr(sorted(c2.form.coeffs.items()))
-    rng = random.Random(seed)
-    for _ in range(24):
-        yield _random_matrix(rng)
-
-
-def _intersect_conics(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
-    p, q = c1.coefficients, c2.coefficients
-    for matrix in _coordinate_changes(c1, c2):
+def _intersect_conics(p: tuple[int, ...], q: tuple[int, ...]) -> PairResult:
+    # M_t has first column C_t and determinant 1; M_0 is the identity
+    for t in range(_CENTRES):
+        matrix = None if t == 0 else ((1, 0, 0), (t, 1, 0), (t ** 3, 0, 1))
         try:
             return _intersect_conics_in_coords(p, q, matrix)
-        except _NotGeneric as exc:
-            last_reason = str(exc)
-    raise IntersectionError(
-        f"no generic coordinate change found after 25 attempts ({last_reason})")
+        except _NotGeneric:
+            pass
+    raise IntersectionError(f"none of the {_CENTRES} projection centres is generic")
 
 
 class _NotGeneric(Exception):
@@ -212,7 +206,9 @@ class _NotGeneric(Exception):
 def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
                                 matrix) -> PairResult:
     """The points of the conics p and q, found in the coordinates v of the
-    change x = M v (M = ``matrix``; None for the identity)."""
+    change x = M v (M = ``matrix``; None for the identity), by projection
+    from the centre (1 : 0 : 0) of those coordinates.  The quartic, lin1 and
+    lin0 are binary forms in (y : z)."""
     if matrix is None:
         quartic, lin1, lin0 = _eliminate_x(p, q)
     else:
@@ -220,29 +216,34 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
                                            _changed_conic(q, matrix))
     if not any(quartic):
         raise IntersectionError("identical curves")
-    if quartic[4] == 0:
-        raise _NotGeneric("intersection point at infinity")
-    # lin1 = u*y + v must not vanish at a root, else x is not determined
-    # there: lin1 is not zero, and u^4 quartic(-v/u) != 0 when u != 0
+    # lin1 = u*y + v*z must not vanish at a root, else x is not determined
+    # there: lin1 is not zero, and quartic(-v, u) != 0
     v, u = lin1
-    if u == v == 0 or u != 0 and not sum(
-            c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
+    if u == v == 0 or not sum(c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
         raise _NotGeneric("two intersection points share a fiber")
-    # x = -lin0(y) / lin1(y): in the changed coordinates a point is
-    # (-lin0(y) : y lin1(y) : lin1(y)), and M maps it back
+
+    def rational_point(num: int, den: int) -> ProjectivePoint:
+        # x = -lin0 / lin1: in the changed coordinates the point over
+        # (y : z) = (num : den) is (-lin0 : y lin1 : z lin1), times den^2,
+        # and M maps it back
+        lin1_y = lin1[0] * den + lin1[1] * num
+        vec = (-(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num),
+               num * lin1_y, den * lin1_y)
+        if matrix is not None:
+            vec = [sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)]
+        return ProjectivePoint.from_integers(*vec)
+
     points: PairResult = []
+    # the root (1 : 0) has the multiplicity the quartic's degree lost; lin1
+    # does not vanish there, so its point is rational
+    degree = max(i for i, c in enumerate(quartic) if c)
+    if degree < 4:
+        points.append((rational_point(1, 0), 4 - degree))
     for y, mult in root_orbits(quartic):
         if y.is_rational:
-            # at y = num / den, times den^2
-            num, den = y.as_fraction().as_integer_ratio()
-            lin1_y = lin1[0] * den + lin1[1] * num
-            vec = (-(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num),
-                   num * lin1_y, den * lin1_y)
-            if matrix is not None:
-                vec = [sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)]
-            point = ProjectivePoint.from_integers(*vec)
+            points.append((rational_point(*y.as_fraction().as_integer_ratio()), mult))
         else:
-            # at y = b / c_n, times c_n^2: polynomials in b of degree <= 2
+            # at (y : z) = (b : c_n), times c_n^2: polynomials in b of degree <= 2
             field, c = y.field, y.field.lead
             vec = (field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]]),
                    field.reduce([0, lin1[0] * c, lin1[1]]),
@@ -250,9 +251,9 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
             if matrix is not None:
                 vec = [[sum(matrix[i][j] * vec[j][k] for j in range(3))
                         for k in range(field.degree)] for i in range(3)]
-            point = ProjectivePoint.in_field(field, vec)
+            points.append((ProjectivePoint.in_field(field, vec), mult))
+    for point, _mult in points:
         _verify_on_both((p, q), point)
-        points.append((point, mult))
     return points
 
 
@@ -279,18 +280,18 @@ def _poly_mul(u: list[int], v: list[int]) -> list[int]:
 
 def _eliminate_x(p: tuple[int, ...], q: tuple[int, ...]
                  ) -> tuple[list[int], list[int], list[int]]:
-    """Eliminate x from two integer conics at z = 1.
+    """Eliminate x from two integer conics.
 
     Each conic a x^2 + b y^2 + c z^2 + d xy + e xz + f yz is read as
-    a2 x^2 + a1(y) x + a0(y), with a2 = a, a1 = e + d y, a0 = c + f y + b y^2.
-    Returns (quartic, lin1, lin0), integer coefficients lowest degree first
-    (5, 2 and 3 of them): the resultant in x, a polynomial in y of degree
-    <= 4, and b2*p - a2*q = lin1*x + lin0, where a2 and b2 are the x^2
-    coefficients of p and q.
+    a2 x^2 + a1 x + a0, with a2 = a and the binary forms a1 = e z + d y,
+    a0 = c z^2 + f yz + b y^2.  Returns (quartic, lin1, lin0), binary forms
+    in (y : z) as integer coefficients of y^0, y^1, ... (5, 2 and 3 of
+    them): the resultant in x, and b2*p - a2*q = lin1*x + lin0, where a2
+    and b2 are the x^2 coefficients of p and q.
     """
     a2, b2 = p[0], q[0]
     if a2 == 0 or b2 == 0:
-        raise _NotGeneric("a conic passes through (1:0:0)")
+        raise _NotGeneric("a conic passes through the projection centre")
     a1, b1 = [p[4], p[3]], [q[4], q[3]]
     a0, b0 = [p[2], p[5], p[1]], [q[2], q[5], q[1]]
     lin1 = [b2 * u - a2 * v for u, v in zip(a1, b1)]

@@ -119,12 +119,6 @@ class TernaryForm:
     def __hash__(self) -> int:
         return hash((self.degree, tuple(sorted(self.coeffs.items()))))
 
-    def scale(self, factor) -> "TernaryForm":
-        factor = _frac(factor)
-        if factor == 0:
-            raise ValueError("scaling a form by zero")
-        return TernaryForm(self.degree, {e: c * factor for e, c in self.coeffs.items()})
-
     def __repr__(self) -> str:
         terms = []
         for expo, c in sorted(self.coeffs.items(), reverse=True):

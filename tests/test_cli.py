@@ -235,6 +235,19 @@ def test_check_missing_target():
     assert "neither a catalog name nor a file" in result.output
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_analyze_output_does_not_depend_on_conic_scaling(tmp_path, fmt):
+    target = tmp_path / "two-conics.txt"
+    outputs = []
+    for first, second in [("1 1 -2", "1 2 -3"), ("2 2 -4", "1 2 -3"), ("1/2 1/2 -1", "1 2 -3"),
+                          ("1 1 -2", "2 4 -6"), ("1 1 -2", "1/2 1 -3/2")]:
+        target.write_text(f"conic: {first} 0 0 0\nconic: {second} 0 0 0\n")
+        result = run("analyze", str(target), *fmt)
+        assert result.exit_code == 0
+        outputs.append(result.output)
+    assert outputs == [outputs[0]] * len(outputs)
+
+
 def _fail_to_intersect(_arrangement):
     raise IntersectionError("no generic coordinate change found for conic1 and conic2")
 

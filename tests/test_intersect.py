@@ -95,6 +95,59 @@ def test_conic_conic_tangent_pair():
     assert mults == [2, 2]
 
 
+@pytest.mark.parametrize("first, second", [
+    ((2, 2, -4), (1, 2, -3)),
+    ((F(1, 2), F(1, 2), -1), (1, 2, -3)),
+    ((1, 1, -2), (2, 4, -6)),
+    ((1, 1, -2), (F(1, 2), 1, F(-3, 2))),
+])
+def test_conic_conic_points_do_not_depend_on_scaling(first, second):
+    expected = intersect_pair(conic(1, 1, -2, 0, 0, 0), conic(1, 2, -3, 0, 0, 0))
+    assert intersect_pair(conic(*first, 0, 0, 0), conic(*second, 0, 0, 0)) == expected
+
+
+def test_conics_through_the_first_centres_are_decided_at_t4(monkeypatch):
+    # both conics pass through C_0 ... C_3 = (1 : t : t^3): they meet in
+    # exactly those four points, and C_4 is the first usable centre
+    p, q = (0, -239, -1, 150, 90, 0), (0, -74, -1, 60, 0, 15)
+    centres = [(1, t, t ** 3) for t in range(5)]
+    for coeffs in (p, q):
+        assert [intersect._conic_value(coeffs, *c) == 0 for c in centres] == [True] * 4 + [False]
+    in_coords = intersect._intersect_conics_in_coords
+    attempts = []
+
+    def recording(p, q, matrix):
+        attempts.append(matrix)
+        return in_coords(p, q, matrix)
+
+    monkeypatch.setattr(intersect, "_intersect_conics_in_coords", recording)
+    points = intersect._intersect_conics(p, q)
+    assert [m and tuple(row[0] for row in m) for m in attempts] == [None] + centres[1:]
+    assert sorted(p.vectors for p, _m in points) == sorted(
+        ProjectivePoint.from_integers(*c).vectors for c in centres[:4])
+    assert [m for _p, m in points] == [1] * 4
+
+
+def test_point_at_infinity_needs_no_other_centre():
+    # the conics meet transversally at (1 : 1 : 0), whose projection from
+    # (1 : 0 : 0) is the root (1 : 0) of the binary quartic
+    p, q = (1, 2, -1, -3, 1, -1), (2, -2, 1, 0, 0, 1)
+    points = intersect._intersect_conics_in_coords(p, q, None)
+    expected = [(1, 1, 0), (0, 1, 1), (0, -1, 2), (10, 11, 3)]
+    assert sorted(p.vectors for p, _m in points) == sorted(
+        ProjectivePoint.from_integers(*v).vectors for v in expected)
+    assert [m for _p, m in points] == [1] * 4
+
+
+def test_tangency_on_every_centre_line():
+    # (0 : 1 : 0) lies on the line z = t^3 x through C_t and (0 : 1 : 0),
+    # for every t; the conics are tangent there
+    p, q = (1, 0, -1, 0, 0, 1), (2, 0, -1, 0, 1, 3)
+    points = intersect_pair(conic(*p), conic(*q))
+    assert sum(m for _p, m in points) == 4
+    assert (ProjectivePoint.from_integers(0, 1, 0), 2) in points
+
+
 def test_pair_multiplicities_sum_to_degree_product():
     curves = [line(1, 0, -1), line(1, 1, 0),
               conic(1, 1, -2, 0, 0, 0), conic(1, 2, -3, 0, 0, 0)]

@@ -4,7 +4,6 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from coniclines.curves import PlaneCurve
 from coniclines.intersect import (
     IntersectionError,
     _changed_conic,
@@ -14,7 +13,6 @@ from coniclines.intersect import (
     _NotGeneric,
 )
 from coniclines.polynomials import (
-    TernaryForm,
     coprime_integers,
     format_rational,
     parse_rational,
@@ -49,14 +47,14 @@ def test_resultant_self_vanishes():
     p = (1, 1, -2, 0, 0, 0)
     assert not any(_eliminate_x(p, p)[0])
     assert not any(_eliminate_x(p, tuple(-3 * c for c in p))[0])
-    conic = TernaryForm.conic(*p)
     with pytest.raises(IntersectionError, match="identical curves"):
-        _intersect_conics(PlaneCurve("conic", conic), PlaneCurve("conic", conic.scale(3)))
+        _intersect_conics(p, tuple(3 * c for c in p))
 
 
 def test_resultant_nothing_to_eliminate():
-    # without an x^2 term the conic passes through (1:0:0), where the
-    # elimination would lose a point; the engine changes coordinates
+    # without an x^2 term the conic passes through the projection centre
+    # (1:0:0), where the elimination would lose a point; the engine moves
+    # the centre
     p = (0, 1, -1, 1, 0, 0)
     q = (1, 1, -1, 0, 0, 0)
     with pytest.raises(_NotGeneric, match="passes through"):
