@@ -10,30 +10,39 @@ solves lin1(y, z) x + lin0(y, z) = 0 on each fiber.  With lin1 = u y + v z,
 the fiber test is quartic(-v, u) != 0, and a root (1 : 0) is a point on z = 0.
 The centre is (1 : 0 : 0) of the given coordinates when it lies on neither
 conic and passes the fiber test, else (1 : t : t^3) for the first t that
-does, through x = M_t v with the integer matrix M_t of determinant 1.  The
-changed conic is M_t^T (2A) M_t of the conic's integer symmetric matrix 2A,
-and the points are mapped back by M_t.  At most 30 centres fail (see
-``_CENTRES``), so the first 31 always decide the pair.
+does, through x = M_t v with the integer matrix M_t of determinant 1, which
+maps (X, Y, Z) to (X, t X + Y, t^3 X + Z).  The changed conic is that
+substitution, in closed form, and the points are mapped back by it, on
+integers and on field vectors alike.  At most 30 centres fail (see
+``_CENTRES``), so the first 31 always decide the pair.  Every point a pair
+routine returns is checked on both curves by exact evaluation.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
 coordinates in Q[a]/(f), which stands for deg f geometric points.  The
 point is built projectively, never divided: with b = c_n a the integral
 generator of the field, a line-conic point is b*P0 + c_n*P1 and a
-conic-conic point is M (-lin0(y) : y lin1(y) : lin1(y)) times c_n^2, so its
+conic-conic point is M_t (-lin0(y) : y lin1(y) : lin1(y)) times c_n^2, so its
 coordinates are integer vectors in b.  Incidence and tangency are
 Galois-invariant, so one exact evaluation in the field decides them for the
-whole orbit: the curves' primitive integer forms and their gradients are
-evaluated at those vectors, with integer arithmetic modulo the monic
-witness of b.  No point is divided or turned into Fractions on the way:
-a rational point is its primitive integer vector (last nonzero entry
+whole orbit: the curves' primitive integer forms are evaluated at those
+vectors, a line entrywise and a conic with integer arithmetic modulo the
+monic witness of b.  No point is divided or turned into Fractions on the
+way: a rational point is its primitive integer vector (last nonzero entry
 positive), and rational points are grouped by those vectors; an irrational
 orbit is evaluated against the other curves and counted at the pair of its
-two lowest-index curves.  A point is ordinary iff the tangents of its
-curves are pairwise distinct.
+two lowest-index curves.
 
-Pair multiplicities always sum to the product of the curve degrees; a pair
-multiplicity >= 2 at a point is a tangency and makes the point non-ordinary.
+A point is ordinary iff each pair of its curves meets transversally there.
+For lines and smooth conics that is a pair multiplicity of 1 (Fulton,
+*Algebraic Curves*, ch. 3), and the pair layer already has it as a root
+multiplicity: a rational point turns up at every pair of its curves, and an
+orbit through only the two curves of its pair has that pair's multiplicity.
+Only an orbit through three or more curves compares tangents, since the
+other pairs' multiplicities are not at hand; ``check_ordinary`` compares
+tangents for any point.
+
+Pair multiplicities always sum to the product of the curve degrees.
 """
 
 from __future__ import annotations
@@ -101,7 +110,9 @@ def _intersect_lines(l1: tuple[int, ...], l2: tuple[int, ...]) -> PairResult:
     cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
     if all(v == 0 for v in cross):
         raise IntersectionError("identical curves")
-    return [(ProjectivePoint.from_integers(*cross), 1)]
+    point = ProjectivePoint.from_integers(*cross)
+    _verify_on_both((l1, l2), point)
+    return [(point, 1)]
 
 
 def _gradient(coeffs: tuple[int, ...], point: list[list[int]]) -> list[list[int]]:
@@ -125,7 +136,12 @@ def _dot(field: NumberField | None, us, vs) -> list[int]:
 
 
 def _vanishes(coeffs: tuple[int, ...], field: NumberField | None, point) -> bool:
-    """Does the integer curve pass through the point (integer vectors)?"""
+    """Does the integer curve pass through the point (integer vectors)?  A
+    line's value is linear in the reduced vectors, so it is taken entrywise
+    and needs no reducing."""
+    if len(coeffs) == 3:
+        a, b, c = coeffs
+        return not any(a * x + b * y + c * z for x, y, z in zip(*point))
     return not any(_dot(field, point, _gradient(coeffs, point)))
 
 
@@ -172,6 +188,8 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
         if quad_c == 0:
             raise IntersectionError("line is a component of the conic")
         points.append((ProjectivePoint.from_integers(*p0), 2))
+    for point, _mult in points:
+        _verify_on_both((line, conic), point)
     return points
 
 
@@ -189,11 +207,9 @@ _CENTRES = 31
 
 
 def _intersect_conics(p: tuple[int, ...], q: tuple[int, ...]) -> PairResult:
-    # M_t has first column C_t and determinant 1; M_0 is the identity
     for t in range(_CENTRES):
-        matrix = None if t == 0 else ((1, 0, 0), (t, 1, 0), (t ** 3, 0, 1))
         try:
-            return _intersect_conics_in_coords(p, q, matrix)
+            return _intersect_conics_in_coords(p, q, t)
         except _NotGeneric:
             pass
     raise IntersectionError(f"none of the {_CENTRES} projection centres is generic")
@@ -204,16 +220,16 @@ class _NotGeneric(Exception):
 
 
 def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
-                                matrix) -> PairResult:
+                                t: int) -> PairResult:
     """The points of the conics p and q, found in the coordinates v of the
-    change x = M v (M = ``matrix``; None for the identity), by projection
-    from the centre (1 : 0 : 0) of those coordinates.  The quartic, lin1 and
-    lin0 are binary forms in (y : z)."""
-    if matrix is None:
-        quartic, lin1, lin0 = _eliminate_x(p, q)
+    change x = M_t v, by projection from the centre (1 : 0 : 0) of those
+    coordinates.  M_t = [[1,0,0],[t,1,0],[t^3,0,1]] has first column
+    C_t = (1 : t : t^3) and determinant 1; M_0 is the identity.  The
+    quartic, lin1 and lin0 are binary forms in (y : z)."""
+    if t:
+        quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, t), _changed_conic(q, t))
     else:
-        quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, matrix),
-                                           _changed_conic(q, matrix))
+        quartic, lin1, lin0 = _eliminate_x(p, q)
     if not any(quartic):
         raise IntersectionError("identical curves")
     # lin1 = u*y + v*z must not vanish at a root, else x is not determined
@@ -225,13 +241,11 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
     def rational_point(num: int, den: int) -> ProjectivePoint:
         # x = -lin0 / lin1: in the changed coordinates the point over
         # (y : z) = (num : den) is (-lin0 : y lin1 : z lin1), times den^2,
-        # and M maps it back
+        # and M_t maps (x, y, z) back to (x, t x + y, t^3 x + z)
         lin1_y = lin1[0] * den + lin1[1] * num
-        vec = (-(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num),
-               num * lin1_y, den * lin1_y)
-        if matrix is not None:
-            vec = [sum(matrix[i][j] * vec[j] for j in range(3)) for i in range(3)]
-        return ProjectivePoint.from_integers(*vec)
+        x = -(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num)
+        return ProjectivePoint.from_integers(x, t * x + num * lin1_y,
+                                             t ** 3 * x + den * lin1_y)
 
     points: PairResult = []
     # the root (1 : 0) has the multiplicity the quartic's degree lost; lin1
@@ -245,29 +259,26 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
         else:
             # at (y : z) = (b : c_n), times c_n^2: polynomials in b of degree <= 2
             field, c = y.field, y.field.lead
-            vec = (field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]]),
-                   field.reduce([0, lin1[0] * c, lin1[1]]),
-                   field.reduce([lin1[0] * c * c, lin1[1] * c]))
-            if matrix is not None:
-                vec = [[sum(matrix[i][j] * vec[j][k] for j in range(3))
-                        for k in range(field.degree)] for i in range(3)]
-            points.append((ProjectivePoint.in_field(field, vec), mult))
+            x = field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]])
+            y = field.reduce([0, lin1[0] * c, lin1[1]])
+            z = field.reduce([lin1[0] * c * c, lin1[1] * c])
+            if t:
+                y = [t * u + v for u, v in zip(x, y)]
+                z = [t ** 3 * u + v for u, v in zip(x, z)]
+            points.append((ProjectivePoint.in_field(field, (x, y, z)), mult))
     for point, _mult in points:
         _verify_on_both((p, q), point)
     return points
 
 
-def _changed_conic(coeffs: tuple[int, ...], matrix) -> tuple[int, ...]:
-    """The integer conic Q(M v) in the coordinates v: M^T (2A) M is the
-    symmetric matrix of 2 Q(M v), where 2A = [[2a, d, e], [d, 2b, f],
-    [e, f, 2c]] is that of 2 Q.  Its diagonal is even."""
+def _changed_conic(coeffs: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """The integer conic Q(M_t v) = Q(X, t X + Y, t^3 X + Z) in the
+    coordinates v = (X, Y, Z).  Only the X^2, XY and XZ coefficients
+    change."""
     a, b, c, d, e, f = coeffs
-    twice = ((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c))
-    right = [[sum(twice[i][k] * matrix[k][j] for k in range(3)) for j in range(3)]
-             for i in range(3)]
-    t = [[sum(matrix[k][i] * right[k][j] for k in range(3)) for j in range(3)]
-         for i in range(3)]
-    return t[0][0] // 2, t[1][1] // 2, t[2][2] // 2, t[0][1], t[0][2], t[1][2]
+    u = t ** 3
+    return (a + (b * t + d) * t + (c * u + e) * u + f * t * u, b, c,
+            2 * b * t + d + f * u, 2 * c * u + e + f * t, f)
 
 
 def _poly_mul(u: list[int], v: list[int]) -> list[int]:
@@ -303,8 +314,8 @@ def _eliminate_x(p: tuple[int, ...], q: tuple[int, ...]
 
 
 def _verify_on_both(curves, point: ProjectivePoint) -> None:
-    """Check that the point lies on both conics, by exact evaluation of
-    their integer forms at its integer vectors."""
+    """Check that the point lies on both curves of its pair, by exact
+    evaluation of their integer forms at its integer vectors."""
     vectors = point.vectors
     for coeffs in curves:
         if not _vanishes(coeffs, point.field, vectors):
@@ -412,9 +423,13 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
 
     Every point turns up at each pair of its curves; it is collected at the
     pair of its two lowest-index curves, which the pairs reach first.  A
-    rational point's curves are the union of the pairs it turns up at; an
-    irrational orbit's are found by evaluating the other curves in its
-    field, once for all its conjugates.
+    rational point's curves are the union of the pairs it turns up at, and
+    it is ordinary iff each of those pairs has multiplicity 1 there; an
+    irrational orbit's curves are found by evaluating the other curves in
+    its field, once for all its conjugates, and it is ordinary iff its pair
+    has multiplicity 1 there and, when three or more curves pass through
+    it, their tangents are pairwise distinct.  An ``IntersectionError``
+    names the indices and labels of the pair's curves.
 
     Non-ordinary points are flagged, never rejected; the combinatorics are
     still returned so the invariant formulas can be evaluated (with a
@@ -423,25 +438,34 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     validate_arrangement(arrangement)
     curves = arrangement.curves
     forms = [c.coefficients for c in curves]
-    # (points of one orbit, their incident curve indices), by first pair
-    found: list[tuple[list[ProjectivePoint], set[int]]] = []
-    # rational points by their primitive integer vectors
-    rational: dict[tuple[tuple[int], ...], set[int]] = {}
+    # [points of one orbit, incident curve indices, ordinary], by first pair
+    found: list[list] = []
+    # the entries of the rational points, by their primitive integer vectors
+    rational: dict[tuple[tuple[int], ...], list] = {}
     for i, j in combinations(range(len(curves)), 2):
-        for point, _mult in intersect_pair(curves[i], curves[j]):
+        try:
+            pair = intersect_pair(curves[i], curves[j])
+        except IntersectionError as exc:
+            raise IntersectionError(f"curves {i} and {j}, {exc}") from None
+        for point, mult in pair:
             if point.field is None:
-                incident = rational.get(point.vectors)
-                if incident is None:
-                    incident = rational[point.vectors] = set()
-                    found.append(([point], incident))
-                incident.update((i, j))
+                entry = rational.get(point.vectors)
+                if entry is None:
+                    entry = rational[point.vectors] = [[point], set(), True]
+                    found.append(entry)
+                entry[1].update((i, j))
+                entry[2] = entry[2] and mult == 1
             elif point.conjugate == 0:
                 incident = _orbit_incidence(forms, point, i, j)
-                if incident is not None:
-                    found.append((point.conjugates(), incident))
+                if incident is None:
+                    continue
+                # through three or more curves the other pairs' multiplicities
+                # are not at hand, so their tangents decide
+                ordinary = mult == 1 and (len(incident) == 2 or _tangents_distinct(
+                    [forms[k] for k in sorted(incident)], point))
+                found.append([point.conjugates(), incident, ordinary])
     points = []
-    for orbit, incident in found:
-        ordinary = _tangents_distinct([forms[i] for i in sorted(incident)], orbit[0])
+    for orbit, incident, ordinary in found:
         points.extend(SingularPoint(location=p, incident=frozenset(incident),
                                     multiplicity=len(incident), ordinary=ordinary)
                       for p in orbit)

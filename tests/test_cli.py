@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import coniclines.cli as cli
+import coniclines.intersect as intersect
+from coniclines.algebraic import root_orbits
 from coniclines.cli import EXIT_PARSE, EXIT_VALIDATION, main
 from coniclines.intersect import IntersectionError
 
@@ -249,7 +251,8 @@ def test_analyze_output_does_not_depend_on_conic_scaling(tmp_path, fmt):
 
 
 def _fail_to_intersect(_arrangement):
-    raise IntersectionError("no generic coordinate change found for conic1 and conic2")
+    raise IntersectionError("curves 2 and 3, conic3 and conic4: "
+                            "none of the 31 projection centres is generic")
 
 
 def test_analyze_intersection_error(tmp_path, monkeypatch):
@@ -259,7 +262,20 @@ def test_analyze_intersection_error(tmp_path, monkeypatch):
     result = run("analyze", str(target))
     assert result.exit_code == EXIT_VALIDATION
     assert result.output.strip().splitlines() == [
-        "intersection failed: no generic coordinate change found for conic1 and conic2"]
+        "intersection failed: curves 2 and 3, conic3 and conic4: "
+        "none of the 31 projection centres is generic"]
+
+
+def test_analyze_names_the_curves_of_a_failed_pair(tmp_path, monkeypatch):
+    # a wrong root for the line-conic pair fails the on-curve check
+    target = tmp_path / "pair.txt"
+    target.write_text("line: 1 0 0\nconic: 1 1 -2 0 0 0\n")
+    monkeypatch.setattr(intersect, "root_orbits", lambda coeffs: root_orbits([-3, 0, 1]))
+    result = run("analyze", str(target))
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.output.strip().splitlines() == [
+        "intersection failed: curves 0 and 1, line1 and conic2: "
+        "back-substitution verification failed"]
 
 
 def test_check_intersection_error(tmp_path, monkeypatch):

@@ -6,7 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import coniclines.intersect as intersect
 from coniclines.catalog import build_dbe_sharpness, build_pencil4, build_tangency_demo
-from coniclines.curves import Arrangement, PlaneCurve, ProjectivePoint
+from coniclines.algebraic import root_orbits
+from coniclines.curves import (
+    Arrangement,
+    PlaneCurve,
+    ProjectivePoint,
+    ValidationError,
+    validate_arrangement,
+)
 from coniclines.intersect import (
     IntersectionError,
     check_ordinary,
@@ -22,8 +29,8 @@ def line(a, b, c, label=""):
     return PlaneCurve("line", TernaryForm.line(a, b, c), label=label or None)
 
 
-def conic(*cs):
-    return PlaneCurve("conic", TernaryForm.conic(*cs))
+def conic(*cs, label=""):
+    return PlaneCurve("conic", TernaryForm.conic(*cs), label=label or None)
 
 
 def test_two_lines_meet_once():
@@ -116,13 +123,13 @@ def test_conics_through_the_first_centres_are_decided_at_t4(monkeypatch):
     in_coords = intersect._intersect_conics_in_coords
     attempts = []
 
-    def recording(p, q, matrix):
-        attempts.append(matrix)
-        return in_coords(p, q, matrix)
+    def recording(p, q, t):
+        attempts.append(t)
+        return in_coords(p, q, t)
 
     monkeypatch.setattr(intersect, "_intersect_conics_in_coords", recording)
     points = intersect._intersect_conics(p, q)
-    assert [m and tuple(row[0] for row in m) for m in attempts] == [None] + centres[1:]
+    assert attempts == [0, 1, 2, 3, 4]
     assert sorted(p.vectors for p, _m in points) == sorted(
         ProjectivePoint.from_integers(*c).vectors for c in centres[:4])
     assert [m for _p, m in points] == [1] * 4
@@ -132,7 +139,7 @@ def test_point_at_infinity_needs_no_other_centre():
     # the conics meet transversally at (1 : 1 : 0), whose projection from
     # (1 : 0 : 0) is the root (1 : 0) of the binary quartic
     p, q = (1, 2, -1, -3, 1, -1), (2, -2, 1, 0, 0, 1)
-    points = intersect._intersect_conics_in_coords(p, q, None)
+    points = intersect._intersect_conics_in_coords(p, q, 0)
     expected = [(1, 1, 0), (0, 1, 1), (0, -1, 2), (10, 11, 3)]
     assert sorted(p.vectors for p, _m in points) == sorted(
         ProjectivePoint.from_integers(*v).vectors for v in expected)
@@ -213,12 +220,100 @@ def test_cluster_tangency_flagged():
     assert derived.outside_ordinary_hypotheses
 
 
+# the line x = 0 and members Q + s x^2 of a bitangent pencil, pairwise tangent at
+# (0 : +-sqrt 2 : 1): an irrational orbit through all four curves, found at the
+# transversal pair of the line and the first conic
+_BITANGENT = Arrangement((line(1, 0, 0),)
+                         + tuple(conic(1 + s, 1, -2, 0, 0, 0) for s in range(3)))
+# three members of the pencil through (+-sqrt 2 : +-1 : 1) and the line y = z:
+# irrational orbits through 3 and 4 curves, all transversal
+_IRRATIONAL_PENCIL = Arrangement((conic(1, 1, -3, 0, 0, 0), conic(1, -1, -1, 0, 0, 0),
+                                  conic(3, -1, -5, 0, 0, 0), line(0, 1, -1)))
+
+
 def test_check_ordinary_agrees_with_cluster():
-    for build in (build_pencil4, build_dbe_sharpness, build_tangency_demo):
-        arr = build()
-        derived = combinatorial_type(arr)
-        for point in derived.points:
+    irrational = set()
+    for arr in (build_pencil4(), build_dbe_sharpness(), build_tangency_demo(),
+                _BITANGENT, _IRRATIONAL_PENCIL):
+        for point in combinatorial_type(arr).points:
             assert check_ordinary(point, arr) == point.ordinary
+            if point.location.field is not None:
+                irrational.add((point.multiplicity, point.ordinary))
+    assert irrational == {(3, True), (4, True), (4, False)}
+
+
+def _sqrt3_everywhere(monkeypatch):
+    # every restricted quadratic and eliminated quartic gets the wrong root sqrt 3
+    monkeypatch.setattr(intersect, "root_orbits", lambda coeffs: root_orbits([-3, 0, 1]))
+
+
+@pytest.mark.parametrize("first, second", [
+    (line(1, 0, 0), conic(1, 1, -2, 0, 0, 0)),
+    (conic(1, 1, -2, 0, 0, 0), conic(1, 2, -3, 0, 0, 0)),
+], ids=["line-conic", "conic-conic"])
+def test_wrong_root_fails_verification(monkeypatch, first, second):
+    _sqrt3_everywhere(monkeypatch)
+    with pytest.raises(IntersectionError, match="back-substitution verification failed"):
+        intersect_pair(first, second)
+
+
+def test_wrong_line_meet_fails_verification(monkeypatch):
+    # the lines meet at (1 : 2 : 1); a point built with x and y swapped is on neither
+    original = ProjectivePoint.from_integers
+    monkeypatch.setattr(ProjectivePoint, "from_integers",
+                        classmethod(lambda cls, x, y, z: original(y, x, z)))
+    with pytest.raises(IntersectionError, match="back-substitution verification failed"):
+        intersect_pair(line(1, 0, -1), line(0, 1, -2))
+
+
+def test_intersection_error_names_curve_indices(monkeypatch):
+    _sqrt3_everywhere(monkeypatch)
+    curves = (line(1, 0, -1, label="l1"), line(0, 1, -1, label="l2"),
+              conic(1, 1, -2, 0, 0, 0, label="C"))
+    with pytest.raises(IntersectionError) as info:
+        combinatorial_type(Arrangement(curves))
+    assert str(info.value) == "curves 0 and 2, l1 and C: back-substitution verification failed"
+
+
+def _square(a, b, c):
+    return (a * a, b * b, c * c, 2 * a * b, 2 * a * c, 2 * b * c)
+
+
+@st.composite
+def _tangency_rich_arrangements(draw):
+    """Members Q + s L^2 of a bitangent pencil, which are pairwise tangent
+    where L meets Q, members of a conic pencil with four shared base points,
+    L itself and random lines."""
+    small = st.integers(-3, 3)
+    q = draw(st.tuples(*[small] * 6))
+    l = draw(st.tuples(*[small] * 3).filter(any))
+    curves = [conic(*(u + s * w for u, w in zip(q, _square(*l))))
+              for s in draw(st.lists(st.integers(-3, 3), max_size=3, unique=True))]
+    q1, q2 = draw(st.tuples(*[small] * 6)), draw(st.tuples(*[small] * 6))
+    for s, t in draw(st.lists(st.tuples(st.integers(1, 3), small), max_size=3, unique=True)):
+        values = [s * u + t * v for u, v in zip(q1, q2)]
+        assume(any(values))
+        curves.append(conic(*values))
+    if draw(st.booleans()):
+        curves.append(line(*l))
+    curves += [line(*v) for v in draw(st.lists(st.tuples(*[small] * 3).filter(any),
+                                               max_size=2))]
+    assume(len(curves) >= 2)
+    # in any order, so that an orbit is often found at a transversal pair
+    arrangement = Arrangement(tuple(draw(st.permutations(curves))))
+    try:
+        validate_arrangement(arrangement)
+    except ValidationError:
+        assume(False)
+    return arrangement
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tangency_rich_arrangements())
+def test_ordinarity_agrees_with_tangents(arrangement):
+    # the flags read from pair multiplicities against the tangent oracle
+    for point in combinatorial_type(arrangement).points:
+        assert point.ordinary == check_ordinary(point, arrangement)
 
 
 def test_conjugate_points_compare_unequal():
