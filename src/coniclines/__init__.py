@@ -26,7 +26,6 @@ from .intersect import (
     tangent_line,
 )
 from .invariants import AnalysisReport, analyze
-from .polynomials import TernaryForm
 from .search import enumerate_types, extremal_slopes, scan_conjecture
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .curves import Arrangement, CombinatorialType, PlaneCurve, ValidationError
-from .polynomials import TernaryForm
 
 KNOWN_INCONSISTENT = "known-inconsistent"
 NON_ORDINARY = "non-ordinary"
@@ -39,7 +38,7 @@ class CatalogEntry:
 
 
 def _line(a, b, c, label) -> PlaneCurve:
-    return PlaneCurve("line", TernaryForm.line(a, b, c), label)
+    return PlaneCurve("line", (a, b, c), label)
 
 
 def _pencil_conic(t: Fraction, label: str) -> PlaneCurve:
@@ -47,8 +46,7 @@ def _pencil_conic(t: Fraction, label: str) -> PlaneCurve:
     t = Fraction(t)
     if t == 0 or t == -1:
         raise ValidationError(f"pencil parameter t={t} gives a reducible member")
-    form = TernaryForm.conic(1, t, -(1 + t), 0, 0, 0)
-    return PlaneCurve("conic", form, label)
+    return PlaneCurve("conic", (1, t, -(1 + t), 0, 0, 0), label)
 
 
 def build_pencil4(k: int = 3, t: Sequence = (1, 2, 3)) -> Arrangement:
@@ -89,7 +87,7 @@ def build_tangency_demo() -> Arrangement:
     """A line tangent to a circle: the minimal non-ordinary example."""
     return Arrangement((
         _line(0, 1, -1, "l1"),
-        PlaneCurve("conic", TernaryForm.conic(1, 1, -1, 0, 0, 0), "C1"),
+        PlaneCurve("conic", (1, 1, -1, 0, 0, 0), "C1"),
     ))
 
 

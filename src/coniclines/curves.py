@@ -1,11 +1,12 @@
 """Domain model for conic-line arrangements.
 
-Curves are lines or irreducible conics given by homogeneous rational forms.
-An arrangement is a finite list of pairwise non-proportional curves.  Both
-invariants are checked on each curve's coprime integer coefficients, which
-the engine computes with as well: a conic is smooth iff det(2A) != 0 for
-its integer symmetric matrix 2A, and two curves are proportional iff their
-coefficients agree up to sign.  The
+Curves are lines and irreducible conics, each stored once as its coprime
+integer coefficients: the rational equation scaled to integers with gcd 1,
+which is the same curve.  An arrangement is a finite list of pairwise
+non-proportional curves.  Both invariants are checked on those integers,
+which the engine computes with as well: a conic is smooth iff det(2A) != 0
+for its integer symmetric matrix 2A, and two curves are proportional iff
+their coefficients agree up to sign.  The
 combinatorial type (d, k, t) records the number of lines, conics, and
 r-fold intersection points; it is also a first-class input on its own,
 because several named arrangements are known only through their published
@@ -20,7 +21,8 @@ File formats (UTF-8 text, ``#`` comments):
                            line: a b c            -> a*x + b*y + c*z = 0
                            conic: a b c d e f     -> a*x^2 + b*y^2 + c*z^2
                                                      + d*xy + e*xz + f*yz = 0
-                         coefficients are rationals "p/q" or integers
+                         coefficients are rationals "p/q" or integers; they
+                         are written back as the coprime integers
   combinatorial type     header ``d=<int> k=<int>`` then lines ``t <r> = <count>``
 """
 
@@ -28,11 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .algebraic import AlgebraicNumber, NumberField
-from .polynomials import TernaryForm, coprime_integers, format_rational, parse_rational
+from .polynomials import coprime_integers, format_rational, parse_rational
 
 
 class ValidationError(ValueError):
@@ -43,32 +44,52 @@ class ParseError(ValueError):
     """Malformed arrangement or combinatorial-type file."""
 
 
+# the number of coefficients of each curve kind
+_COUNTS = {"line": 3, "conic": 6}
+
+
 @dataclass(frozen=True)
 class PlaneCurve:
+    """A line a x + b y + c z = 0 or a conic
+    a x^2 + b y^2 + c z^2 + d xy + e xz + f yz = 0.
+
+    ``coefficients`` may be given as any int or Fraction sequence, the
+    line's (a, b, c) or the conic's (a, b, c, d, e, f), not all zero; it is
+    stored scaled to coprime integers, which is the same curve.  Two curves
+    are equal when their kinds, integers and labels are; a negative scale
+    negates the integers, so ``validate_arrangement`` compares them up to
+    sign."""
+
     kind: str  # "line" | "conic"
-    form: TernaryForm
+    coefficients: tuple[int, ...]
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("line", "conic"):
+        count = _COUNTS.get(self.kind)
+        if count is None:
             raise ValidationError(f"unknown curve kind {self.kind!r}")
-        expected = 1 if self.kind == "line" else 2
-        if self.form.degree != expected:
-            raise ValidationError(
-                f"{self.kind} must have a degree-{expected} form")
+        values = tuple(self.coefficients)
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            raise ValidationError("coefficients must be integers or Fractions")
+        if len(values) != count:
+            raise ValidationError(f"a {self.kind} needs {count} coefficients")
+        if not any(values):
+            raise ValidationError("zero polynomial")
+        object.__setattr__(self, "coefficients", coprime_integers(values))
 
     @property
     def degree(self) -> int:
-        return self.form.degree
+        return 1 if self.kind == "line" else 2
 
-    @cached_property
-    def coefficients(self) -> tuple[int, ...]:
-        """The line's (a, b, c) or the conic's (a, b, c, d, e, f), scaled to
-        coprime integers: the same curve.  The engine computes with these;
-        they are worked out once per curve."""
-        form = self.form
-        values = form.line_coefficients() if form.degree == 1 else form.conic_coefficients()
-        return coprime_integers(values)
+    @property
+    def record(self) -> str:
+        """The curve as a record of the arrangement format."""
+        return f"{self.kind}: " + " ".join(map(str, self.coefficients))
+
+    @property
+    def name(self) -> str:
+        """The label, or the record of an unlabeled curve, for messages."""
+        return self.label or self.record
 
 
 def _det_2a(coeffs: tuple[int, ...]) -> int:
@@ -79,11 +100,12 @@ def _det_2a(coeffs: tuple[int, ...]) -> int:
     return 2 * (4 * a * b * c + d * e * f - a * f * f - b * e * e - c * d * d)
 
 
-def validate_curve(curve: PlaneCurve) -> None:
-    """Raise ValidationError unless the curve invariants hold."""
+def validate_curve(curve: PlaneCurve, index: int | None = None) -> None:
+    """Raise ValidationError unless the curve invariants hold.  The message
+    names the curve, and its ``index`` in an arrangement when given."""
     if curve.kind == "conic" and _det_2a(curve.coefficients) == 0:
-        raise ValidationError(
-            f"conic {curve.label or curve.form!r} is a line pair or double line")
+        name = curve.name if index is None else f"curve {index} ({curve.name})"
+        raise ValidationError(f"{name}: conic is a line pair or double line")
 
 
 @dataclass(frozen=True)
@@ -105,10 +127,10 @@ class Arrangement:
 
 
 def validate_arrangement(arrangement: Arrangement) -> None:
-    """Validate every curve and reject repeated (proportional) forms."""
-    for curve in arrangement.curves:
-        validate_curve(curve)
-    # proportional forms have coprime integer coefficients equal up to sign
+    """Validate every curve and reject repeated (proportional) curves."""
+    for i, curve in enumerate(arrangement.curves):
+        validate_curve(curve, i)
+    # proportional curves have coprime integer coefficients equal up to sign
     keys = [max(c.coefficients, tuple(-v for v in c.coefficients))
             for c in arrangement.curves]
     for i in range(len(keys)):
@@ -272,12 +294,6 @@ class ProjectivePoint:
         """The same point with its last nonzero coordinate 1."""
         return ProjectivePoint.from_coords(*self.coords)
 
-    def same_point(self, other: "ProjectivePoint") -> bool:
-        """Exact projective equality; decided for rational points and for
-        points of one field at one conjugate, else ValueError."""
-        a, b = self.coords, other.coords
-        return all(a[i] * b[j] == a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2)))
-
     def approx(self) -> tuple[complex, complex, complex]:
         return tuple(c.approx() for c in self.normalized().coords)
 
@@ -324,35 +340,20 @@ def parse_arrangement(text: str) -> Arrangement:
             values = [parse_rational(tok) for tok in rest.split()]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad coefficient ({exc})") from None
-        if head == "line":
-            if len(values) != 3:
-                raise ParseError(f"line {lineno}: a line needs 3 coefficients")
-            if all(v == 0 for v in values):
-                raise ParseError(f"line {lineno}: zero polynomial")
-            form = TernaryForm.line(*values)
-        elif head == "conic":
-            if len(values) != 6:
-                raise ParseError(f"line {lineno}: a conic needs 6 coefficients")
-            if all(v == 0 for v in values):
-                raise ParseError(f"line {lineno}: zero polynomial")
-            form = TernaryForm.conic(*values)
-        else:
+        if head not in _COUNTS:
             raise ParseError(f"line {lineno}: unknown record {head!r}")
-        curves.append(PlaneCurve(head, form, label=f"{head}{len(curves) + 1}"))
+        try:
+            curves.append(PlaneCurve(head, values, label=f"{head}{len(curves) + 1}"))
+        except ValidationError as exc:  # a wrong count or all zeros
+            raise ParseError(f"line {lineno}: {exc}") from None
     if not curves:
         raise ParseError("no curve records found")
     return Arrangement(tuple(curves))
 
 
 def serialize_arrangement(arrangement: Arrangement) -> str:
-    lines = []
-    for curve in arrangement.curves:
-        if curve.kind == "line":
-            coeffs = curve.form.line_coefficients()
-        else:
-            coeffs = curve.form.conic_coefficients()
-        lines.append(f"{curve.kind}: " + " ".join(format_rational(c) for c in coeffs))
-    return "\n".join(lines) + "\n"
+    """One record per curve, with its coprime integer coefficients."""
+    return "".join(curve.record + "\n" for curve in arrangement.curves)
 
 
 def _parse_int(token: str, lineno: int) -> int:

@@ -69,8 +69,7 @@ class IntersectionError(RuntimeError):
 
 
 def _pair_error(c1: PlaneCurve, c2: PlaneCurve, message) -> IntersectionError:
-    names = [c.label or repr(c.form) for c in (c1, c2)]
-    return IntersectionError(f"{names[0]} and {names[1]}: {message}")
+    return IntersectionError(f"{c1.name} and {c2.name}: {message}")
 
 
 def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:

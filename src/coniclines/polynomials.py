@@ -1,30 +1,21 @@
-"""Exact polynomials over the rationals.
+"""Exact rational and integer coefficients.
 
-  TernaryForm       -- homogeneous forms in (x, y, z) with Fraction
-                       coefficients, stored sparsely by exponent triple.
-                       Used as the defining equations of lines and conics.
-  coprime_integers  -- rational coefficients scaled to coprime integers;
+  coprime_integers  -- rational coefficients scaled to coprime integers: how
+                       a line or conic is stored (``curves.PlaneCurve``);
   primitive         -- the same for a univariate polynomial, with positive
                        leading coefficient.  The engine computes in these
                        integers.
+  parse_rational,
+  format_rational   -- the rationals ``p/q`` of the file formats and reports.
 
-Everything here is exact; there is no floating point.  Rational parsing and
-formatting for the file formats live here too.
+Everything here is exact; there is no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
-
-Exponent = tuple[int, int, int]
-
-VARS = ("x", "y", "z")
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from typing import Sequence
 
 
 def parse_rational(text: str) -> Fraction:
@@ -39,7 +30,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    value = _frac(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -66,67 +56,23 @@ def primitive(coeffs: Sequence) -> tuple[int, ...]:
     return ints if ints[-1] > 0 else tuple(-v for v in ints)
 
 
-# --------------------------------------------------------------------------
-# Homogeneous ternary forms
-
-
 class TernaryForm:
-    """Homogeneous form in (x, y, z) over Q, stored as {(a, b, c): coeff}."""
+    """Two constructors kept only for ``perfbench/workloads.py``, which builds
+    its inputs as ``PlaneCurve(kind, TernaryForm.line(...))`` and catches
+    ValueError from ``TernaryForm.conic`` on a zero draw.  Each returns its
+    arguments as a tuple.  To be deleted with those calls in the benchmark
+    change of ROADMAP item 1."""
 
-    __slots__ = ("degree", "coeffs")
+    @staticmethod
+    def line(a, b, c) -> tuple:
+        return _nonzero((a, b, c))
 
-    def __init__(self, degree: int, coeffs: Mapping[Exponent, object]):
-        if degree < 1:
-            raise ValueError("form degree must be >= 1")
-        clean: dict[Exponent, Fraction] = {}
-        for expo, c in coeffs.items():
-            if sum(expo) != degree:
-                raise ValueError(f"exponent {expo} not of degree {degree}")
-            c = _frac(c)
-            if c != 0:
-                clean[tuple(expo)] = c  # type: ignore[index]
-        if not clean:
-            raise ValueError("zero form")
-        self.degree = degree
-        self.coeffs = clean
+    @staticmethod
+    def conic(a, b, c, d, e, f) -> tuple:
+        return _nonzero((a, b, c, d, e, f))
 
-    @classmethod
-    def line(cls, a, b, c) -> "TernaryForm":
-        return cls(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
-    @classmethod
-    def conic(cls, a, b, c, d, e, f) -> "TernaryForm":
-        """a x^2 + b y^2 + c z^2 + d xy + e xz + f yz."""
-        return cls(2, {(2, 0, 0): a, (0, 2, 0): b, (0, 0, 2): c,
-                       (1, 1, 0): d, (1, 0, 1): e, (0, 1, 1): f})
-
-    def conic_coefficients(self) -> tuple[Fraction, ...]:
-        if self.degree != 2:
-            raise ValueError("not a conic")
-        order = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-        return tuple(self.coeffs.get(e, Fraction(0)) for e in order)
-
-    def line_coefficients(self) -> tuple[Fraction, ...]:
-        if self.degree != 1:
-            raise ValueError("not a line")
-        order = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        return tuple(self.coeffs.get(e, Fraction(0)) for e in order)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TernaryForm)
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self) -> str:
-        terms = []
-        for expo, c in sorted(self.coeffs.items(), reverse=True):
-            mono = "".join(v if e == 1 else f"{v}^{e}"
-                           for v, e in zip(VARS, expo) if e)
-            cs = format_rational(c)
-            if mono:
-                terms.append(mono if cs == "1" else f"{cs}*{mono}")
-            else:
-                terms.append(cs)
-        return "TernaryForm(" + " + ".join(terms) + ")"
+def _nonzero(values: tuple) -> tuple:
+    if not any(values):
+        raise ValueError("zero form")
+    return values

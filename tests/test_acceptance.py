@@ -36,7 +36,6 @@ from coniclines.invariants import (
     poincare_from_exponents,
     tjurina_from_exponents,
 )
-from coniclines.polynomials import TernaryForm
 from coniclines.search import enumerate_types, extremal_slopes, random_balanced_type, scan_conjecture
 
 
@@ -134,14 +133,13 @@ def _random_arrangement(rng: random.Random) -> Arrangement | None:
         vals = [coeff() for _ in range(3)]
         if all(v == 0 for v in vals):
             return None
-        curves.append(PlaneCurve("line", TernaryForm.line(*vals)))
+        curves.append(PlaneCurve("line", vals))
     for _ in range(n_conics):
         vals = [coeff() for _ in range(6)]
         try:
-            form = TernaryForm.conic(*vals)
-        except ValueError:
+            curves.append(PlaneCurve("conic", vals))
+        except ValidationError:  # all six coefficients zero
             return None
-        curves.append(PlaneCurve("conic", form))
     return Arrangement(tuple(curves))
 
 

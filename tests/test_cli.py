@@ -127,6 +127,26 @@ def test_export_with_parameters(tmp_path):
     assert data["k"] == 2 and data["t"] == {"2": 1, "3": 4}
 
 
+def test_export_writes_coprime_integers(tmp_path):
+    target = tmp_path / "p2.txt"
+    result = run("catalog", "export", "pencil4", str(target),
+                 "--k", "2", "--t", "1,7/2")
+    assert result.exit_code == 0
+    assert target.read_text() == ("line: 1 0 -1\nline: 1 0 1\n"
+                                  "conic: 1 1 -2 0 0 0\nconic: 2 7 -9 0 0 0\n")
+    rational = tmp_path / "rational.txt"
+    rational.write_text("line: 1 0 -1\nline: 1 0 1\n"
+                        "conic: 1 1 -2 0 0 0\nconic: 1 7/2 -9/2 0 0 0\n")
+    reports = []
+    for path in (target, rational):
+        result = run("analyze", str(path), "--json")
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data.pop("source") == str(path)
+        reports.append(data)
+    assert reports[0] == reports[1]
+
+
 def test_export_degenerate_parameters(tmp_path):
     target = tmp_path / "bad.txt"
     result = run("catalog", "export", "pencil4", str(target),
@@ -153,6 +173,15 @@ def test_analyze_reducible_conic(tmp_path):
     bad.write_text("line: 0 1 0\nconic: 1 0 -1 0 0 0\n")
     result = run("analyze", str(bad))
     assert result.exit_code == EXIT_VALIDATION
+
+
+def test_analyze_names_the_reducible_conic(tmp_path):
+    bad = tmp_path / "red.txt"
+    bad.write_text("line: 0 1 0\nconic: 1 0 -1 0 0 0\n")
+    result = run("analyze", str(bad))
+    _assert_clean_exit(result, EXIT_VALIDATION)
+    assert result.output.strip() == ("validation failed: curve 1 (conic2): "
+                                     "conic is a line pair or double line")
 
 
 def test_strict_mode_rejects_tangency(tmp_path):

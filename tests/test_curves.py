@@ -21,15 +21,14 @@ from coniclines.curves import (
     validate_arrangement,
     validate_curve,
 )
-from coniclines.polynomials import TernaryForm
 
 
 def line(a, b, c):
-    return PlaneCurve("line", TernaryForm.line(a, b, c))
+    return PlaneCurve("line", (a, b, c))
 
 
 def conic(*cs):
-    return PlaneCurve("conic", TernaryForm.conic(*cs))
+    return PlaneCurve("conic", cs)
 
 
 def test_unit_circle_is_smooth():
@@ -107,8 +106,7 @@ def _rational_curves(draw):
 
 
 def _curve(kind, values):
-    form = TernaryForm.line(*values) if kind == "line" else TernaryForm.conic(*values)
-    return PlaneCurve(kind, form)
+    return PlaneCurve(kind, values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,6 +141,64 @@ def test_integer_duplicates_agree_with_fractions(first, second, scale):
         assert not duplicate
 
 
+# -- one representation: a curve is its kind and coprime integers ------------
+
+
+_COEFF = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
+_SCALE = st.builds(F, st.integers(-20, 20).filter(bool), st.integers(1, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["line", "conic"]), st.data(), _SCALE)
+def test_scaled_coefficients_are_one_curve(kind, data, scale):
+    values = data.draw(st.lists(_COEFF, min_size=3 if kind == "line" else 6,
+                                max_size=3 if kind == "line" else 6).filter(any))
+    curve = PlaneCurve(kind, values)
+    scaled = PlaneCurve(kind, [scale * v for v in values])
+    # coprime integers fix the curve up to sign, and a negative scale flips it
+    sign = 1 if scale > 0 else -1
+    assert scaled.coefficients == tuple(sign * v for v in curve.coefficients)
+    if scale > 0:
+        assert scaled == curve
+    assume(kind == "line" or _det_2a(curve.coefficients) != 0)
+    with pytest.raises(ValidationError) as exc:
+        validate_arrangement(Arrangement((curve, scaled)))
+    assert str(exc.value) == "duplicate curve: pair (0, 1)"
+    arr = Arrangement((PlaneCurve(kind, values, f"{kind}1"),
+                       PlaneCurve(kind, [scale * v for v in values], f"{kind}2")))
+    assert parse_arrangement(serialize_arrangement(arr)) == arr
+
+
+@pytest.mark.parametrize("kind, values, message", [
+    ("line", (1, 0), "a line needs 3 coefficients"),
+    ("conic", (1, 1, -1), "a conic needs 6 coefficients"),
+    ("line", (1, 0, 0, 0, 0, 0), "a line needs 3 coefficients"),
+    ("line", (0, 0, 0), "zero polynomial"),
+    ("conic", (F(0),) * 6, "zero polynomial"),
+    ("circle", (1, 1, -1), "unknown curve kind 'circle'"),
+    ("line", (0.5, 1, 0), "coefficients must be integers or Fractions"),
+])
+def test_plane_curve_rejects_bad_coefficients(kind, values, message):
+    with pytest.raises(ValidationError) as exc:
+        PlaneCurve(kind, values)
+    assert str(exc.value) == message
+
+
+def test_validation_names_curve_index_and_label():
+    arr = parse_arrangement("line: 0 1 0\nline: 1 0 0\nconic: 1 0 -1 0 0 0\n")
+    with pytest.raises(ValidationError) as exc:
+        validate_arrangement(arr)
+    assert str(exc.value) == "curve 2 (conic3): conic is a line pair or double line"
+    # an unlabeled curve is named by its record
+    with pytest.raises(ValidationError) as exc:
+        validate_arrangement(Arrangement((line(0, 1, 0), conic(2, 0, -2, 0, 0, 0))))
+    assert str(exc.value) == ("curve 1 (conic: 1 0 -1 0 0 0): "
+                              "conic is a line pair or double line")
+    with pytest.raises(ValidationError) as exc:
+        validate_curve(conic(2, 0, -2, 0, 0, 0))
+    assert str(exc.value) == "conic: 1 0 -1 0 0 0: conic is a line pair or double line"
+
+
 def test_pencil4_catalog_entry_validates():
     arr = catalog_get("pencil4").build(k=3, t=(1, 2, 3))
     assert len(arr.curves) == 5
@@ -163,8 +219,8 @@ def test_combinatorial_type_invariants():
 def test_parse_simple_records():
     arr = parse_arrangement("line: 1 0 -1\nconic: 1 1 -2 0 0 0\n")
     assert arr.curves[0].kind == "line"
-    assert arr.curves[0].form == TernaryForm.line(1, 0, -1)
-    assert arr.curves[1].form == TernaryForm.conic(1, 1, -2, 0, 0, 0)
+    assert (arr.curves[0].kind, arr.curves[0].coefficients) == ("line", (1, 0, -1))
+    assert (arr.curves[1].kind, arr.curves[1].coefficients) == ("conic", (1, 1, -2, 0, 0, 0))
 
 
 def test_parse_reducible_conic_is_a_downstream_rejection():
@@ -181,6 +237,12 @@ def test_parse_errors_carry_position():
         parse_arrangement("circle: 1 1 -1\n")
     with pytest.raises(ParseError, match="coefficient"):
         parse_arrangement("line: 1 0 z\n")
+    for text, message in [("line: 1 0 -1\nconic: 1 2 3\n", "line 2: a conic needs 6 coefficients"),
+                          ("# x\nline: 0 0/5 0\n", "line 2: zero polynomial"),
+                          ("circle: 1 1 -1\n", "line 1: unknown record 'circle'")]:
+        with pytest.raises(ParseError) as exc:
+            parse_arrangement(text)
+        assert str(exc.value) == message
 
 
 def test_arrangement_round_trip():
@@ -197,8 +259,8 @@ def test_catalog_round_trips():
         if entry.builder is not None:
             arr = entry.build()
             back = parse_arrangement(serialize_arrangement(arr))
-            assert [(c.kind, c.form) for c in back.curves] == \
-                [(c.kind, c.form) for c in arr.curves]
+            assert [(c.kind, c.coefficients) for c in back.curves] == \
+                [(c.kind, c.coefficients) for c in arr.curves]
 
 
 def test_combinatorial_type_file_format():
@@ -289,6 +351,6 @@ def test_conjugates_share_vectors(point):
 def test_projective_point_equality_is_projective():
     p = ProjectivePoint.from_coords(F(2), F(4), F(2))
     q = ProjectivePoint.from_coords(F(1), F(2), F(1))
-    assert p.same_point(q)
+    assert p == q
     r = ProjectivePoint.from_coords(F(1), F(2), F(3))
-    assert not p.same_point(r)
+    assert p != r

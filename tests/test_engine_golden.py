@@ -21,7 +21,6 @@ from pathlib import Path
 from coniclines.catalog import build_pencil4, catalog_get, catalog_list
 from coniclines.curves import Arrangement, PlaneCurve, ValidationError, validate_arrangement
 from coniclines.intersect import combinatorial_type, intersect_pair
-from coniclines.polynomials import TernaryForm
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "engine_golden.json"
 
@@ -38,14 +37,13 @@ def _criterion6_arrangement(rng: random.Random) -> Arrangement | None:
         vals = [coeff() for _ in range(3)]
         if all(v == 0 for v in vals):
             return None
-        curves.append(PlaneCurve("line", TernaryForm.line(*vals)))
+        curves.append(PlaneCurve("line", vals))
     for _ in range(n_conics):
         vals = [coeff() for _ in range(6)]
         try:
-            form = TernaryForm.conic(*vals)
-        except ValueError:
+            curves.append(PlaneCurve("conic", vals))
+        except ValidationError:  # all six coefficients zero
             return None
-        curves.append(PlaneCurve("conic", form))
     return Arrangement(tuple(curves))
 
 
@@ -76,7 +74,7 @@ def random_conics(n: int, seed: int = 7) -> Arrangement:
         while len(curves) < n:
             vals = [rng.randint(-3, 3) for _ in range(6)]
             if any(vals):
-                curves.append(PlaneCurve("conic", TernaryForm.conic(*vals)))
+                curves.append(PlaneCurve("conic", vals))
         arr = Arrangement(tuple(curves))
         if _validates(arr):
             return arr
@@ -85,8 +83,8 @@ def random_conics(n: int, seed: int = 7) -> Arrangement:
 def irrational_pencil() -> Arrangement:
     """Lines y = +-z and three conics of the pencil x^2 - 2z^2 + t (y^2 - z^2):
     four 4-fold points (+-sqrt 2 : +-1 : 1) in two conjugate pairs."""
-    curves = [PlaneCurve("line", TernaryForm.line(0, 1, s)) for s in (-1, 1)]
-    curves += [PlaneCurve("conic", TernaryForm.conic(1, t, -2 - t, 0, 0, 0)) for t in (1, 2, 3)]
+    curves = [PlaneCurve("line", (0, 1, s)) for s in (-1, 1)]
+    curves += [PlaneCurve("conic", (1, t, -2 - t, 0, 0, 0)) for t in (1, 2, 3)]
     return Arrangement(tuple(curves))
 
 
@@ -94,9 +92,9 @@ def irrational_tangency() -> Arrangement:
     """Q = x^2 + y^2 - 3z^2, Q + (x - z)^2 and x = z: the conics are tangent
     at the conjugate points (1 : +-sqrt 2 : 1), which the line also passes."""
     return Arrangement((
-        PlaneCurve("conic", TernaryForm.conic(1, 1, -3, 0, 0, 0)),
-        PlaneCurve("conic", TernaryForm.conic(2, 1, -2, 0, -2, 0)),
-        PlaneCurve("line", TernaryForm.line(1, 0, -1)),
+        PlaneCurve("conic", (1, 1, -3, 0, 0, 0)),
+        PlaneCurve("conic", (2, 1, -2, 0, -2, 0)),
+        PlaneCurve("line", (1, 0, -1)),
     ))
 
 

@@ -22,15 +22,14 @@ from coniclines.intersect import (
     intersect_pair,
     tangent_line,
 )
-from coniclines.polynomials import TernaryForm
 
 
 def line(a, b, c, label=""):
-    return PlaneCurve("line", TernaryForm.line(a, b, c), label=label or None)
+    return PlaneCurve("line", (a, b, c), label=label or None)
 
 
 def conic(*cs, label=""):
-    return PlaneCurve("conic", TernaryForm.conic(*cs), label=label or None)
+    return PlaneCurve("conic", cs, label=label or None)
 
 
 def test_two_lines_meet_once():
@@ -38,19 +37,25 @@ def test_two_lines_meet_once():
     assert len(pts) == 1
     pt, mult = pts[0]
     assert mult == 1
-    assert pt.same_point(ProjectivePoint.from_coords(F(1), F(1), F(1)))
+    assert pt == ProjectivePoint.from_coords(F(1), F(1), F(1))
 
 
 def test_parallel_lines_meet_at_infinity():
     pts = intersect_pair(line(1, 0, -1), line(1, 0, -2))
     pt, mult = pts[0]
     assert mult == 1
-    assert pt.same_point(ProjectivePoint.from_coords(F(0), F(1), F(0)))
+    assert pt == ProjectivePoint.from_coords(F(0), F(1), F(0))
 
 
 def test_identical_lines_rejected():
     with pytest.raises(IntersectionError):
         intersect_pair(line(1, 0, -1), line(2, 0, -2))
+
+
+def test_unlabeled_curves_are_named_by_their_records():
+    with pytest.raises(IntersectionError) as exc:
+        intersect_pair(line(1, 0, -1), line(2, 0, -2))
+    assert str(exc.value) == "line: 1 0 -1 and line: 1 0 -1: identical curves"
 
 
 def test_line_conic_transversal():
@@ -67,7 +72,7 @@ def test_line_conic_tangent():
     assert len(pts) == 1
     pt, mult = pts[0]
     assert mult == 2
-    assert pt.same_point(ProjectivePoint.from_coords(F(0), F(1), F(1)))
+    assert pt == ProjectivePoint.from_coords(F(0), F(1), F(1))
 
 
 def test_line_conic_irrational_points():
@@ -333,8 +338,7 @@ def test_conjugate_points_compare_unequal():
 def test_clusters_are_distinct_points():
     derived = combinatorial_type(build_pencil4(k=3))
     pts = [p.location for p in derived.points]
-    for a, b in combinations(pts, 2):
-        assert not a.same_point(b)
+    assert len(set(pts)) == len(pts)
 
 
 def test_six_line_subarrangement():

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from coniclines.catalog import build_dbe_sharpness, build_pencil4
 from coniclines.curves import Arrangement, PlaneCurve, ValidationError, validate_arrangement
 from coniclines.intersect import combinatorial_type
-from coniclines.polynomials import TernaryForm
 
 
 def _signature(arrangement):
@@ -35,15 +34,15 @@ def _catalog(name):
 def _transformed(curve, m):
     """The curve Q(M v) in the coordinates v."""
     if curve.kind == "line":
-        a = curve.form.line_coefficients()
-        return PlaneCurve("line", TernaryForm.line(
-            *(sum(m[k][j] * a[k] for k in range(3)) for j in range(3))))
-    a, b, c, d, e, f = curve.form.conic_coefficients()
+        a = curve.coefficients
+        return PlaneCurve("line", [sum(m[k][j] * a[k] for k in range(3)) for j in range(3)])
+    a, b, c, d, e, f = curve.coefficients
     s = ((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c))  # the matrix of 2 Q
     t = [[sum(m[k][i] * s[k][l] * m[l][j] for k in range(3) for l in range(3))
           for j in range(3)] for i in range(3)]
-    return PlaneCurve("conic", TernaryForm.conic(
-        t[0][0] / 2, t[1][1] / 2, t[2][2] / 2, t[0][1], t[0][2], t[1][2]))
+    # the diagonal of M^T (2 Q) M is 2 Q at the columns of M: even
+    return PlaneCurve("conic", (t[0][0] // 2, t[1][1] // 2, t[2][2] // 2,
+                                t[0][1], t[0][2], t[1][2]))
 
 
 _SMALL = st.integers(-3, 3)
@@ -69,11 +68,11 @@ def _pencil_arrangements(draw):
     for s, t in params:
         values = [s * u + t * v for u, v in zip(q1, q2)]
         assume(any(values))
-        curves.append(PlaneCurve("conic", TernaryForm.conic(*values)))
+        curves.append(PlaneCurve("conic", values))
     for _ in range(draw(st.integers(0, 3))):
         values = draw(st.lists(_SMALL, min_size=3, max_size=3))
         assume(any(values))
-        curves.append(PlaneCurve("line", TernaryForm.line(*values)))
+        curves.append(PlaneCurve("line", values))
     arrangement = Arrangement(tuple(curves))
     try:
         validate_arrangement(arrangement)
