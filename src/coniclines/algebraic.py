@@ -17,9 +17,11 @@ coefficient vector in 1, b, ..., b^(n-1) over one positive integer
 denominator.  Because g is monic, a product is reduced modulo g by integer
 multiply and subtract alone: no Fraction, no gcd per operation, no modular
 inverse.  The reduced vector of an integral element is unique, so the zero
-test is the zero vector.  Only division needs an inverse; it solves the
-element's multiplication matrix by Cramer's rule over the integers, and the
-engine uses it only to normalize a point for display.
+test is the zero vector.  AlgebraicNumber is a ring type (+, -, * and ==)
+and nothing divides one.  The one division in the package is
+``NumberField.inverse``, which solves an element's multiplication matrix by
+Cramer's rule over the integers; it serves only to display a point with its
+last nonzero coordinate 1.
 
 Roots come in orbits (``root_orbits``), one per irreducible factor, and
 integers decide the factors wherever they can.  A linear or quadratic
@@ -137,10 +139,11 @@ class NumberField:
         """The root a_k = b_k / c_n of the witness, for k = ``conjugate``."""
         return self.element((0, 1) + (0,) * (self.degree - 2), self.lead, conjugate)
 
-    def _inverse(self, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    def inverse(self, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """(w, D) with (sum_i w_i b^i) / D the inverse of the nonzero
         element sum_i coeffs[i] b^i: Cramer's rule on its multiplication
-        matrix, whose column j is coeffs * b^j."""
+        matrix, whose column j is coeffs * b^j.  The zero vector raises
+        ZeroDivisionError."""
         n = self.degree
         columns, col = [], list(coeffs)
         for _ in range(n):
@@ -183,9 +186,9 @@ class AlgebraicNumber:
     When ``field`` is None, ``value`` is a Fraction.  Otherwise ``value`` is
     the integer vector in b and ``den`` the positive denominator, and some
     coefficient of b^1 .. b^(n-1) is nonzero (such a value is never
-    rational, so it is never zero).  Arithmetic mixes rationals with
-    anything, and field elements only within one field at one conjugate;
-    equality across fields or conjugates is not decided.
+    rational, so it is never zero).  Arithmetic (+, -, *; no division)
+    mixes rationals with anything, and field elements only within one field
+    at one conjugate; equality across fields or conjugates is not decided.
     """
 
     __slots__ = ("value", "den", "field", "conjugate")
@@ -287,26 +290,6 @@ class AlgebraicNumber:
         return AlgebraicNumber(tuple(field.dot((u,), (v,))), field, k, du * dv)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "AlgebraicNumber":
-        if self.is_zero:
-            raise ZeroDivisionError("division by an algebraic zero")
-        if self.field is None:
-            return AlgebraicNumber(1 / self.value)
-        w, den = self.field._inverse(self.value)
-        return AlgebraicNumber(tuple(c * self.den for c in w), self.field, self.conjugate, den)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

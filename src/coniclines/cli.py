@@ -61,9 +61,11 @@ def _fail(code: int, message: str) -> NoReturn:
 
 
 def _load_input(path: Path) -> Arrangement | CombinatorialType:
-    """An arrangement or a combinatorial type, by the file's first record."""
+    """An arrangement or a combinatorial type, by the file's first record:
+    only arrangement records hold a colon.  A UTF-8 byte-order mark is
+    skipped."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         _fail(EXIT_PARSE, f"parse error: {path} is not UTF-8 text ({exc.reason})")
     except OSError as exc:
@@ -72,7 +74,7 @@ def _load_input(path: Path) -> Arrangement | CombinatorialType:
                   for ln in text.splitlines()
                   if ln.split("#", 1)[0].strip()), "")
     try:
-        if first.startswith(("line:", "conic:")):
+        if ":" in first:
             return parse_arrangement(text)
         return parse_combinatorial_type(text)
     except ParseError as exc:

@@ -185,21 +185,21 @@ class ProjectivePoint:
     engine builds every point from integers (``from_integers``,
     ``in_field``) and never divides it.
 
-    ``coords``, the coordinates as AlgebraicNumbers, are built on first use,
-    for display and the public API; ``normalized`` divides by the last
-    nonzero coordinate (with the field inverse), and display goes through it.
-    Points compare and hash by (field, conjugate, vectors); the three are
-    never changed after construction.
+    ``coords``, the coordinates as AlgebraicNumbers, are built on each call,
+    for the public API.  Display (``repr``, ``approx``) shows the point with
+    its last nonzero coordinate 1: the other coordinates are multiplied by
+    the field inverse of that coordinate's vector, the one division in the
+    package.  Points compare and hash by (field, conjugate, vectors); the
+    three are never changed after construction.
     """
 
-    __slots__ = ("field", "conjugate", "vectors", "_coords")
+    __slots__ = ("field", "conjugate", "vectors")
 
     def __init__(self, field: NumberField | None, conjugate: int,
                  vectors: tuple[tuple[int, ...], ...]):
         self.field = field
         self.conjugate = conjugate
         self.vectors = vectors
-        self._coords = None
 
     @classmethod
     def from_integers(cls, x: int, y: int, z: int) -> "ProjectivePoint":
@@ -213,34 +213,13 @@ class ProjectivePoint:
 
     @classmethod
     def from_coords(cls, x, y, z) -> "ProjectivePoint":
-        """The point (x : y : z), normalized.  Integer or Fraction
-        coordinates are scaled to integers; AlgebraicNumber ones are divided
-        by the field inverse of the pivot."""
-        values = [v if isinstance(v, AlgebraicNumber)
-                  else AlgebraicNumber.from_rational(v) for v in (x, y, z)]
-        lead = next((c for c in values if c.field is not None), None)
-        if lead is None:
-            den = lcm(*(c.value.denominator for c in values))
-            return cls.from_integers(*(c.value.numerator * (den // c.value.denominator)
-                                       for c in values))
-        pivot = next(i for i in (2, 1, 0) if not values[i].is_zero)
-        div = values[pivot].inverse()
-        coords = [values[i] * div for i in range(pivot)]
-        coords.append(AlgebraicNumber.from_rational(1))
-        coords.extend(AlgebraicNumber.from_rational(0) for _ in range(pivot + 1, 3))
-        n = lead.field.degree
-        dens = [c.den if c.field is not None else c.value.denominator for c in coords]
-        common = lcm(*dens)
-        vectors = []
-        for c, den in zip(coords, dens):
-            scale = common // den
-            if c.field is not None:
-                vectors.append(tuple(v * scale for v in c.value))
-            else:
-                vectors.append((c.value.numerator * scale,) + (0,) * (n - 1))
-        point = cls(lead.field, lead.conjugate, tuple(vectors))
-        point._coords = tuple(coords)
-        return point
+        """The rational point (x : y : z) of int or Fraction coordinates,
+        scaled to integers."""
+        if not all(isinstance(v, (int, Fraction)) for v in (x, y, z)):
+            raise TypeError("from_coords takes int or Fraction coordinates")
+        values = [Fraction(v) for v in (x, y, z)]
+        den = lcm(*(v.denominator for v in values))
+        return cls.from_integers(*(v.numerator * (den // v.denominator) for v in values))
 
     @classmethod
     def in_field(cls, field: NumberField, vectors, conjugate: int = 0) -> "ProjectivePoint":
@@ -256,16 +235,11 @@ class ProjectivePoint:
     def coords(self) -> tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]:
         """The coordinates as AlgebraicNumbers: normalized for a rational
         point, the field elements of ``vectors`` for an irrational one."""
-        if self._coords is None:
-            field = self.field
-            if field is None:
-                pivot = next(v[0] for v in reversed(self.vectors) if v[0])
-                self._coords = tuple(AlgebraicNumber(Fraction(v[0], pivot))
-                                     for v in self.vectors)
-            else:
-                self._coords = tuple(field.element(v, conjugate=self.conjugate)
-                                     for v in self.vectors)
-        return self._coords
+        field = self.field
+        if field is None:
+            pivot = next(v[0] for v in reversed(self.vectors) if v[0])
+            return tuple(AlgebraicNumber(Fraction(v[0], pivot)) for v in self.vectors)
+        return tuple(field.element(v, conjugate=self.conjugate) for v in self.vectors)
 
     def conjugates(self) -> list["ProjectivePoint"]:
         """The points of this point's orbit, by conjugate index; this point
@@ -273,13 +247,8 @@ class ProjectivePoint:
         field = self.field
         if field is None:
             return [self]
-        orbit = [self if k == self.conjugate else ProjectivePoint(field, k, self.vectors)
-                 for k in range(field.degree)]
-        if self._coords is not None:
-            for k, point in enumerate(orbit):
-                if point is not self:
-                    point._coords = tuple(c.at_conjugate(k) for c in self._coords)
-        return orbit
+        return [self if k == self.conjugate else ProjectivePoint(field, k, self.vectors)
+                for k in range(field.degree)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectivePoint):
@@ -290,16 +259,25 @@ class ProjectivePoint:
     def __hash__(self) -> int:
         return hash((self.field, self.conjugate, self.vectors))
 
-    def normalized(self) -> "ProjectivePoint":
-        """The same point with its last nonzero coordinate 1."""
-        return ProjectivePoint.from_coords(*self.coords)
+    def _display_coords(self) -> list[AlgebraicNumber]:
+        """The coordinates divided by the last nonzero one (the pivot): each
+        vector before the pivot times the field inverse of the pivot's
+        vector, then 1, then zeros."""
+        field = self.field
+        if field is None:
+            return list(self.coords)
+        pivot = max(i for i, v in enumerate(self.vectors) if any(v))
+        inverse, den = field.inverse(self.vectors[pivot])
+        return ([field.element(field.dot((v,), (inverse,)), den, self.conjugate)
+                 for v in self.vectors[:pivot]]
+                + [AlgebraicNumber(1)] + [AlgebraicNumber(0)] * (2 - pivot))
 
     def approx(self) -> tuple[complex, complex, complex]:
-        return tuple(c.approx() for c in self.normalized().coords)
+        return tuple(c.approx() for c in self._display_coords())
 
     def __repr__(self) -> str:
         parts = []
-        for c in self.normalized().coords:
+        for c in self._display_coords():
             if c.is_rational:
                 parts.append(format_rational(c.as_fraction()))
             else:

@@ -361,6 +361,21 @@ def test_analyze_malformed_input(tmp_path, text, code):
     _assert_clean_exit(run("analyze", str(target)), code)
 
 
+@pytest.mark.parametrize("data, code, message", [
+    (b"line : 1 0 -1\nconic: 1 1 -1 0 0 0\n", 0, "type: d=1 lines, k=1 conics"),
+    (b"\xef\xbb\xbfline: 1 0 -1\nconic: 1 1 -1 0 0 0\n", 0, "type: d=1 lines, k=1 conics"),
+    (b"\xef\xbb\xbfd=2 k=1\nt 2 = 1\n", 0, "type: d=2 lines, k=1 conics"),
+    (b"foo: 1 2 3\n", EXIT_PARSE, "parse error: line 1: unknown record 'foo'"),
+], ids=["space-before-colon", "bom-arrangement", "bom-type", "unknown-record"])
+def test_analyze_picks_the_format_like_the_parser(tmp_path, data, code, message):
+    # a colon marks an arrangement record, and parse_arrangement judges its head
+    target = tmp_path / "input.txt"
+    target.write_bytes(data)
+    result = run("analyze", str(target))
+    assert result.exit_code == code, result.output
+    assert message in result.output
+
+
 def test_analyze_repeated_type_count(tmp_path):
     target = tmp_path / "twice.txt"
     target.write_text("d=2 k=1\nt 2 = 1\nt 2 = 5\n")

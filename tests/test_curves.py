@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coniclines.algebraic import root_orbits
+from coniclines.algebraic import NumberField, root_orbits
 from coniclines.catalog import catalog_get, catalog_list
 from coniclines.curves import (
     Arrangement,
@@ -287,6 +287,26 @@ def test_projective_point_normalization():
         ProjectivePoint.from_coords(F(0), F(0), F(0))
 
 
+def test_from_coords_takes_only_ints_and_fractions():
+    root = NumberField([-2, 0, 1]).generator()
+    for coords in ((root, F(0), F(1)), (F(1), F(2), root + 1), (0.5, 1, 1)):
+        with pytest.raises(TypeError):
+            ProjectivePoint.from_coords(*coords)
+
+
+@pytest.mark.parametrize("witness, vectors, text", [
+    # a purely imaginary quotient keeps its real part exactly 0
+    ([3, 0, 1], ((0, 1), (0, 0), (3, 0)), "(~0-0.5774j : 0 : 1)"),
+    # a rational quotient of irrational vectors prints exactly
+    ([3, 0, 1], ((1, 1), (0, 0), (2, 2)), "(1/2 : 0 : 1)"),
+    # z = 0, so y is the pivot
+    ([-2, 0, 1], ((0, 1), (1, 0), (0, 0)), "(~-1.414+0j : 1 : 0)"),
+], ids=["imaginary", "rational-quotient", "pivot-y"])
+def test_display_divides_by_the_pivot_exactly(witness, vectors, text):
+    point = ProjectivePoint(NumberField(witness), 0, vectors)
+    assert repr(point) == text
+
+
 _COORD = st.integers(-40, 40) | st.sampled_from([0, 0, 1, -1])
 
 
@@ -339,13 +359,12 @@ def _irrational_points(draw):
 @settings(max_examples=100, deadline=None)
 @given(_irrational_points())
 def test_conjugates_share_vectors(point):
-    for p in (point, point.normalized()):
-        orbit = p.conjugates()
-        assert len(orbit) == p.field.degree and orbit[p.conjugate] is p
-        for k, conj in enumerate(orbit):
-            assert conj.conjugate == k and conj.field == p.field
-            assert conj.vectors is p.vectors
-            assert conj.coords == tuple(c.at_conjugate(k) for c in p.coords)
+    orbit = point.conjugates()
+    assert len(orbit) == point.field.degree and orbit[point.conjugate] is point
+    for k, conj in enumerate(orbit):
+        assert conj.conjugate == k and conj.field == point.field
+        assert conj.vectors is point.vectors
+        assert conj.coords == tuple(c.at_conjugate(k) for c in point.coords)
 
 
 def test_projective_point_equality_is_projective():
