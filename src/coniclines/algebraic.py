@@ -3,11 +3,9 @@
 Every irrational number the engine meets is born as a root of an
 irreducible factor f of a univariate integer polynomial (a line-conic
 quadratic or an eliminated conic-conic quartic).  It then lives in the
-number field Q[a]/(f): an AlgebraicNumber is a rational, or a field element
-together with the index k of the conjugate root a_k of f it is evaluated
-at.  The deg f conjugates share one exact representation; anything decided
-by field arithmetic (zero tests, incidence, tangency) holds for all of them
-at once.
+number field Q[a]/(f), a ``NumberField``.  The deg f conjugates share one
+exact representation, an integer vector; anything decided by field
+arithmetic (zero tests, incidence, tangency) holds for all of them at once.
 
 Field arithmetic is integer arithmetic.  For the primitive integer witness
 f = c_n a^n + ... + c_0, the number b = c_n a is a root of the monic integer
@@ -17,14 +15,19 @@ coefficient vector in 1, b, ..., b^(n-1) over one positive integer
 denominator.  Because g is monic, a product is reduced modulo g by integer
 multiply and subtract alone: no Fraction, no gcd per operation, no modular
 inverse.  The reduced vector of an integral element is unique, so the zero
-test is the zero vector.  AlgebraicNumber is a ring type (+, -, * and ==)
-and nothing divides one.  The one division in the package is
-``NumberField.inverse``, which solves an element's multiplication matrix by
-Cramer's rule over the integers; it serves only to display a point with its
-last nonzero coordinate 1.
+test is the zero vector.  The engine computes on these vectors alone.  The
+one division in the package is ``NumberField.inverse``, which solves an
+element's multiplication matrix by Cramer's rule over the integers; it
+serves only to display a point with its last nonzero coordinate 1.
 
-Roots come in orbits (``root_orbits``), one per irreducible factor, and
-integers decide the factors wherever they can.  A linear or quadratic
+An AlgebraicNumber is a rational, or a field element together with the
+index k of the conjugate root a_k of f it is evaluated at.  It is the value
+type of point coordinates and tangent lines for display and the public API:
+it compares by value and approximates itself, and has no arithmetic.
+
+Roots come in orbits (``root_orbits``), one per irreducible factor: a
+rational root as a Fraction, or the NumberField of a factor of degree >= 2.
+Integers decide the factors wherever they can.  A linear or quadratic
 polynomial is split by the integer square root of its discriminant.  A
 cubic or quartic is a single orbit when a modular certificate proves it
 irreducible: its factor degrees modulo a few fixed small primes leave no
@@ -135,10 +138,6 @@ class NumberField:
         """The number (sum_i coeffs[i] b^i) / den at conjugate k."""
         return AlgebraicNumber(tuple(coeffs), self, conjugate, den)
 
-    def generator(self, conjugate: int = 0) -> "AlgebraicNumber":
-        """The root a_k = b_k / c_n of the witness, for k = ``conjugate``."""
-        return self.element((0, 1) + (0,) * (self.degree - 2), self.lead, conjugate)
-
     def inverse(self, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """(w, D) with (sum_i w_i b^i) / D the inverse of the nonzero
         element sum_i coeffs[i] b^i: Cramer's rule on its multiplication
@@ -181,14 +180,15 @@ class NumberField:
 
 
 class AlgebraicNumber:
-    """A rational, or a field element at the conjugate root a_k.
+    """A rational, or a field element at the conjugate root a_k, for
+    display and the public API; the engine builds none.
 
     When ``field`` is None, ``value`` is a Fraction.  Otherwise ``value`` is
     the integer vector in b and ``den`` the positive denominator, and some
     coefficient of b^1 .. b^(n-1) is nonzero (such a value is never
-    rational, so it is never zero).  Arithmetic (+, -, *; no division)
-    mixes rationals with anything, and field elements only within one field
-    at one conjugate; equality across fields or conjugates is not decided.
+    rational, so it is never zero).  There is no arithmetic.  Numbers
+    compare (==) and hash by value, also against int and Fraction; equality
+    across fields or conjugates is not decided.
     """
 
     __slots__ = ("value", "den", "field", "conjugate")
@@ -205,12 +205,6 @@ class AlgebraicNumber:
         self.field = field
         self.conjugate = conjugate
 
-    @classmethod
-    def from_rational(cls, value) -> "AlgebraicNumber":
-        return cls(value)
-
-    # -- predicates ---------------------------------------------------------
-
     @property
     def is_rational(self) -> bool:
         return self.field is None
@@ -220,80 +214,10 @@ class AlgebraicNumber:
             raise ValueError("not a rational number")
         return self.value
 
-    @property
-    def is_zero(self) -> bool:
-        return self.field is None and self.value == 0
-
-    def at_conjugate(self, conjugate: int) -> "AlgebraicNumber":
-        """The same field element evaluated at another conjugate root."""
-        if self.field is None:
-            return self
-        return AlgebraicNumber(self.value, self.field, conjugate, self.den)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _operands(self, other):
-        """(field, conjugate, (vector, den) of self, (vector, den) of other)
-        in the common field of two numbers, at least one irrational."""
-        if self.field is not None and other.field is not None and (
-                self.field != other.field or self.conjugate != other.conjugate):
-            raise ValueError("the numbers lie in different fields or conjugates")
-        lead = self if self.field is not None else other
-        n = lead.field.degree
-        return lead.field, lead.conjugate, self._vector(n), other._vector(n)
-
-    def _vector(self, n: int) -> tuple[tuple[int, ...], int]:
-        if self.field is not None:
-            return self.value, self.den
-        return (self.value.numerator,) + (0,) * (n - 1), self.value.denominator
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field is None and other.field is None:
-            return AlgebraicNumber(self.value + other.value)
-        field, k, (u, du), (v, dv) = self._operands(other)
-        if du == dv:
-            return AlgebraicNumber(tuple(a + b for a, b in zip(u, v)), field, k, du)
-        return AlgebraicNumber(tuple(a * dv + b * du for a, b in zip(u, v)), field, k, du * dv)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.field is None:
-            return AlgebraicNumber(-self.value)
-        return AlgebraicNumber(tuple(-c for c in self.value), self.field, self.conjugate, self.den)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field is None and other.field is None:
-            return AlgebraicNumber(self.value * other.value)
-        field, k, (u, du), (v, dv) = self._operands(other)
-        if self.field is None or other.field is None:
-            scalar, vector = (u[0], v) if self.field is None else (v[0], u)
-            return AlgebraicNumber(tuple(scalar * c for c in vector), field, k, du * dv)
-        return AlgebraicNumber(tuple(field.dot((u,), (v,))), field, k, du * dv)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self.field is None and self.value == other
+        if not isinstance(other, AlgebraicNumber):
             return NotImplemented
         if self.field is None or other.field is None:
             return self.field is other.field and self.value == other.value
@@ -339,24 +263,16 @@ class AlgebraicNumber:
         return f"AlgebraicNumber(~{v.real:.6g}{v.imag:+.6g}j)"
 
 
-def _coerce(value):
-    if isinstance(value, AlgebraicNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return AlgebraicNumber(value)
-    return NotImplemented
-
-
 # The primes of the irreducibility certificate, tried in this order.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def root_orbits(coeffs: Sequence[int]) -> list[tuple[AlgebraicNumber, int]]:
+def root_orbits(coeffs: Sequence[int]) -> list[tuple[Fraction | NumberField, int]]:
     """One root per irreducible factor of a nonzero integer polynomial
     (coefficients lowest degree first), with the factor's multiplicity.
 
-    A linear factor gives its rational root; a factor f of degree >= 2 gives
-    the generator of Q[a]/(f) at conjugate 0, which stands for all deg f
+    A linear factor gives its rational root as a Fraction; a factor f of
+    degree >= 2 gives its NumberField Q[a]/(f), which stands for all deg f
     roots of f.  Factors come in sympy's order (degree, then multiplicity,
     then coefficients); the roots counted with degree and multiplicity
     number the degree of the polynomial.
@@ -377,29 +293,29 @@ def root_orbits(coeffs: Sequence[int]) -> list[tuple[AlgebraicNumber, int]]:
     if n == 0:
         return []
     if n == 1:
-        return [(AlgebraicNumber(Fraction(-f[0], f[1])), 1)]
+        return [(Fraction(-f[0], f[1]), 1)]
     if n == 2:
         c, b, a = f
         disc = b * b - 4 * a * c
         root = isqrt(disc) if disc >= 0 else -1
         if root * root == disc:
             if root == 0:
-                return [(AlgebraicNumber(Fraction(-b, 2 * a)), 2)]
+                return [(Fraction(-b, 2 * a), 2)]
             # the primitive factor of p/q is q x - p: sympy sorts by q, then -p
             roots = sorted((Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)),
                            key=lambda r: (r.denominator, -r.numerator))
-            return [(AlgebraicNumber(r), 1) for r in roots]
-        return [(NumberField(f).generator(), 1)]
+            return [(r, 1) for r in roots]
+        return [(NumberField(f), 1)]
     if n <= 4 and _certified_irreducible(f):
-        return [(NumberField(f).generator(), 1)]
+        return [(NumberField(f), 1)]
     out = []
     _content, factors = sp.Poly(list(reversed(f)), _X, domain="ZZ").factor_list()
     for factor_sp, mult in factors:
         factor = [int(c) for c in reversed(factor_sp.rep.to_list())]
         if len(factor) == 2:
-            out.append((AlgebraicNumber(Fraction(-factor[0], factor[1])), int(mult)))
+            out.append((Fraction(-factor[0], factor[1]), int(mult)))
         else:
-            out.append((NumberField(factor).generator(), int(mult)))
+            out.append((NumberField(factor), int(mult)))
     return out
 
 

@@ -49,10 +49,16 @@ def _pencil_conic(t: Fraction, label: str) -> PlaneCurve:
     return PlaneCurve("conic", (1, t, -(1 + t), 0, 0, 0), label)
 
 
-def build_pencil4(k: int = 3, t: Sequence = (1, 2, 3)) -> Arrangement:
+def build_pencil4(k: int | None = None, t: Sequence | None = None) -> Arrangement:
     """Two lines x = +-z plus k members of the conic pencil through the four
-    base points (+-1 : +-1 : 1)."""
+    base points (+-1 : +-1 : 1), at the parameters t.  Without t the
+    parameters are 1..k, and without k there are len(t) conics; without
+    both, k = 3."""
+    if t is None:
+        t = range(1, (3 if k is None else k) + 1)
     t = [Fraction(v) for v in t]
+    if k is None:
+        k = len(t)
     if k < 1 or len(t) != k:
         raise ValidationError("need exactly k distinct pencil parameters")
     if len(set(t)) != k:
@@ -136,7 +142,8 @@ def _entries() -> list[CatalogEntry]:
             provenance="pencil-type arrangement: 2 lines and k pencil conics "
                        "through 4 base points (stored type is the k=3 default)",
             builder=build_pencil4,
-            parameters="k: int = 3, t: k distinct rationals not in {0, -1}"),
+            parameters="k: int = len(t), or 3; t: k distinct rationals not in "
+                       "{0, -1}, by default 1..k"),
         CatalogEntry(
             name="dbe-sharpness", kind="geometric",
             ct=ct(d=6, k=3, t={6: 4, 2: 3}),

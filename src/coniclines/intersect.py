@@ -48,6 +48,7 @@ Pair multiplicities always sum to the product of the curve degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .algebraic import AlgebraicNumber, NumberField, root_orbits
@@ -166,15 +167,15 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
     quad_b = _conic_value(conic, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
     points: PairResult = []
     if quad_a != 0:
-        for s, mult in root_orbits([quad_c, quad_b, quad_a]):
-            if s.is_rational:
-                # s = num / den, so s*P0 + P1 is the point num*P0 + den*P1
-                num, den = s.as_fraction().as_integer_ratio()
+        for root, mult in root_orbits([quad_c, quad_b, quad_a]):
+            if isinstance(root, Fraction):
+                # the root s = num / den: s*P0 + P1 is the point num*P0 + den*P1
+                num, den = root.as_integer_ratio()
                 points.append((ProjectivePoint.from_integers(
                     *(num * p0[i] + den * p1[i] for i in range(3))), mult))
                 continue
-            # s = b / c_n, so s*P0 + P1 is the point b*P0 + c_n*P1
-            field = s.field
+            # the root s = b / c_n: s*P0 + P1 is the point b*P0 + c_n*P1
+            field = root
             zeros = (0,) * (field.degree - 2)
             vectors = tuple((field.lead * p1[i], p0[i], *zeros) for i in range(3))
             points.append((ProjectivePoint.in_field(field, vectors), mult))
@@ -252,12 +253,12 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
     degree = max(i for i, c in enumerate(quartic) if c)
     if degree < 4:
         points.append((rational_point(1, 0), 4 - degree))
-    for y, mult in root_orbits(quartic):
-        if y.is_rational:
-            points.append((rational_point(*y.as_fraction().as_integer_ratio()), mult))
+    for root, mult in root_orbits(quartic):
+        if isinstance(root, Fraction):
+            points.append((rational_point(*root.as_integer_ratio()), mult))
         else:
             # at (y : z) = (b : c_n), times c_n^2: polynomials in b of degree <= 2
-            field, c = y.field, y.field.lead
+            field, c = root, root.lead
             x = field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]])
             y = field.reduce([0, lin1[0] * c, lin1[1]])
             z = field.reduce([lin1[0] * c * c, lin1[1] * c])
@@ -323,7 +324,7 @@ def _verify_on_both(curves, point: ProjectivePoint) -> None:
 
 def _element(field: NumberField | None, conjugate: int, vector: list[int]) -> AlgebraicNumber:
     if field is None:
-        return AlgebraicNumber.from_rational(vector[0])
+        return AlgebraicNumber(vector[0])
     return field.element(vector + [0] * (field.degree - len(vector)), conjugate=conjugate)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .curves import CombinatorialType
 from .invariants import bezout_defect, check_urzua, log_chern
@@ -23,26 +23,20 @@ def pair_total(d: int, k: int) -> int:
     return 4 * comb(k, 2) + comb(d, 2) + 2 * k * d
 
 
-def enumerate_types(d: int, k: int, max_mult: int,
-                    extra_filters: Iterable[Callable[[CombinatorialType], bool]] = ()
-                    ) -> Iterator[CombinatorialType]:
+def enumerate_types(d: int, k: int, max_mult: int) -> Iterator[CombinatorialType]:
     """All t-vectors with sum C(r,2) t_r = 4*C(k,2) + C(d,2) + 2kd over
     2 <= r <= max_mult, in ascending lexicographic order of
-    (t_max_mult, ..., t_2); every filter must accept the type."""
+    (t_max_mult, ..., t_2)."""
     if d < 0 or k < 0:
         raise ValueError("d and k must be nonnegative")
     if max_mult > k + d:
         raise ValueError("max_mult cannot exceed the number of curves")
-    filters = tuple(extra_filters)
     total = pair_total(d, k)
 
     def rec(r: int, remaining: int, acc: dict[int, int]) -> Iterator[CombinatorialType]:
         if r == 2:
             acc[2] = remaining  # C(2,2) = 1 absorbs the remainder exactly
-            ct = CombinatorialType(d=d, k=k,
-                                   t={m: n for m, n in acc.items() if n})
-            if all(f(ct) for f in filters):
-                yield ct
+            yield CombinatorialType(d=d, k=k, t={m: n for m, n in acc.items() if n})
             return
         weight = comb(r, 2)
         for count in range(remaining // weight + 1):
@@ -52,9 +46,7 @@ def enumerate_types(d: int, k: int, max_mult: int,
 
     if max_mult < 2:
         if total == 0:
-            ct = CombinatorialType(d=d, k=k, t={})
-            if all(f(ct) for f in filters):
-                yield ct
+            yield CombinatorialType(d=d, k=k, t={})
         return
     yield from rec(max_mult, total, {})
 
@@ -77,7 +69,8 @@ class ExtremalResult:
 def extremal_slopes(types: Iterable[CombinatorialType]) -> ExtremalResult:
     """Minimum and maximum exact log-Chern slope over an enumeration.
 
-    Types with log c2 = 0 have no slope; they are skipped and counted."""
+    Types with log c2 = 0 have no slope; they are skipped and counted.  An
+    empty enumeration, or one with no slope, raises ValueError."""
     lo = hi = None
     considered = skipped = 0
     for ct in types:
@@ -92,6 +85,8 @@ def extremal_slopes(types: Iterable[CombinatorialType]) -> ExtremalResult:
         if hi is None or slope > hi.slope:
             hi = SlopeWitness(ct, slope)
     if lo is None:
+        if not skipped:
+            raise ValueError("no type was enumerated")
         raise ValueError("every enumerated type had log c2 = 0")
     return ExtremalResult(minimum=lo, maximum=hi,
                           considered=considered, skipped_zero_c2=skipped)

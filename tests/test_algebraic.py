@@ -23,8 +23,10 @@ def conjugate_values(p):
     """Numeric values of all roots of p, each orbit expanded, with mults."""
     out = []
     for root, mult in root_orbits(p):
-        degree = root.field.degree if root.field is not None else 1
-        out += [(root.at_conjugate(k).approx(), mult) for k in range(degree)]
+        if isinstance(root, F):
+            out.append((complex(root), mult))
+        else:
+            out += [(_generator(root, k).approx(), mult) for k in range(root.degree)]
     return out
 
 
@@ -40,22 +42,36 @@ def _product(*factors):
     return out
 
 
-def sqrt2():
-    field = NumberField([-2, 0, 1])
-    return max((field.generator(k) for k in (0, 1)), key=lambda r: r.approx().real)
+def _generator(field, conjugate=0):
+    """The root a_k = b_k / c_n of the witness, for k = ``conjugate``."""
+    return field.element((0, 1) + (0,) * (field.degree - 2), field.lead, conjugate)
+
+
+def _scaled_value(field, p):
+    """The reduced vector of c_n^D p(b / c_n) = c_n^D p(a), for p in a with
+    integer coefficients (lowest first) and D = deg p."""
+    top = len(p) - 1
+    return field.reduce([c * field.lead ** (top - i) for i, c in enumerate(p)])
+
+
+def _is_root(field, p):
+    """Is p(a) = 0 in the field?  The zero test is the zero vector."""
+    return not any(_scaled_value(field, p))
+
+
+SQRT2 = NumberField([-2, 0, 1])
+# the conjugate of SQRT2 at which its generator is the positive root
+PLUS = max((0, 1), key=lambda k: _generator(SQRT2, k).approx().real)
 
 
 def test_isolate_sqrt2():
     orbits = root_orbits([-2, 0, 1])
-    assert len(orbits) == 1
-    root, mult = orbits[0]
-    assert mult == 1 and root.field.witness == (-2, 0, 1)
+    assert orbits == [(SQRT2, 1)]
     values = sorted(v.real for v, _m in conjugate_values([-2, 0, 1]))
     assert values[0] == pytest.approx(-1.41421356, abs=1e-6)
     assert values[1] == pytest.approx(1.41421356, abs=1e-6)
     # the conjugates are one exact element at two roots
-    assert root.at_conjugate(1).value == root.value
-    assert root.at_conjugate(0).approx() != root.at_conjugate(1).approx()
+    assert _generator(SQRT2, 0).approx() != _generator(SQRT2, 1).approx()
 
 
 def test_isolate_conjugate_pair():
@@ -66,10 +82,8 @@ def test_isolate_conjugate_pair():
 
 def test_isolate_repeated_root():
     roots = root_orbits([1, -2, 1])  # (x - 1)^2
-    assert len(roots) == 1
-    num, mult = roots[0]
-    assert mult == 2
-    assert num.is_rational and num.as_fraction() == 1
+    assert roots == [(1, 2)]
+    assert isinstance(roots[0][0], F)
 
 
 def test_isolate_multiplicities_sum_to_degree():
@@ -85,52 +99,58 @@ def test_isolate_zero_rejected():
 
 
 def test_alg_equal_rationals():
-    assert AlgebraicNumber.from_rational(F(1, 2)) == AlgebraicNumber.from_rational(F(1, 2))
-    assert AlgebraicNumber.from_rational(F(1, 2)) != AlgebraicNumber.from_rational(F(1, 3))
-    assert AlgebraicNumber.from_rational(F(1, 2)) == F(1, 2)
+    assert AlgebraicNumber(F(1, 2)) == AlgebraicNumber(F(1, 2))
+    assert AlgebraicNumber(F(1, 2)) != AlgebraicNumber(F(1, 3))
+    assert AlgebraicNumber(F(1, 2)) == F(1, 2)
+    assert AlgebraicNumber(3) == 3 and AlgebraicNumber(3) != F(1, 3)
+    # a field vector with no irrational part is its rational
+    assert SQRT2.element((3, 0), 6) == F(1, 2)
+    assert hash(SQRT2.element((3, 0), 6)) == hash(F(1, 2))
 
 
 def test_alg_equal_opposite_square_roots():
-    plus = sqrt2()
-    minus = -plus
+    plus = SQRT2.element((0, 1), conjugate=PLUS)
+    minus = SQRT2.element((0, -1), conjugate=PLUS)
     assert plus != minus
-    assert plus == -minus
-    assert (minus * minus - 2).is_zero
+    assert plus == SQRT2.element((0, 2), 2, PLUS)
+    assert plus != 1 and plus != F(3, 2)
+    # (-sqrt2)^2 - 2 reduces to the zero vector
+    assert SQRT2.dot([(0, -1), (-2, 0)], [(0, -1), (1, 0)]) == [0, 0]
     assert minus.approx().real == pytest.approx(-2 ** 0.5)
 
 
 def test_alg_equal_is_an_equivalence_relation():
     # exact equality of rationals and of elements of one field at one conjugate
-    root = sqrt2()
-    values = [root, -root, root * root - 1, root + 1, (root * 2 + 2) * F(1, 2),
-              AlgebraicNumber.from_rational(0), AlgebraicNumber.from_rational(1)]
+    element = SQRT2.element
+    values = [element((0, 1)), element((0, -1)), element((1, 0)), element((1, 1)),
+              element((2, 2), 2), AlgebraicNumber(0), AlgebraicNumber(1), element((4, 0), 4)]
     for a in values:
         assert a == a
     for a, b in product(values, repeat=2):
         assert (a == b) == (b == a)
+        if a == b:
+            assert hash(a) == hash(b)
     for a, b, c in product(values, repeat=3):
         if a == b and b == c:
             assert a == c
-    assert root + 1 == (root * 2 + 2) * F(1, 2)
-    assert root * root - 1 == AlgebraicNumber.from_rational(1)
+    assert element((1, 1)) == element((2, 2), 2)
+    assert element((4, 0), 4) == AlgebraicNumber(1)
 
 
 def test_equality_across_conjugates_is_not_decided():
-    field = NumberField([-2, 0, 1])
     with pytest.raises(ValueError):
-        field.generator(0) == field.generator(1)
+        _generator(SQRT2, 0) == _generator(SQRT2, 1)
     with pytest.raises(ValueError):
-        field.generator(0) + field.generator(1)
+        _generator(SQRT2) == _generator(NumberField([-3, 0, 1]))
 
 
 def test_arithmetic_and_zero_detection():
-    root = sqrt2()
-    assert (root * root - 2).is_zero
-    assert not (root - 1).is_zero
-    # (sqrt2+1)/(sqrt2-1) = 3 + 2 sqrt2
-    ratio = 3 + 2 * root
-    assert ratio * (root - 1) == root + 1
-    assert ratio.approx().real == pytest.approx(3 + 2 * 2 ** 0.5)
+    assert _is_root(SQRT2, [-2, 0, 1])
+    assert not _is_root(SQRT2, [-1, 1])
+    # (sqrt2+1)/(sqrt2-1) = 3 + 2 sqrt2: (3 + 2b)(b - 1) = b + 1
+    assert SQRT2.dot([(3, 2)], [(-1, 1)]) == [1, 1]
+    assert SQRT2.element((3, 2), conjugate=PLUS).approx().real == \
+        pytest.approx(3 + 2 * 2 ** 0.5)
 
 
 def test_isolate_rescaled_sympy_roots():
@@ -139,14 +159,15 @@ def test_isolate_rescaled_sympy_roots():
     imags = sorted(v.imag for v, _m in conjugate_values([4, 0, 1]))
     assert imags[0] == pytest.approx(-2.0, abs=1e-9)
     assert imags[1] == pytest.approx(2.0, abs=1e-9)
-    for r, _m in roots:
-        assert (r * r + 4).is_zero
+    for field, _m in roots:
+        assert _is_root(field, [4, 0, 1])
 
 
 def test_minpoly_of_combination():
-    half = sqrt2() * F(1, 2)
-    # sqrt2 / 2 is a root of 2x^2 - 1 and of no rational linear polynomial
-    assert (2 * half * half - 1).is_zero
+    # sqrt2 / 2 is a root of 2x^2 - 1 and of no rational linear polynomial:
+    # 2 (b/2)^2 - 1 is zero iff its numerator 2 b^2 - 4 is
+    half = SQRT2.element((0, 1), 2, PLUS)
+    assert SQRT2.dot([(0, 2), (-4, 0)], [(0, 1), (1, 0)]) == [0, 0]
     assert not half.is_rational
     assert half.approx().real == pytest.approx(2 ** 0.5 / 2)
 
@@ -159,7 +180,7 @@ def test_approx_survives_cancellation():
     p, q = 1, 1
     while q < 10 ** 14:
         p, q = p + 2 * q, p + q
-    value = sqrt2() - F(p, q)
+    value = SQRT2.element((-p, q), q, PLUS)
     with mpmath.workdps(80):
         expected = float(mpmath.sqrt(2) - mpmath.mpf(p) / q)
     assert abs(expected) < 1e-28
@@ -182,25 +203,26 @@ def _witnesses(draw):
     return field
 
 
-def _elements(field):
-    """Field elements (random integer vectors in b over a random positive
-    denominator) and rationals."""
-    vector = st.lists(st.integers(-30, 30), min_size=field.degree, max_size=field.degree)
+def _vectors(field):
+    """Integer vectors in b of length deg f: field elements, and rationals
+    as their first entry alone."""
+    n = field.degree
     return st.one_of(
-        st.builds(field.element, vector, st.integers(1, 12)),
-        st.builds(lambda p, q: AlgebraicNumber.from_rational(F(p, q)),
-                  st.integers(-9, 9), st.integers(1, 5)))
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+        st.builds(lambda c: [c] + [0] * (n - 1), st.integers(-9, 9)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_ring_laws(data):
     field = data.draw(_witnesses())
-    x, y, z = (data.draw(_elements(field)) for _ in range(3))
-    assert (x * y) * z == x * (y * z)
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x * y == y * x and x + y == y + x
+    x, y, z = (data.draw(_vectors(field)) for _ in range(3))
+    one = [1] + [0] * (field.degree - 1)
+    dot = field.dot
+    assert dot([dot([x], [y])], [z]) == dot([x], [dot([y], [z])])
+    assert dot([x], [[u + v for u, v in zip(y, z)]]) == dot([x, x], [y, z])
+    assert dot([x], [y]) == dot([y], [x])
+    assert dot([x], [one]) == x
 
 
 def _mp_values(field, p, dps=60):
@@ -228,16 +250,14 @@ def test_kernel_zero_test_agrees_with_numerics(data):
         for j, fj in enumerate(f):
             p[i + j] += qi * fj
     p = [pi + (r[i] if i < n else 0) for i, pi in enumerate(p)]
-    a = field.generator()
-    value = AlgebraicNumber.from_rational(0)
-    for c in reversed(p):
-        value = value * a + c
+    vector = _scaled_value(field, p)
     numeric = _mp_values(field, p)
     scale = max(1, *(abs(c) for c in p)) * max(1, *(abs(root) for root in field.roots(60))) ** len(p)
-    assert value.is_zero == all(abs(v) < scale * 1e-40 for v in numeric)
-    assert value.is_zero == (not any(r))
+    assert (not any(vector)) == all(abs(v) < scale * 1e-40 for v in numeric)
+    assert (not any(vector)) == (not any(r))
     for k, v in enumerate(numeric):
-        assert abs(complex(v) - value.at_conjugate(k).approx()) <= 1e-9 * max(1, abs(complex(v)))
+        value = field.element(vector, field.lead ** (len(p) - 1), k)
+        assert abs(complex(v) - value.approx()) <= 1e-9 * max(1, abs(complex(v)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +269,7 @@ def test_kernel_inverse(data):
     assume(any(v))
     w, den = field.inverse(v)
     assert den > 0
-    assert field.element(v) * field.element(w, den) == 1
+    assert field.dot([v], [w]) == [den] + [0] * (field.degree - 1)
     with pytest.raises(ZeroDivisionError):
         field.inverse([0] * field.degree)
 
@@ -266,16 +286,14 @@ def _sympy_factors(coeffs):
 
 def _orbit_factors(orbits):
     """The primitive factor of each orbit: q x - p for a rational root p/q,
-    else the witness, whose generator at conjugate 0 the orbit must be."""
+    else the witness of its field."""
     out = []
     for root, mult in orbits:
-        if root.is_rational:
-            value = root.as_fraction()
-            out.append(((-value.numerator, value.denominator), mult))
+        if isinstance(root, F):
+            out.append(((-root.numerator, root.denominator), mult))
         else:
-            field = root.field
-            assert root == field.generator(0)
-            out.append((field.witness, mult))
+            assert isinstance(root, NumberField)
+            out.append((root.witness, mult))
     return out
 
 

@@ -147,6 +147,27 @@ def test_export_writes_coprime_integers(tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("args, k, text", [
+    (["--k", "5"], 5, None),
+    (["--t", "1,2"], 2, "line: 1 0 -1\nline: 1 0 1\nconic: 1 1 -2 0 0 0\nconic: 1 2 -3 0 0 0\n"),
+    (["--k", "3", "--t", "1,2"], None, None),
+], ids=["k-alone", "t-alone", "k-and-t-disagree"])
+def test_export_pencil4_with_one_of_k_and_t(tmp_path, args, k, text):
+    # --k alone takes t = 1..k, --t alone takes k = len(t)
+    target = tmp_path / "pencil.txt"
+    result = run("catalog", "export", "pencil4", str(target), *args)
+    if k is None:
+        _assert_clean_exit(result, EXIT_VALIDATION)
+        assert "need exactly k distinct pencil parameters" in result.output
+        assert not target.exists()
+        return
+    assert result.exit_code == 0, result.output
+    if text is not None:
+        assert target.read_text() == text
+    data = json.loads(run("analyze", str(target), "--json").output)
+    assert data["k"] == k and data["t"] == {"2": 1, str(k + 1): 4}
+
+
 def test_export_degenerate_parameters(tmp_path):
     target = tmp_path / "bad.txt"
     result = run("catalog", "export", "pencil4", str(target),
@@ -208,6 +229,13 @@ def test_search_extremal():
     assert "min slope 0" in result.output
     assert "max slope 1/2" in result.output
     assert "not necessarily realizable" in result.output
+
+
+def test_search_extremal_of_an_empty_enumeration():
+    # two lines meet in a double point, so max_mult 1 enumerates no type
+    result = run("search", "--d", "2", "--k", "0", "--max-mult", "1", "--extremal")
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert result.output.strip() == "Error: no type was enumerated"
 
 
 def test_search_requires_dimensions():

@@ -18,6 +18,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
 
+from coniclines.algebraic import AlgebraicNumber
 from coniclines.catalog import build_pencil4, catalog_get, catalog_list
 from coniclines.curves import Arrangement, PlaneCurve, ValidationError, validate_arrangement
 from coniclines.intersect import combinatorial_type, intersect_pair
@@ -129,6 +130,25 @@ def test_engine_matches_golden():
     assert [name for name, _arr in inputs] == list(golden)
     for name, arr in inputs:
         assert summary(arr) == golden[name], name
+
+
+def test_engine_builds_no_algebraic_number(monkeypatch):
+    # the engine computes on integer vectors alone; AlgebraicNumber is built
+    # only for display and the public API
+    arrangements = [catalog_get(name).build() for name in catalog_list()
+                    if catalog_get(name).builder is not None]
+    arrangements += criterion6_corpus(seed=1)
+    expected = [[repr(p.location) for p in combinatorial_type(arr).points]
+                for arr in arrangements]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the engine built an AlgebraicNumber")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraicNumber, "__init__", refuse)
+        derived = [combinatorial_type(arr) for arr in arrangements]
+    assert any(p.location.field is not None for d in derived for p in d.points)
+    assert [[repr(p.location) for p in d.points] for d in derived] == expected
 
 
 if __name__ == "__main__":

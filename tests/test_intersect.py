@@ -80,8 +80,11 @@ def test_line_conic_irrational_points():
     pts = intersect_pair(line(1, 0, 0), conic(1, 1, -2, 0, 0, 0))
     assert sum(m for _p, m in pts) == 2
     for p, _m in pts:
-        y = p.coords[1]
-        assert (y * y - 2).is_zero
+        # x = 0, and y^2 = 2 z^2 with y / z irrational
+        x, y, z = p.vectors
+        assert p.field is not None and not any(x)
+        assert p.field.dot([y, z], [y, [-2 * c for c in z]]) == [0] * p.field.degree
+        assert abs(p.approx()[1]) == pytest.approx(2 ** 0.5)
 
 
 def test_conic_conic_pencil_base_points():

@@ -54,12 +54,6 @@ def test_enumerate_every_type_is_balanced():
         assert bezout_defect(ct) == 0
 
 
-def test_enumerate_filters():
-    no_triples = list(enumerate_types(d=2, k=1, max_mult=3,
-                                      extra_filters=[lambda ct: ct.t_of(3) == 0]))
-    assert no_triples == [CombinatorialType(d=2, k=1, t={2: 5})]
-
-
 def test_enumerate_argument_checks():
     with pytest.raises(ValueError):
         list(enumerate_types(d=-1, k=1, max_mult=2))
@@ -82,8 +76,11 @@ def test_extremal_slopes_counts_undefined():
     square = CombinatorialType(d=2, k=1, t={2: 5})
     result = extremal_slopes([triangle, square])
     assert result.skipped_zero_c2 == 1 and result.considered == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every enumerated type had log c2 = 0"):
         extremal_slopes([triangle])
+    # two lines have one double point, which max_mult = 1 leaves no room for
+    with pytest.raises(ValueError, match="no type was enumerated"):
+        extremal_slopes(enumerate_types(d=2, k=0, max_mult=1))
 
 
 def test_scan_urzua_finds_no_violation_in_small_ranges():
