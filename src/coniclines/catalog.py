@@ -59,7 +59,9 @@ def build_pencil4(k: int | None = None, t: Sequence | None = None) -> Arrangemen
     t = [Fraction(v) for v in t]
     if k is None:
         k = len(t)
-    if k < 1 or len(t) != k:
+    if k < 1:
+        raise ValidationError(f"need at least one pencil conic, got k = {k}")
+    if len(t) != k:
         raise ValidationError("need exactly k distinct pencil parameters")
     if len(set(t)) != k:
         raise ValidationError("pencil parameters must be distinct")

@@ -37,8 +37,8 @@ from .curves import (
 )
 from .intersect import IntersectionError, combinatorial_type, has_six_line_subarrangement
 from .invariants import analyze as analyze_ct
-from .invariants import log_chern
-from .polynomials import format_rational, parse_rational
+from .invariants import log_chern, rational_with_decimal
+from .polynomials import parse_rational
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -47,12 +47,6 @@ EXIT_VALIDATION = 3
 @click.group()
 def main() -> None:
     """Exact analysis of conic-line arrangements in the projective plane."""
-
-
-def _slope_str(slope: Fraction | None) -> str:
-    if slope is None:
-        return "undefined"
-    return f"{format_rational(slope)} (~{float(slope):.4f})"
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -273,14 +267,14 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
             _fail(EXIT_PARSE, f"Error: {exc}")
         click.echo(f"{result.considered} types with defined slope "
                    f"({result.skipped_zero_c2} skipped, c2 = 0); {result.note}")
-        click.echo(f"  min slope {_slope_str(result.minimum.slope)} "
+        click.echo(f"  min slope {rational_with_decimal(result.minimum.slope)} "
                    f"at {describe(result.minimum.ct)}")
-        click.echo(f"  max slope {_slope_str(result.maximum.slope)} "
+        click.echo(f"  max slope {rational_with_decimal(result.maximum.slope)} "
                    f"at {describe(result.maximum.ct)}")
     else:
         for ct in types:
             c1sq, c2 = log_chern(ct)
-            slope = _slope_str(Fraction(c1sq, c2) if c2 else None)
+            slope = rational_with_decimal(Fraction(c1sq, c2) if c2 else None)
             click.echo(f"{describe(ct)}  c1^2={c1sq} c2={c2} slope={slope}")
         click.echo(f"{len(types)} type(s)")
 

@@ -14,8 +14,16 @@ does, through x = M_t v with the integer matrix M_t of determinant 1, which
 maps (X, Y, Z) to (X, t X + Y, t^3 X + Z).  The changed conic is that
 substitution, in closed form, and the points are mapped back by it, on
 integers and on field vectors alike.  At most 30 centres fail (see
-``_CENTRES``), so the first 31 always decide the pair.  Every point a pair
-routine returns is checked on both curves by exact evaluation.
+``_CENTRES``), so the first 31 always decide the pair.
+
+Each pair routine maps the roots of one binary form to points: the
+restriction of the conic to the line, a quadratic in the line's parameter
+(s : t), or the quartic in (y : z).  ``_binary_roots`` is the one rule for
+the root (1 : 0): it comes first, with the multiplicity the form's degree
+lost, then the orbits of ``root_orbits``.  ``intersect_pair`` alone
+certifies a pair: every point lies on both curves, by exact evaluation of
+their integer forms, and the pair multiplicities sum to the product of the
+curve degrees.  The six-line search takes its line meets from it too.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
@@ -41,8 +49,6 @@ orbit through only the two curves of its pair has that pair's multiplicity.
 Only an orbit through three or more curves compares tangents, since the
 other pairs' multiplicities are not at hand; ``check_ordinary`` compares
 tangents for any point.
-
-Pair multiplicities always sum to the product of the curve degrees.
 """
 
 from __future__ import annotations
@@ -94,6 +100,11 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
             orbits = _intersect_line_conic(v, u)
         else:
             orbits = _intersect_conics(u, v)
+        # exact evaluation of both integer forms at each orbit's vectors
+        for point, _mult in orbits:
+            if not (_vanishes(u, point.field, point.vectors)
+                    and _vanishes(v, point.field, point.vectors)):
+                raise IntersectionError("back-substitution verification failed")
     except IntersectionError as exc:
         raise _pair_error(c1, c2, exc) from None
     points = [(conj, mult) for point, mult in orbits for conj in point.conjugates()]
@@ -107,12 +118,8 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
 def _intersect_lines(l1: tuple[int, ...], l2: tuple[int, ...]) -> PairResult:
     a1, b1, c1 = l1
     a2, b2, c2 = l2
-    cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-    if all(v == 0 for v in cross):
-        raise IntersectionError("identical curves")
-    point = ProjectivePoint.from_integers(*cross)
-    _verify_on_both((l1, l2), point)
-    return [(point, 1)]
+    return [(ProjectivePoint.from_integers(
+        b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2), 1)]
 
 
 def _gradient(coeffs: tuple[int, ...], point: list[list[int]]) -> list[list[int]]:
@@ -159,37 +166,41 @@ def _conic_value(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
     return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
 
+def _binary_roots(form: list[int]) -> list[tuple[tuple[int, int] | NumberField, int]]:
+    """The roots (s : t) of a nonzero binary form sum_i form[i] s^i t^(n-i),
+    n = len(form) - 1, one per orbit, with their multiplicities.  The root
+    (1 : 0) comes first, with the multiplicity the form's degree in s lost,
+    then the orbits of ``root_orbits``, in its order.  A rational root is
+    (num, den); an irrational orbit is its NumberField, at (s : t) =
+    (b : c_n)."""
+    lost = len(form) - 1 - max(i for i, c in enumerate(form) if c)
+    roots = [((1, 0), lost)] if lost else []
+    roots += [(root.as_integer_ratio() if isinstance(root, Fraction) else root, mult)
+              for root, mult in root_orbits(form)]
+    return roots
+
+
 def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> PairResult:
     p0, p1 = _line_basis(*line)
     # restrict the conic to the line: Q(s*P0 + t*P1) = A s^2 + B st + C t^2
     quad_a = _conic_value(conic, *p0)
     quad_c = _conic_value(conic, *p1)
     quad_b = _conic_value(conic, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
+    if not (quad_a or quad_b or quad_c):
+        raise IntersectionError("line is a component of the conic")
     points: PairResult = []
-    if quad_a != 0:
-        for root, mult in root_orbits([quad_c, quad_b, quad_a]):
-            if isinstance(root, Fraction):
-                # the root s = num / den: s*P0 + P1 is the point num*P0 + den*P1
-                num, den = root.as_integer_ratio()
-                points.append((ProjectivePoint.from_integers(
-                    *(num * p0[i] + den * p1[i] for i in range(3))), mult))
-                continue
-            # the root s = b / c_n: s*P0 + P1 is the point b*P0 + c_n*P1
-            field = root
-            zeros = (0,) * (field.degree - 2)
-            vectors = tuple((field.lead * p1[i], p0[i], *zeros) for i in range(3))
-            points.append((ProjectivePoint.in_field(field, vectors), mult))
-    elif quad_b != 0:
-        # t * (B s + C t): the parameter point (1 : 0) plus one simple root
-        points.append((ProjectivePoint.from_integers(*p0), 1))
-        points.append((ProjectivePoint.from_integers(
-            *(quad_b * p1[i] - quad_c * p0[i] for i in range(3))), 1))
-    else:
-        if quad_c == 0:
-            raise IntersectionError("line is a component of the conic")
-        points.append((ProjectivePoint.from_integers(*p0), 2))
-    for point, _mult in points:
-        _verify_on_both((line, conic), point)
+    for root, mult in _binary_roots([quad_c, quad_b, quad_a]):
+        if isinstance(root, tuple):
+            # the root (s : t) = (num : den) is the point num*P0 + den*P1
+            num, den = root
+            points.append((ProjectivePoint.from_integers(
+                *(num * p0[i] + den * p1[i] for i in range(3))), mult))
+            continue
+        # the root (s : t) = (b : c_n) is the point b*P0 + c_n*P1
+        field = root
+        zeros = (0,) * (field.degree - 2)
+        vectors = tuple((field.lead * p1[i], p0[i], *zeros) for i in range(3))
+        points.append((ProjectivePoint.in_field(field, vectors), mult))
     return points
 
 
@@ -226,10 +237,7 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
     coordinates.  M_t = [[1,0,0],[t,1,0],[t^3,0,1]] has first column
     C_t = (1 : t : t^3) and determinant 1; M_0 is the identity.  The
     quartic, lin1 and lin0 are binary forms in (y : z)."""
-    if t:
-        quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, t), _changed_conic(q, t))
-    else:
-        quartic, lin1, lin0 = _eliminate_x(p, q)
+    quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, t), _changed_conic(q, t))
     if not any(quartic):
         raise IntersectionError("identical curves")
     # lin1 = u*y + v*z must not vanish at a root, else x is not determined
@@ -237,37 +245,26 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
     v, u = lin1
     if u == v == 0 or not sum(c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
         raise _NotGeneric("two intersection points share a fiber")
-
-    def rational_point(num: int, den: int) -> ProjectivePoint:
-        # x = -lin0 / lin1: in the changed coordinates the point over
-        # (y : z) = (num : den) is (-lin0 : y lin1 : z lin1), times den^2,
-        # and M_t maps (x, y, z) back to (x, t x + y, t^3 x + z)
-        lin1_y = lin1[0] * den + lin1[1] * num
-        x = -(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num)
-        return ProjectivePoint.from_integers(x, t * x + num * lin1_y,
-                                             t ** 3 * x + den * lin1_y)
-
     points: PairResult = []
-    # the root (1 : 0) has the multiplicity the quartic's degree lost; lin1
-    # does not vanish there, so its point is rational
-    degree = max(i for i, c in enumerate(quartic) if c)
-    if degree < 4:
-        points.append((rational_point(1, 0), 4 - degree))
-    for root, mult in root_orbits(quartic):
-        if isinstance(root, Fraction):
-            points.append((rational_point(*root.as_integer_ratio()), mult))
-        else:
-            # at (y : z) = (b : c_n), times c_n^2: polynomials in b of degree <= 2
-            field, c = root, root.lead
-            x = field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]])
-            y = field.reduce([0, lin1[0] * c, lin1[1]])
-            z = field.reduce([lin1[0] * c * c, lin1[1] * c])
-            if t:
-                y = [t * u + v for u, v in zip(x, y)]
-                z = [t ** 3 * u + v for u, v in zip(x, z)]
-            points.append((ProjectivePoint.in_field(field, (x, y, z)), mult))
-    for point, _mult in points:
-        _verify_on_both((p, q), point)
+    for root, mult in _binary_roots(quartic):
+        if isinstance(root, tuple):
+            # x = -lin0 / lin1: in the changed coordinates the point over
+            # (y : z) = (num : den) is (-lin0 : y lin1 : z lin1), times den^2,
+            # and M_t maps (x, y, z) back to (x, t x + y, t^3 x + z)
+            num, den = root
+            lin1_y = lin1[0] * den + lin1[1] * num
+            x = -(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num)
+            points.append((ProjectivePoint.from_integers(
+                x, t * x + num * lin1_y, t ** 3 * x + den * lin1_y), mult))
+            continue
+        # at (y : z) = (b : c_n), times c_n^2: polynomials in b of degree <= 2
+        field, c = root, root.lead
+        x = field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]])
+        y = field.reduce([0, lin1[0] * c, lin1[1]])
+        z = field.reduce([lin1[0] * c * c, lin1[1] * c])
+        y = [t * xi + yi for xi, yi in zip(x, y)]
+        z = [t ** 3 * xi + zi for xi, zi in zip(x, z)]
+        points.append((ProjectivePoint.in_field(field, (x, y, z)), mult))
     return points
 
 
@@ -311,15 +308,6 @@ def _eliminate_x(p: tuple[int, ...], q: tuple[int, ...]
     cross = [u - v for u, v in zip(_poly_mul(a1, b0), _poly_mul(a0, b1))]
     quartic = [u + v for u, v in zip(_poly_mul(lin0, lin0), _poly_mul(lin1, cross))]
     return quartic, lin1, lin0
-
-
-def _verify_on_both(curves, point: ProjectivePoint) -> None:
-    """Check that the point lies on both curves of its pair, by exact
-    evaluation of their integer forms at its integer vectors."""
-    vectors = point.vectors
-    for coeffs in curves:
-        if not _vanishes(coeffs, point.field, vectors):
-            raise IntersectionError("back-substitution verification failed")
 
 
 def _element(field: NumberField | None, conjugate: int, vector: list[int]) -> AlgebraicNumber:
@@ -382,14 +370,14 @@ class DerivedCombinatorics:
 def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
     """Is there a 6-line subarrangement meeting only in double and triple
     points?  Decided exactly by a search over the meets of the line pairs,
-    which are rational points.
+    rational points that ``intersect_pair`` certifies.
 
     Subsets grow one line at a time, by increasing index.  A point through
     four lines of a subset is met by the last of them at a point shared with
     three chosen lines, and every superset keeps it, so such a branch is
     abandoned as soon as that happens.
     """
-    lines = [c.coefficients for c in arrangement.curves if c.kind == "line"]
+    lines = [c for c in arrangement.curves if c.kind == "line"]
     n = len(lines)
     if n < 6:
         return False
@@ -398,7 +386,7 @@ def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
     numbers: dict[tuple[tuple[int], ...], int] = {}
     meet = [[-1] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        [(point, _mult)] = _intersect_lines(lines[i], lines[j])
+        [(point, _mult)] = intersect_pair(lines[i], lines[j])
         meet[i][j] = meet[j][i] = numbers.setdefault(point.vectors, len(numbers))
 
     def extend(chosen: list[int], start: int) -> bool:

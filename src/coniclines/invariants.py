@@ -203,6 +203,17 @@ class CheckResult:
                 "conclusion_holds": self.conclusion_holds}
 
 
+def rational_with_decimal(v: Fraction | None) -> str:
+    """A rational as "p/q (~x.xxxx)", or "undefined" for None."""
+    if v is None:
+        return "undefined"
+    try:
+        approx = f"{float(v):.4f}"
+    except OverflowError:
+        approx = "inf" if v > 0 else "-inf"
+    return f"{format_rational(v)} (~{approx})"
+
+
 @dataclass
 class AnalysisReport:
     """All computed invariants and inequality verdicts for one input."""
@@ -250,14 +261,6 @@ class AnalysisReport:
         return json.dumps(self.as_dict(), indent=2)
 
     def render_text(self) -> str:
-        def rat(v):
-            if v is None:
-                return "undefined"
-            try:
-                approx = f"{float(v):.4f}"
-            except OverflowError:
-                approx = "inf" if v > 0 else "-inf"
-            return f"{format_rational(v)} (~{approx})"
         lines = []
         for w in self.warnings:
             lines.append(f"!! {w}")
@@ -266,10 +269,10 @@ class AnalysisReport:
         lines.append(f"type: d={self.ct.d} lines, k={self.ct.k} conics; {tdesc}")
         lines.append(f"bezout defect: {self.bezout_defect}")
         lines.append(f"f0={self.f0}  f1={self.f1}")
-        lines.append(f"H-index: {rat(self.h_index)}")
+        lines.append(f"H-index: {rational_with_decimal(self.h_index)}")
         lines.append(f"total Milnor number: {self.milnor_total}")
         lines.append(f"log Chern numbers: c1^2={self.log_c1sq}  c2={self.log_c2}")
-        lines.append(f"log Chern slope: {rat(self.slope)}")
+        lines.append(f"log Chern slope: {rational_with_decimal(self.slope)}")
         lines.append(f"cover (scaled): e={self.cover_e_scaled}  "
                      f"K^2={self.cover_k2_scaled}  BMY defect={self.bmy_defect}")
         lines.append("checks:")

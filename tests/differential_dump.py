@@ -1,0 +1,88 @@
+"""Dump the engine's results on a fixed seeded corpus, for a differential
+check of two checkouts of the package.
+
+For every input, in order, it prints the (d, k, t) and ``all_ordinary`` of
+``combinatorial_type``, then one line per singular point: the ``repr`` of
+its location, its multiplicity r, its ordinary flag and its sorted incident
+curves.  Two checkouts agree when their dumps are identical byte for byte:
+
+    PYTHONPATH=<parent>/src python tests/differential_dump.py > parent.txt
+    PYTHONPATH=<change>/src python tests/differential_dump.py > change.txt
+    cmp parent.txt change.txt
+
+The corpus: the first 250 criterion-6 draws that validate for each of the
+seeds 1-7, pencil4 with k = 2..10, every catalog builder, the
+``tests/data/cli/big-*.txt`` inputs and 200 seeded line-conic pairs.  The
+script takes no options; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from collections.abc import Iterable, Iterator
+from pathlib import Path
+
+from coniclines.catalog import build_pencil4, catalog_get, catalog_list
+from coniclines.curves import Arrangement, PlaneCurve, parse_arrangement
+from coniclines.intersect import combinatorial_type
+from test_engine_golden import _validates, criterion6_corpus
+
+CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
+
+
+def line_conic_pairs(count: int = 200, seed: int = 13) -> list[Arrangement]:
+    """The first ``count`` valid pairs of a line and a conic with small
+    coefficients, many of them zero, so that the restricted quadratic often
+    loses degree."""
+    rng = random.Random(seed)
+    small = (-2, -1, 0, 0, 0, 1, 2)
+    out = []
+    while len(out) < count:
+        line = [rng.choice(small) for _ in range(3)]
+        conic = [rng.choice(small) for _ in range(6)]
+        if not any(line) or not any(conic):
+            continue
+        arr = Arrangement((PlaneCurve("line", line), PlaneCurve("conic", conic)))
+        if _validates(arr):
+            out.append(arr)
+    return out
+
+
+def corpus() -> Iterator[tuple[str, Arrangement]]:
+    for seed in range(1, 8):
+        for i, arr in enumerate(criterion6_corpus(seed=seed, size=250)):
+            yield f"criterion6-s{seed}-{i:03d}", arr
+    for k in range(2, 11):
+        yield f"pencil4-k{k}", build_pencil4(k)
+    yield from catalog_inputs()
+    for path in sorted(CLI_DATA.glob("big-*.txt")):
+        yield f"cli-{path.stem}", parse_arrangement(path.read_text(encoding="utf-8"))
+    for i, arr in enumerate(line_conic_pairs()):
+        yield f"line-conic-{i:03d}", arr
+
+
+def catalog_inputs() -> Iterator[tuple[str, Arrangement]]:
+    for name in catalog_list():
+        entry = catalog_get(name)
+        if entry.builder is not None:
+            yield f"catalog-{name}", entry.build()
+
+
+def dump(inputs: Iterable[tuple[str, Arrangement]]) -> Iterator[str]:
+    """The dump's lines for the named inputs, in order."""
+    for name, arr in inputs:
+        derived = combinatorial_type(arr)
+        ct = derived.ct
+        t = {r: n for r, n in sorted(ct.t.items())}
+        yield f"{name}: d={ct.d} k={ct.k} t={t} all_ordinary={derived.all_ordinary}"
+        for p in derived.points:
+            yield (f"  {p.location!r} r={p.multiplicity} ordinary={p.ordinary} "
+                   f"incident={sorted(p.incident)}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/differential_dump.py (no options)")
+    for text in dump(corpus()):
+        print(text)

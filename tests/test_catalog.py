@@ -85,6 +85,9 @@ def test_pencil4_rejects_degenerate_parameters():
         build_pencil4(k=1, t=(0,))     # x^2 - z^2 is a line pair
     with pytest.raises(ValidationError):
         build_pencil4(k=1, t=(-1,))    # x^2 - y^2 is a line pair
+    for kwargs, k in (({"k": 0}, 0), ({"k": -2}, -2), ({"t": []}, 0)):
+        with pytest.raises(ValidationError, match=f"^need at least one pencil conic, got k = {k}$"):
+            build_pencil4(**kwargs)
 
 
 def test_every_entry_has_provenance():

@@ -147,18 +147,21 @@ def test_export_writes_coprime_integers(tmp_path):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("args, k, text", [
-    (["--k", "5"], 5, None),
-    (["--t", "1,2"], 2, "line: 1 0 -1\nline: 1 0 1\nconic: 1 1 -2 0 0 0\nconic: 1 2 -3 0 0 0\n"),
-    (["--k", "3", "--t", "1,2"], None, None),
-], ids=["k-alone", "t-alone", "k-and-t-disagree"])
-def test_export_pencil4_with_one_of_k_and_t(tmp_path, args, k, text):
+@pytest.mark.parametrize("args, k, text, error", [
+    (["--k", "5"], 5, None, None),
+    (["--t", "1,2"], 2, "line: 1 0 -1\nline: 1 0 1\nconic: 1 1 -2 0 0 0\nconic: 1 2 -3 0 0 0\n",
+     None),
+    (["--k", "3", "--t", "1,2"], None, None, "need exactly k distinct pencil parameters"),
+    (["--k", "0"], None, None, "need at least one pencil conic, got k = 0"),
+    (["--k", "-2"], None, None, "need at least one pencil conic, got k = -2"),
+], ids=["k-alone", "t-alone", "k-and-t-disagree", "k-zero", "k-negative"])
+def test_export_pencil4_with_one_of_k_and_t(tmp_path, args, k, text, error):
     # --k alone takes t = 1..k, --t alone takes k = len(t)
     target = tmp_path / "pencil.txt"
     result = run("catalog", "export", "pencil4", str(target), *args)
-    if k is None:
+    if error is not None:
         _assert_clean_exit(result, EXIT_VALIDATION)
-        assert "need exactly k distinct pencil parameters" in result.output
+        assert f"validation failed: {error}" in result.output
         assert not target.exists()
         return
     assert result.exit_code == 0, result.output

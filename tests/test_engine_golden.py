@@ -151,6 +151,18 @@ def test_engine_builds_no_algebraic_number(monkeypatch):
     assert [[repr(p.location) for p in d.points] for d in derived] == expected
 
 
+def test_differential_dump_on_the_catalog_builders():
+    # tests/differential_dump.py compares two checkouts of the package; its
+    # dump runs here so that it keeps working
+    from differential_dump import catalog_inputs, dump
+    lines = list(dump(catalog_inputs()))
+    assert [line.split(":")[0] for line in lines if not line.startswith(" ")] == [
+        "catalog-dbe-sharpness", "catalog-pencil4", "catalog-tangency-demo"]
+    assert len(lines) == 3 + 7 + 5 + 1
+    assert lines[-2:] == ["catalog-tangency-demo: d=1 k=1 t={2: 1} all_ordinary=False",
+                          "  (0 : 1 : 1) r=2 ordinary=False incident=[0, 1]"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_engine_golden.py --record")

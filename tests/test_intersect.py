@@ -47,6 +47,20 @@ def test_parallel_lines_meet_at_infinity():
     assert pt == ProjectivePoint.from_coords(F(0), F(1), F(0))
 
 
+def test_line_conic_root_at_infinity_of_the_parameter():
+    # on z = 0 the conic xy - z^2 restricts to s t: the parameter root (1 : 0),
+    # the point (1 : 0 : 0), comes first, then (0 : 1 : 0)
+    points = intersect_pair(line(0, 0, 1), conic(0, 0, -1, 1, 0, 0))
+    assert points == [(ProjectivePoint.from_integers(1, 0, 0), 1),
+                      (ProjectivePoint.from_integers(0, 1, 0), 1)]
+
+
+def test_line_conic_double_root_at_infinity_of_the_parameter():
+    # on z = 0 the conic y^2 - xz restricts to t^2: tangent at (1 : 0 : 0)
+    points = intersect_pair(line(0, 0, 1), conic(0, 1, 0, 0, -1, 0))
+    assert points == [(ProjectivePoint.from_integers(1, 0, 0), 2)]
+
+
 def test_identical_lines_rejected():
     with pytest.raises(IntersectionError):
         intersect_pair(line(1, 0, -1), line(2, 0, -2))
@@ -250,6 +264,10 @@ def test_check_ordinary_agrees_with_cluster():
     assert irrational == {(3, True), (4, True), (4, False)}
 
 
+_HEXAGON = Arrangement((line(1, 0, -1), line(1, 0, 1), line(0, 1, -1),
+                        line(0, 1, 1), line(1, 1, -2), line(1, -1, 2)))
+
+
 def _sqrt3_everywhere(monkeypatch):
     # every restricted quadratic and eliminated quartic gets the wrong root sqrt 3
     monkeypatch.setattr(intersect, "root_orbits", lambda coeffs: root_orbits([-3, 0, 1]))
@@ -272,6 +290,22 @@ def test_wrong_line_meet_fails_verification(monkeypatch):
                         classmethod(lambda cls, x, y, z: original(y, x, z)))
     with pytest.raises(IntersectionError, match="back-substitution verification failed"):
         intersect_pair(line(1, 0, -1), line(0, 1, -2))
+
+
+def test_wrong_six_line_meet_fails_verification(monkeypatch):
+    # the meets of the six-line search are certified by intersect_pair too
+    original = ProjectivePoint.from_integers
+    monkeypatch.setattr(ProjectivePoint, "from_integers",
+                        classmethod(lambda cls, x, y, z: original(y, x, z)))
+    with pytest.raises(IntersectionError, match="back-substitution verification failed"):
+        has_six_line_subarrangement(_HEXAGON)
+
+
+def test_six_line_search_names_duplicate_lines():
+    lines = Arrangement(tuple(line(1, i, 0) for i in range(5)) + (line(-1, 0, 0),))
+    with pytest.raises(IntersectionError) as info:
+        has_six_line_subarrangement(lines)
+    assert str(info.value) == "line: 1 0 0 and line: -1 0 0: identical curves"
 
 
 def test_intersection_error_names_curve_indices(monkeypatch):
@@ -345,9 +379,7 @@ def test_clusters_are_distinct_points():
 
 
 def test_six_line_subarrangement():
-    hexagon = Arrangement((line(1, 0, -1), line(1, 0, 1), line(0, 1, -1),
-                           line(0, 1, 1), line(1, 1, -2), line(1, -1, 2)))
-    assert has_six_line_subarrangement(hexagon)
+    assert has_six_line_subarrangement(_HEXAGON)
     # four concurrent lines plus two more: every 6-subset needs 6 lines
     assert not has_six_line_subarrangement(Arrangement((
         line(1, 0, 0), line(0, 1, 0), line(1, 1, 0))))
