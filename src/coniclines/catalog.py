@@ -23,12 +23,16 @@ NON_ORDINARY = "non-ordinary"
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    kind: str  # "geometric" | "combinatorial"
     ct: CombinatorialType
     provenance: str
     flags: frozenset[str] = frozenset()
     builder: Callable[..., Arrangement] | None = None
     parameters: str = ""
+
+    @property
+    def kind(self) -> str:
+        """"geometric" with a builder of explicit curves, else "combinatorial"."""
+        return "combinatorial" if self.builder is None else "geometric"
 
     def build(self, **kwargs) -> Arrangement:
         if self.builder is None:
@@ -103,58 +107,48 @@ def _entries() -> list[CatalogEntry]:
     ct = CombinatorialType
     return [
         CatalogEntry(
-            name="chilean", kind="combinatorial",
-            ct=ct(d=0, k=12, t={8: 9, 2: 12}),
+            name="chilean", ct=ct(d=0, k=12, t={8: 9, 2: 12}),
             provenance="12 conics from the index-2 Halphen pencil; nine 8-fold "
                        "points and 12 pairwise double points"),
         CatalogEntry(
-            name="extended-chilean", kind="combinatorial",
-            ct=ct(d=9, k=12, t={9: 9, 5: 12, 2: 72}),
+            name="extended-chilean", ct=ct(d=9, k=12, t={9: 9, 5: 12, 2: 72}),
             provenance="the 12 Chilean conics plus the 9 dual-Hesse lines; "
                        "identical (d, k, t) data to the Hesse arrangement of "
                        "conics and lines used in the slope examples"),
         CatalogEntry(
-            name="klein", kind="combinatorial",
-            ct=ct(d=21, k=21, t={2: 42, 3: 252, 4: 189}),
+            name="klein", ct=ct(d=21, k=21, t={2: 42, 3: 252, 4: 189}),
             provenance="Klein's 21 lines and the 21 polar conics of the "
                        "quartic at the quadruple points"),
         CatalogEntry(
-            name="dual-hesse", kind="combinatorial",
-            ct=ct(d=9, k=0, t={3: 12}),
+            name="dual-hesse", ct=ct(d=9, k=0, t={3: 12}),
             provenance="dual Hesse line arrangement (9_4, 12_3)"),
         CatalogEntry(
-            name="hesse-lines", kind="combinatorial",
-            ct=ct(d=12, k=0, t={4: 9, 2: 12}),
+            name="hesse-lines", ct=ct(d=12, k=0, t={4: 9, 2: 12}),
             provenance="Hesse line arrangement (12_3, 9_4) from the Hesse "
                        "pencil of cubics"),
         CatalogEntry(
-            name="conic-65", kind="combinatorial",
-            ct=ct(d=0, k=6, t={5: 6}),
+            name="conic-65", ct=ct(d=0, k=6, t={5: 6}),
             provenance="the (6_5, 6_5) conic configuration showing sharpness "
                        "of the conic-only point bound"),
         CatalogEntry(
-            name="pappus-cl", kind="combinatorial",
-            ct=ct(d=9, k=4, t={7: 2, 5: 4, 4: 2, 2: 36}),
+            name="pappus-cl", ct=ct(d=9, k=4, t={7: 2, 5: 4, 4: 2, 2: 36}),
             provenance="9 Pappus lines plus 4 conics through chosen quintuples "
                        "of the 9 marked points; t-vector stored as published",
             flags=frozenset({KNOWN_INCONSISTENT})),
         CatalogEntry(
-            name="pencil4", kind="geometric",
-            ct=pencil4_type(3),
+            name="pencil4", ct=pencil4_type(3),
             provenance="pencil-type arrangement: 2 lines and k pencil conics "
                        "through 4 base points (stored type is the k=3 default)",
             builder=build_pencil4,
             parameters="k: int = len(t), or 3; t: k distinct rationals not in "
                        "{0, -1}, by default 1..k"),
         CatalogEntry(
-            name="dbe-sharpness", kind="geometric",
-            ct=ct(d=6, k=3, t={6: 4, 2: 3}),
+            name="dbe-sharpness", ct=ct(d=6, k=3, t={6: 4, 2: 3}),
             provenance="4 points, all 6 connecting lines, 3 pencil conics: "
                        "the lower-bound hypotheses cannot be weakened",
             builder=build_dbe_sharpness),
         CatalogEntry(
-            name="tangency-demo", kind="geometric",
-            ct=ct(d=1, k=1, t={2: 1}),
+            name="tangency-demo", ct=ct(d=1, k=1, t={2: 1}),
             provenance="a line tangent to a smooth conic; its double point is "
                        "not ordinary",
             flags=frozenset({NON_ORDINARY}),

@@ -17,7 +17,6 @@ from __future__ import annotations
 import inspect
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
@@ -37,7 +36,7 @@ from .curves import (
 )
 from .intersect import IntersectionError, combinatorial_type, has_six_line_subarrangement
 from .invariants import analyze as analyze_ct
-from .invariants import log_chern, rational_with_decimal
+from .invariants import log_chern, log_chern_slope, rational_with_decimal
 from .polynomials import parse_rational
 
 EXIT_PARSE = 2
@@ -108,7 +107,7 @@ def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
             click.echo(f"!! {w}", err=True)
         _fail(EXIT_VALIDATION, "strict mode: non-ordinary arrangement rejected")
     report = analyze_ct(derived.ct, source=str(target),
-                        six_lines_subarrangement=has_six_line_subarrangement(data),
+                        six_lines_subarrangement=has_six_line_subarrangement(data, derived),
                         warnings=warnings)
     return report, derived
 
@@ -274,7 +273,7 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
     else:
         for ct in types:
             c1sq, c2 = log_chern(ct)
-            slope = rational_with_decimal(Fraction(c1sq, c2) if c2 else None)
+            slope = rational_with_decimal(log_chern_slope(ct))
             click.echo(f"{describe(ct)}  c1^2={c1sq} c2={c2} slope={slope}")
         click.echo(f"{len(types)} type(s)")
 

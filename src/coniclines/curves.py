@@ -288,14 +288,19 @@ class ProjectivePoint:
 
 @dataclass
 class SingularPoint:
+    """A point where two or more curves meet: its location, the indices of
+    the curves through it, and whether it is ordinary.  Its multiplicity is
+    the number of those curves."""
+
     location: ProjectivePoint
     incident: frozenset[int]
-    multiplicity: int
     ordinary: bool
 
+    @property
+    def multiplicity(self) -> int:
+        return len(self.incident)
+
     def __post_init__(self):
-        if self.multiplicity != len(self.incident):
-            raise ValidationError("multiplicity must equal the incidence count")
         if self.multiplicity < 2:
             raise ValidationError("singular points have multiplicity >= 2")
 

@@ -23,7 +23,8 @@ the root (1 : 0): it comes first, with the multiplicity the form's degree
 lost, then the orbits of ``root_orbits``.  ``intersect_pair`` alone
 certifies a pair: every point lies on both curves, by exact evaluation of
 their integer forms, and the pair multiplicities sum to the product of the
-curve degrees.  The six-line search takes its line meets from it too.
+curve degrees.  The six-line search intersects nothing: it reads its line
+meets from the singular points of ``combinatorial_type``.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
@@ -362,32 +363,31 @@ class DerivedCombinatorics:
     points: list[SingularPoint]
     all_ordinary: bool
 
-    @property
-    def outside_ordinary_hypotheses(self) -> bool:
-        return not self.all_ordinary
 
-
-def has_six_line_subarrangement(arrangement: Arrangement) -> bool:
+def has_six_line_subarrangement(arrangement: Arrangement,
+                                derived: DerivedCombinatorics) -> bool:
     """Is there a 6-line subarrangement meeting only in double and triple
-    points?  Decided exactly by a search over the meets of the line pairs,
-    rational points that ``intersect_pair`` certifies.
+    points?  ``derived`` is ``combinatorial_type(arrangement)``.  Decided
+    exactly by a search over the meets of the line pairs: the meet of lines
+    i and j is the one singular point whose incident curves hold both, and
+    it is rational, since two lines never meet in an irrational orbit.
 
     Subsets grow one line at a time, by increasing index.  A point through
     four lines of a subset is met by the last of them at a point shared with
     three chosen lines, and every superset keeps it, so such a branch is
     abandoned as soon as that happens.
     """
-    lines = [c for c in arrangement.curves if c.kind == "line"]
+    lines = [i for i, c in enumerate(arrangement.curves) if c.kind == "line"]
     n = len(lines)
     if n < 6:
         return False
-    # each pair of lines meets once; the search runs over the stored meets,
-    # numbered by their primitive integer vectors
-    numbers: dict[tuple[tuple[int], ...], int] = {}
+    # line i is curve lines[i]; a meet is numbered by its point's position
+    line_of = {curve: i for i, curve in enumerate(lines)}
     meet = [[-1] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        [(point, _mult)] = intersect_pair(lines[i], lines[j])
-        meet[i][j] = meet[j][i] = numbers.setdefault(point.vectors, len(numbers))
+    for number, point in enumerate(derived.points):
+        through = [line_of[c] for c in point.incident if c in line_of]
+        for i, j in combinations(through, 2):
+            meet[i][j] = meet[j][i] = number
 
     def extend(chosen: list[int], start: int) -> bool:
         if len(chosen) == 6:
@@ -455,7 +455,7 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     points = []
     for orbit, incident, ordinary in found:
         points.extend(SingularPoint(location=p, incident=frozenset(incident),
-                                    multiplicity=len(incident), ordinary=ordinary)
+                                    ordinary=ordinary)
                       for p in orbit)
     t: dict[int, int] = {}
     for p in points:

@@ -17,12 +17,15 @@ from .curves import CombinatorialType
 from .polynomials import format_rational
 
 
+def pair_total(d: int, k: int) -> int:
+    """Weighted number of pairwise intersections: 4*C(k,2) + C(d,2) + 2kd."""
+    return 4 * comb(k, 2) + comb(d, 2) + 2 * k * d
+
+
 def bezout_defect(ct: CombinatorialType) -> int:
     """LHS minus RHS of the pairwise intersection count
-    4*C(k,2) + C(d,2) + 2kd = sum_r C(r,2) t_r; zero iff the identity holds."""
-    lhs = 4 * comb(ct.k, 2) + comb(ct.d, 2) + 2 * ct.k * ct.d
-    rhs = sum(comb(r, 2) * n for r, n in ct.t.items())
-    return lhs - rhs
+    pair_total(d, k) = sum_r C(r,2) t_r; zero iff the identity holds."""
+    return pair_total(ct.d, ct.k) - sum(comb(r, 2) * n for r, n in ct.t.items())
 
 
 def incidence_sums(ct: CombinatorialType) -> tuple[int, int]:
@@ -62,12 +65,11 @@ def log_chern(ct: CombinatorialType) -> tuple[int, int]:
     return c1sq, c2
 
 
-def log_chern_slope(ct: CombinatorialType) -> Fraction:
-    """The slope c1^2 / c2 of the log pair, as an exact rational."""
+def log_chern_slope(ct: CombinatorialType) -> Fraction | None:
+    """The slope c1^2 / c2 of the log pair, as an exact rational, or None
+    when it is undefined (log c2 = 0)."""
     c1sq, c2 = log_chern(ct)
-    if c2 == 0:
-        raise ValueError("slope undefined: log c2 = 0")
-    return Fraction(c1sq, c2)
+    return Fraction(c1sq, c2) if c2 else None
 
 
 def cover_chern(ct: CombinatorialType) -> tuple[int, int, int]:
@@ -88,22 +90,19 @@ def cover_chern(ct: CombinatorialType) -> tuple[int, int, int]:
 
 
 def check_hirzebruch(ct: CombinatorialType, improved: bool = False,
-                     six_lines_subarrangement: bool = False,
-                     rhs_uses_d: bool = True) -> tuple[bool, bool]:
+                     six_lines_subarrangement: bool = False) -> tuple[bool, bool]:
     """Hirzebruch-type inequality: (hypotheses_ok, conclusion_holds).
 
     Standard form: 8k + t2 + 3 t3 + t4 >= d + sum_{r>=5} (2r-9) t_r.
     Improved form drops t4 and weakens t3 to (3/4) t3.  The published
     theorem display shows 'k +' on the right; the derivation and the
-    improved variant both use 'd +', so d is the default and the k-form is
-    available via rhs_uses_d=False.
+    improved variant both use 'd +', and so does this check.
 
     The six-line sub-arrangement hypothesis is not a function of (d, k, t)
     and must be supplied by the caller.
     """
     t2, t3, t4 = ct.t_of(2), ct.t_of(3), ct.t_of(4)
-    rhs_base = ct.d if rhs_uses_d else ct.k
-    rhs = rhs_base + sum((2 * r - 9) * n for r, n in ct.t.items() if r >= 5)
+    rhs = ct.d + sum((2 * r - 9) * n for r, n in ct.t.items() if r >= 5)
     if improved:
         lhs = Fraction(8 * ct.k + t2) + Fraction(3, 4) * t3
     else:
@@ -133,10 +132,8 @@ def check_urzua(ct: CombinatorialType) -> tuple[bool, bool, bool | None]:
     hypotheses_ok = ct.k >= 2 and ct.d >= 2
     lhs = 8 * ct.k + 2 * ct.t_of(2) + ct.t_of(3)
     rhs = ct.d + 3 + sum((r - 4) * n for r, n in ct.t.items() if r >= 5)
-    _c1sq, c2 = log_chern(ct)
-    slope_ok: bool | None = None
-    if c2 != 0:
-        slope_ok = log_chern_slope(ct) <= Fraction(8, 3)
+    slope = log_chern_slope(ct)
+    slope_ok = None if slope is None else slope <= Fraction(8, 3)
     return hypotheses_ok, lhs >= rhs, slope_ok
 
 
@@ -299,7 +296,7 @@ def analyze(ct: CombinatorialType, source: str = "ad hoc",
                      "standing assumption of the slope formulas")
     hx = h_index(ct) if f0 > 0 else None
     c1sq, c2 = log_chern(ct)
-    slope = Fraction(c1sq, c2) if c2 != 0 else None
+    slope = log_chern_slope(ct)
     e_s, k2_s, bmy = cover_chern(ct)
     checks = []
     hyp, holds = check_hirzebruch(ct, improved=False,

@@ -13,14 +13,9 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .curves import CombinatorialType
-from .invariants import bezout_defect, check_urzua, log_chern
+from .invariants import bezout_defect, check_urzua, log_chern_slope, pair_total
 
 NOT_REALIZABLE_NOTE = "combinatorial only - not necessarily realizable"
-
-
-def pair_total(d: int, k: int) -> int:
-    """Weighted number of pairwise intersections: 4*C(k,2) + C(d,2) + 2kd."""
-    return 4 * comb(k, 2) + comb(d, 2) + 2 * k * d
 
 
 def enumerate_types(d: int, k: int, max_mult: int) -> Iterator[CombinatorialType]:
@@ -74,12 +69,11 @@ def extremal_slopes(types: Iterable[CombinatorialType]) -> ExtremalResult:
     lo = hi = None
     considered = skipped = 0
     for ct in types:
-        c1sq, c2 = log_chern(ct)
-        if c2 == 0:
+        slope = log_chern_slope(ct)
+        if slope is None:
             skipped += 1
             continue
         considered += 1
-        slope = Fraction(c1sq, c2)
         if lo is None or slope < lo.slope:
             lo = SlopeWitness(ct, slope)
         if hi is None or slope > hi.slope:
@@ -123,11 +117,8 @@ def scan_conjecture(types: Iterable[CombinatorialType], which: str
                 out.append(Violation(ct, "urzua inequality fails"))
             continue
         bound = Fraction(8, 3) if which == "slope_8_3" else Fraction(5, 2)
-        c1sq, c2 = log_chern(ct)
-        if c2 == 0:
-            continue
-        slope = Fraction(c1sq, c2)
-        if slope > bound:
+        slope = log_chern_slope(ct)
+        if slope is not None and slope > bound:
             out.append(Violation(
                 ct, f"slope {slope} = {float(slope):.4f} exceeds {bound}"))
     return out

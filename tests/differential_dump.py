@@ -2,9 +2,10 @@
 check of two checkouts of the package.
 
 For every input, in order, it prints the (d, k, t) and ``all_ordinary`` of
-``combinatorial_type``, then one line per singular point: the ``repr`` of
-its location, its multiplicity r, its ordinary flag and its sorted incident
-curves.  Two checkouts agree when their dumps are identical byte for byte:
+``combinatorial_type`` and the verdict of ``has_six_line_subarrangement``,
+then one line per singular point: the ``repr`` of its location, its
+multiplicity r, its ordinary flag and its sorted incident curves.  Two
+checkouts agree when their dumps are identical byte for byte:
 
     PYTHONPATH=<parent>/src python tests/differential_dump.py > parent.txt
     PYTHONPATH=<change>/src python tests/differential_dump.py > change.txt
@@ -12,8 +13,9 @@ curves.  Two checkouts agree when their dumps are identical byte for byte:
 
 The corpus: the first 250 criterion-6 draws that validate for each of the
 seeds 1-7, pencil4 with k = 2..10, every catalog builder, the
-``tests/data/cli/big-*.txt`` inputs and 200 seeded line-conic pairs.  The
-script takes no options; pytest does not collect it.
+``tests/data/cli/big-*.txt`` inputs, 200 seeded line-conic pairs and 30
+seeded arrangements of 6-12 lines, some with a conic.  The script takes no
+options; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from coniclines.catalog import build_pencil4, catalog_get, catalog_list
 from coniclines.curves import Arrangement, PlaneCurve, parse_arrangement
-from coniclines.intersect import combinatorial_type
+from coniclines.intersect import combinatorial_type, has_six_line_subarrangement
 from test_engine_golden import _validates, criterion6_corpus
 
 CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
@@ -49,6 +51,41 @@ def line_conic_pairs(count: int = 200, seed: int = 13) -> list[Arrangement]:
     return out
 
 
+def _cross(u: list[int], v: list[int]) -> list[int]:
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0]]
+
+
+def line_heavy(count: int = 30, seed: int = 6) -> list[Arrangement]:
+    """The first ``count`` valid arrangements of 6-12 lines with coefficients
+    in [-3, 3], most of them through one of two drawn points, so that 4- and
+    5-fold points are common; every third has a conic as well.  They decide
+    the six-line search both ways."""
+    rng = random.Random(seed)
+    small = range(-3, 4)
+    out = []
+    while len(out) < count:
+        centres = [[rng.choice(small) for _ in range(3)] for _ in range(2)]
+        curves, seen = [], set()
+        for _ in range(rng.randint(6, 12)):
+            vector = [rng.choice(small) for _ in range(3)]
+            centre = rng.choice(centres * 3 + [None])
+            vector = vector if centre is None else _cross(centre, vector)
+            if any(vector):
+                line = PlaneCurve("line", vector)
+                key = max(line.coefficients, tuple(-c for c in line.coefficients))
+                if key not in seen:
+                    seen.add(key)
+                    curves.append(line)
+        conic = [rng.choice(small) for _ in range(6)]
+        if len(out) % 3 == 2 and any(conic):
+            curves.append(PlaneCurve("conic", conic))
+        arr = Arrangement(tuple(curves))
+        if len(curves) >= 6 and _validates(arr):
+            out.append(arr)
+    return out
+
+
 def corpus() -> Iterator[tuple[str, Arrangement]]:
     for seed in range(1, 8):
         for i, arr in enumerate(criterion6_corpus(seed=seed, size=250)):
@@ -60,6 +97,8 @@ def corpus() -> Iterator[tuple[str, Arrangement]]:
         yield f"cli-{path.stem}", parse_arrangement(path.read_text(encoding="utf-8"))
     for i, arr in enumerate(line_conic_pairs()):
         yield f"line-conic-{i:03d}", arr
+    for i, arr in enumerate(line_heavy()):
+        yield f"line-heavy-{i:02d}", arr
 
 
 def catalog_inputs() -> Iterator[tuple[str, Arrangement]]:
@@ -75,7 +114,9 @@ def dump(inputs: Iterable[tuple[str, Arrangement]]) -> Iterator[str]:
         derived = combinatorial_type(arr)
         ct = derived.ct
         t = {r: n for r, n in sorted(ct.t.items())}
-        yield f"{name}: d={ct.d} k={ct.k} t={t} all_ordinary={derived.all_ordinary}"
+        six_lines = has_six_line_subarrangement(arr, derived)
+        yield (f"{name}: d={ct.d} k={ct.k} t={t} all_ordinary={derived.all_ordinary} "
+               f"six_lines={six_lines}")
         for p in derived.points:
             yield (f"  {p.location!r} r={p.multiplicity} ordinary={p.ordinary} "
                    f"incident={sorted(p.incident)}")

@@ -159,7 +159,10 @@ def test_differential_dump_on_the_catalog_builders():
     assert [line.split(":")[0] for line in lines if not line.startswith(" ")] == [
         "catalog-dbe-sharpness", "catalog-pencil4", "catalog-tangency-demo"]
     assert len(lines) == 3 + 7 + 5 + 1
-    assert lines[-2:] == ["catalog-tangency-demo: d=1 k=1 t={2: 1} all_ordinary=False",
+    assert lines[0] == ("catalog-dbe-sharpness: d=6 k=3 t={2: 3, 6: 4} "
+                        "all_ordinary=True six_lines=True")
+    assert lines[-2:] == [("catalog-tangency-demo: d=1 k=1 t={2: 1} "
+                           "all_ordinary=False six_lines=False"),
                           "  (0 : 1 : 1) r=2 ordinary=False incident=[0, 1]"]
 
 

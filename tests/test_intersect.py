@@ -2,11 +2,13 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import coniclines.intersect as intersect
 from coniclines.catalog import build_dbe_sharpness, build_pencil4, build_tangency_demo
 from coniclines.algebraic import root_orbits
+from coniclines.cli import main
 from coniclines.curves import (
     Arrangement,
     PlaneCurve,
@@ -211,7 +213,6 @@ def test_cluster_triangle():
     assert derived.ct.d == 3 and derived.ct.k == 0
     assert derived.ct.t == {2: 3}
     assert derived.all_ordinary
-    assert not derived.outside_ordinary_hypotheses
 
 
 def test_cluster_concurrent_lines():
@@ -239,7 +240,6 @@ def test_cluster_tangency_flagged():
     derived = combinatorial_type(build_tangency_demo())
     assert derived.ct.t == {2: 1}
     assert not derived.all_ordinary
-    assert derived.outside_ordinary_hypotheses
 
 
 # the line x = 0 and members Q + s x^2 of a bitangent pencil, pairwise tangent at
@@ -292,20 +292,25 @@ def test_wrong_line_meet_fails_verification(monkeypatch):
         intersect_pair(line(1, 0, -1), line(0, 1, -2))
 
 
+def _six_lines(arrangement):
+    return has_six_line_subarrangement(arrangement, combinatorial_type(arrangement))
+
+
 def test_wrong_six_line_meet_fails_verification(monkeypatch):
-    # the meets of the six-line search are certified by intersect_pair too
+    # the meets of the six-line search are the points combinatorial_type
+    # certifies with intersect_pair
     original = ProjectivePoint.from_integers
     monkeypatch.setattr(ProjectivePoint, "from_integers",
                         classmethod(lambda cls, x, y, z: original(y, x, z)))
     with pytest.raises(IntersectionError, match="back-substitution verification failed"):
-        has_six_line_subarrangement(_HEXAGON)
+        _six_lines(_HEXAGON)
 
 
 def test_six_line_search_names_duplicate_lines():
     lines = Arrangement(tuple(line(1, i, 0) for i in range(5)) + (line(-1, 0, 0),))
-    with pytest.raises(IntersectionError) as info:
-        has_six_line_subarrangement(lines)
-    assert str(info.value) == "line: 1 0 0 and line: -1 0 0: identical curves"
+    with pytest.raises(ValidationError) as info:
+        _six_lines(lines)
+    assert str(info.value) == "duplicate curve: pair (0, 5)"
 
 
 def test_intersection_error_names_curve_indices(monkeypatch):
@@ -379,16 +384,20 @@ def test_clusters_are_distinct_points():
 
 
 def test_six_line_subarrangement():
-    assert has_six_line_subarrangement(_HEXAGON)
+    assert _six_lines(_HEXAGON)
+    # the lines are found among the curves by their indices
+    assert _six_lines(Arrangement((conic(1, 1, -16, 0, 0, 0),) + _HEXAGON.curves))
     # four concurrent lines plus two more: every 6-subset needs 6 lines
-    assert not has_six_line_subarrangement(Arrangement((
+    assert not _six_lines(Arrangement((
         line(1, 0, 0), line(0, 1, 0), line(1, 1, 0))))
     # six concurrent lines fail the multiplicity bound
     pencil = Arrangement(tuple(line(1, i, 0) for i in range(6)))
-    assert not has_six_line_subarrangement(pencil)
+    assert not _six_lines(pencil)
 
 
-def test_six_line_search_meets_each_line_pair_once(monkeypatch):
+def test_six_line_search_meets_each_line_pair_once(monkeypatch, tmp_path):
+    # analyze intersects each line pair once: the six-line search reads the
+    # points of combinatorial_type
     meets = []
     original = intersect._intersect_lines
 
@@ -397,8 +406,11 @@ def test_six_line_search_meets_each_line_pair_once(monkeypatch):
         return original(l1, l2)
 
     monkeypatch.setattr(intersect, "_intersect_lines", counting)
-    concurrent = Arrangement(tuple(line(1, i, 0) for i in range(12)))
-    assert not has_six_line_subarrangement(concurrent)
+    target = tmp_path / "concurrent.txt"
+    target.write_text("".join(f"line: 1 {i} 0\n" for i in range(12)))
+    result = CliRunner().invoke(main, ["analyze", str(target)])
+    assert result.exit_code == 0
+    assert "t_12=1" in result.output
     assert len(meets) == 12 * 11 // 2
 
 
@@ -449,4 +461,4 @@ def _line_vectors(draw):
 @given(_line_vectors())
 def test_six_line_search_agrees_with_brute_force(vectors):
     arrangement = Arrangement(tuple(line(*v) for v in vectors))
-    assert has_six_line_subarrangement(arrangement) == _brute_force_six_lines(vectors)
+    assert _six_lines(arrangement) == _brute_force_six_lines(vectors)
