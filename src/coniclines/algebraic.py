@@ -49,7 +49,7 @@ from typing import Sequence
 
 import sympy as sp
 
-from .polynomials import format_rational, primitive
+from .polynomials import primitive
 
 _X = sp.Symbol("x")
 
@@ -258,7 +258,7 @@ class AlgebraicNumber:
 
     def __repr__(self) -> str:
         if self.field is None:
-            return f"AlgebraicNumber({format_rational(self.value)})"
+            return f"AlgebraicNumber({self.value})"
         v = self.approx()
         return f"AlgebraicNumber(~{v.real:.6g}{v.imag:+.6g}j)"
 

@@ -46,6 +46,10 @@ EXIT_VALIDATION = 3
 @click.group()
 def main() -> None:
     """Exact analysis of conic-line arrangements in the projective plane."""
+    # exact coefficients and coordinates may have any number of digits;
+    # Python 3.10.7+ limits int-str conversion to 4300 of them by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 def _fail(code: int, message: str) -> NoReturn:

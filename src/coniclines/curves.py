@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebraic import AlgebraicNumber, NumberField
-from .polynomials import coprime_integers, format_rational, parse_rational
+from .polynomials import coprime_integers, parse_rational
 
 
 class ValidationError(ValueError):
@@ -279,7 +279,7 @@ class ProjectivePoint:
         parts = []
         for c in self._display_coords():
             if c.is_rational:
-                parts.append(format_rational(c.as_fraction()))
+                parts.append(str(c.as_fraction()))
             else:
                 v = c.approx()
                 parts.append(f"~{v.real:.4g}{v.imag:+.4g}j")

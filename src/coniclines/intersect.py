@@ -357,11 +357,15 @@ def check_ordinary(point: SingularPoint, arrangement: Arrangement) -> bool:
 
 @dataclass
 class DerivedCombinatorics:
-    """Output of the full engine run on one arrangement."""
+    """Output of the full engine run on one arrangement: the type and the
+    singular points it counts.  ``all_ordinary`` is read from the points."""
 
     ct: CombinatorialType
     points: list[SingularPoint]
-    all_ordinary: bool
+
+    @property
+    def all_ordinary(self) -> bool:
+        return all(p.ordinary for p in self.points)
 
 
 def has_six_line_subarrangement(arrangement: Arrangement,
@@ -461,8 +465,7 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     for p in points:
         t[p.multiplicity] = t.get(p.multiplicity, 0) + 1
     ct = CombinatorialType(d=arrangement.d, k=arrangement.k, t=t)
-    return DerivedCombinatorics(ct=ct, points=points,
-                                all_ordinary=all(p.ordinary for p in points))
+    return DerivedCombinatorics(ct=ct, points=points)
 
 
 def _orbit_incidence(forms, point: ProjectivePoint, i: int, j: int) -> set[int] | None:

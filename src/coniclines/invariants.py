@@ -9,12 +9,11 @@ Fractions throughout, with decimal renderings only at the reporting surface.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .curves import CombinatorialType
-from .polynomials import format_rational
 
 
 def pair_total(d: int, k: int) -> int:
@@ -194,11 +193,6 @@ class CheckResult:
     hypotheses_satisfied: bool
     conclusion_holds: bool | None
 
-    def as_dict(self) -> dict:
-        return {"name": self.name,
-                "hypotheses_satisfied": self.hypotheses_satisfied,
-                "conclusion_holds": self.conclusion_holds}
-
 
 def rational_with_decimal(v: Fraction | None) -> str:
     """A rational as "p/q (~x.xxxx)", or "undefined" for None."""
@@ -208,49 +202,45 @@ def rational_with_decimal(v: Fraction | None) -> str:
         approx = f"{float(v):.4f}"
     except OverflowError:
         approx = "inf" if v > 0 else "-inf"
-    return f"{format_rational(v)} (~{approx})"
+    return f"{v} (~{approx})"
 
 
 @dataclass
 class AnalysisReport:
-    """All computed invariants and inequality verdicts for one input."""
+    """The report on one combinatorial type.  Its inputs are the type, the
+    inequality verdicts and the warnings; the invariants are computed from
+    the type once, when the report is built, into ``invariants`` under the
+    names ``as_dict`` gives them.  A failed self-check of ``h_index`` or
+    ``cover_chern`` raises there."""
 
     source: str
     ct: CombinatorialType
-    bezout_defect: int
-    f0: int
-    f1: int
-    h_index: Fraction | None
-    milnor_total: int
-    log_c1sq: int
-    log_c2: int
-    slope: Fraction | None
-    cover_e_scaled: int
-    cover_k2_scaled: int
-    bmy_defect: int
     checks: list[CheckResult] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    invariants: dict[str, int | Fraction | None] = field(init=False)
+
+    def __post_init__(self) -> None:
+        ct = self.ct
+        f0, f1 = incidence_sums(ct)
+        c1sq, c2 = log_chern(ct)
+        e_scaled, k2_scaled, bmy = cover_chern(ct)
+        self.invariants = {
+            "bezout_defect": bezout_defect(ct), "f0": f0, "f1": f1,
+            "h_index": h_index(ct) if f0 > 0 else None,
+            "milnor": milnor_total(ct), "c1sq": c1sq, "c2": c2,
+            "slope": log_chern_slope(ct),
+            "cover_e": e_scaled, "cover_k2": k2_scaled, "bmy_defect": bmy,
+        }
 
     def as_dict(self) -> dict:
-        def rat(v):
-            return None if v is None else format_rational(v)
         return {
             "source": self.source,
             "d": self.ct.d,
             "k": self.ct.k,
             "t": {str(r): n for r, n in sorted(self.ct.t.items())},
-            "bezout_defect": self.bezout_defect,
-            "f0": self.f0,
-            "f1": self.f1,
-            "h_index": rat(self.h_index),
-            "milnor": self.milnor_total,
-            "c1sq": self.log_c1sq,
-            "c2": self.log_c2,
-            "slope": rat(self.slope),
-            "cover_e": self.cover_e_scaled,
-            "cover_k2": self.cover_k2_scaled,
-            "bmy_defect": self.bmy_defect,
-            "checks": [c.as_dict() for c in self.checks],
+            **{name: str(v) if isinstance(v, Fraction) else v
+               for name, v in self.invariants.items()},
+            "checks": [asdict(c) for c in self.checks],
             "warnings": list(self.warnings),
         }
 
@@ -258,20 +248,21 @@ class AnalysisReport:
         return json.dumps(self.as_dict(), indent=2)
 
     def render_text(self) -> str:
+        v = self.invariants
         lines = []
         for w in self.warnings:
             lines.append(f"!! {w}")
         lines.append(f"source: {self.source}")
         tdesc = ", ".join(f"t_{r}={n}" for r, n in sorted(self.ct.t.items())) or "none"
         lines.append(f"type: d={self.ct.d} lines, k={self.ct.k} conics; {tdesc}")
-        lines.append(f"bezout defect: {self.bezout_defect}")
-        lines.append(f"f0={self.f0}  f1={self.f1}")
-        lines.append(f"H-index: {rational_with_decimal(self.h_index)}")
-        lines.append(f"total Milnor number: {self.milnor_total}")
-        lines.append(f"log Chern numbers: c1^2={self.log_c1sq}  c2={self.log_c2}")
-        lines.append(f"log Chern slope: {rational_with_decimal(self.slope)}")
-        lines.append(f"cover (scaled): e={self.cover_e_scaled}  "
-                     f"K^2={self.cover_k2_scaled}  BMY defect={self.bmy_defect}")
+        lines.append(f"bezout defect: {v['bezout_defect']}")
+        lines.append(f"f0={v['f0']}  f1={v['f1']}")
+        lines.append(f"H-index: {rational_with_decimal(v['h_index'])}")
+        lines.append(f"total Milnor number: {v['milnor']}")
+        lines.append(f"log Chern numbers: c1^2={v['c1sq']}  c2={v['c2']}")
+        lines.append(f"log Chern slope: {rational_with_decimal(v['slope'])}")
+        lines.append(f"cover (scaled): e={v['cover_e']}  "
+                     f"K^2={v['cover_k2']}  BMY defect={v['bmy_defect']}")
         lines.append("checks:")
         for c in self.checks:
             holds = "n/a" if c.conclusion_holds is None else \
@@ -284,8 +275,7 @@ class AnalysisReport:
 def analyze(ct: CombinatorialType, source: str = "ad hoc",
             six_lines_subarrangement: bool = False,
             warnings: list[str] | None = None) -> AnalysisReport:
-    """Compute every invariant and every check for one combinatorial type."""
-    f0, f1 = incidence_sums(ct)
+    """Compute every check for one combinatorial type, and its report."""
     defect = bezout_defect(ct)
     warns = list(warnings or [])
     if defect != 0:
@@ -294,10 +284,6 @@ def analyze(ct: CombinatorialType, source: str = "ad hoc",
     if ct.t_of(ct.d + ct.k) != 0:
         warns.append("t_{k+d} != 0: all curves share a point, outside the "
                      "standing assumption of the slope formulas")
-    hx = h_index(ct) if f0 > 0 else None
-    c1sq, c2 = log_chern(ct)
-    slope = log_chern_slope(ct)
-    e_s, k2_s, bmy = cover_chern(ct)
     checks = []
     hyp, holds = check_hirzebruch(ct, improved=False,
                                   six_lines_subarrangement=six_lines_subarrangement)
@@ -312,9 +298,4 @@ def analyze(ct: CombinatorialType, source: str = "ad hoc",
     checks.append(CheckResult("slope-at-most-8/3", hyp, slope_ok))
     hyp, holds = check_c2_positive(ct)
     checks.append(CheckResult("c2-positive", hyp, holds))
-    return AnalysisReport(
-        source=source, ct=ct, bezout_defect=defect, f0=f0, f1=f1,
-        h_index=hx, milnor_total=milnor_total(ct),
-        log_c1sq=c1sq, log_c2=c2, slope=slope,
-        cover_e_scaled=e_s, cover_k2_scaled=k2_s, bmy_defect=bmy,
-        checks=checks, warnings=warns)
+    return AnalysisReport(source=source, ct=ct, checks=checks, warnings=warns)

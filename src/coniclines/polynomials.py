@@ -5,8 +5,8 @@
   primitive         -- the same for a univariate polynomial, with positive
                        leading coefficient.  The engine computes in these
                        integers.
-  parse_rational,
-  format_rational   -- the rationals ``p/q`` of the file formats and reports.
+  parse_rational    -- the rationals ``p/q`` of the file formats; ``str`` of
+                       a ``Fraction`` writes them back.
 
 Everything here is exact; there is no floating point.
 """
@@ -27,12 +27,6 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)
     return Fraction(int(text))
-
-
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def coprime_integers(values: Sequence) -> tuple[int, ...]:

@@ -374,6 +374,24 @@ def test_analyze_gaussian_rational_pair_in_a_subprocess(tmp_path):
     assert data["all_ordinary"] is True
 
 
+def test_analyze_coordinates_past_the_int_str_digit_limit_in_a_subprocess(tmp_path):
+    # y = 10^2200 x and z = 10^2200 y meet at (1 : 10^2200 : 10^4400);
+    # Python's default int-str limit is 4300 digits, which the CLI lifts
+    big = "1" + "0" * 2200
+    target = tmp_path / "big.txt"
+    target.write_text(f"line: {big} -1 0\nline: 0 {big} -1\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "coniclines.cli", "analyze",
+                           str(target), "--json"],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["d"], data["k"], data["t"]) == (2, 0, {"2": 1})
+    assert data["points"] == [{"location": "(1/1" + "0" * 4400 + " : 1/" + big + " : 1)",
+                               "multiplicity": 2, "ordinary": True}]
+
+
 def _assert_clean_exit(result, code):
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)

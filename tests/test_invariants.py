@@ -21,6 +21,7 @@ from coniclines.invariants import (
     log_chern_slope,
     milnor_total,
     poincare_from_exponents,
+    rational_with_decimal,
     tjurina_from_exponents,
 )
 
@@ -211,6 +212,11 @@ def test_analyze_report_fields():
     text = report.render_text()
     assert "H-index: -76/31 (~-2.4516)" in text
     assert "slope: 39/17 (~2.2941)" in text
+
+
+def test_rational_with_decimal_past_the_float_range():
+    assert rational_with_decimal(F(10 ** 400)) == f"{10 ** 400} (~inf)"
+    assert rational_with_decimal(F(-10 ** 400)) == f"{-10 ** 400} (~-inf)"
 
 
 def test_analyze_warns_on_defect():

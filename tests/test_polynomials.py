@@ -14,7 +14,6 @@ from coniclines.intersect import (
 )
 from coniclines.polynomials import (
     coprime_integers,
-    format_rational,
     parse_rational,
     primitive,
 )
@@ -32,8 +31,6 @@ def test_coprime_integers_of_integers_agree_with_fractions(values, den):
 def test_rational_round_trip():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-7") == F(-7)
-    assert format_rational(F(3, 4)) == "3/4"
-    assert format_rational(F(5)) == "5"
 
 
 def test_primitive_normalization():

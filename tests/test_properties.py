@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from coniclines.catalog import catalog_get, catalog_list
 from coniclines.curves import (
     CombinatorialType,
     parse_combinatorial_type,
     serialize_combinatorial_type,
 )
 from coniclines.invariants import (
+    analyze,
     bezout_defect,
     check_hirzebruch,
     cover_chern,
@@ -16,6 +19,7 @@ from coniclines.invariants import (
     h_index,
     incidence_sums,
     log_chern,
+    log_chern_slope,
     milnor_total,
 )
 from coniclines.search import enumerate_types, pair_total, random_balanced_type
@@ -110,3 +114,29 @@ def test_general_log_chern_difference(degrees, f0, f1):
     # except for the squares
     c1sq, c2 = general_log_chern(degrees, f0, f1)
     assert c1sq - 2 * c2 == 3 + f1 - 2 * f0 - sum(d * d for d in degrees)
+
+
+def _assert_report_is_the_standalone_functions(ct):
+    data = analyze(ct).as_dict()
+    f0, f1 = incidence_sums(ct)
+    c1sq, c2 = log_chern(ct)
+    slope = log_chern_slope(ct)
+    cover_e, cover_k2, bmy = cover_chern(ct)
+    assert data["bezout_defect"] == bezout_defect(ct)
+    assert (data["f0"], data["f1"]) == (f0, f1)
+    assert data["h_index"] == (str(h_index(ct)) if f0 else None)
+    assert data["milnor"] == milnor_total(ct)
+    assert (data["c1sq"], data["c2"]) == (c1sq, c2)
+    assert data["slope"] == (None if slope is None else str(slope))
+    assert (data["cover_e"], data["cover_k2"], data["bmy_defect"]) == (cover_e, cover_k2, bmy)
+
+
+@given(balanced_types)
+@settings(max_examples=200)
+def test_report_values_are_the_standalone_functions(ct):
+    _assert_report_is_the_standalone_functions(ct)
+
+
+@pytest.mark.parametrize("name", catalog_list())
+def test_catalog_report_values_are_the_standalone_functions(name):
+    _assert_report_is_the_standalone_functions(catalog_get(name).ct)
