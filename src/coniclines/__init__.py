@@ -6,7 +6,7 @@ abelian-cover invariants, and the related inequality checks on both derived
 and cataloged combinatorial data.
 """
 
-from .algebraic import AlgebraicNumber, NumberField, root_orbits
+from .algebraic import NumberField, root_orbits
 from .catalog import catalog_build, catalog_get, catalog_list
 from .curves import (
     Arrangement,

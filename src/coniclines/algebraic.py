@@ -15,15 +15,14 @@ coefficient vector in 1, b, ..., b^(n-1) over one positive integer
 denominator.  Because g is monic, a product is reduced modulo g by integer
 multiply and subtract alone: no Fraction, no gcd per operation, no modular
 inverse.  The reduced vector of an integral element is unique, so the zero
-test is the zero vector.  The engine computes on these vectors alone.  The
-one division in the package is ``NumberField.inverse``, which solves an
-element's multiplication matrix by Cramer's rule over the integers; it
-serves only to display a point with its last nonzero coordinate 1.
-
-An AlgebraicNumber is a rational, or a field element together with the
-index k of the conjugate root a_k of f it is evaluated at.  It is the value
-type of point coordinates and tangent lines for display and the public API:
-it compares by value and approximates itself, and has no arithmetic.
+test is the zero vector.  The engine computes on these vectors alone.
+Only display divides: ``NumberField.inverse`` writes the inverse of an
+element as an integer vector over one positive integer, from the
+cofactors of the first row of its multiplication matrix (Cramer's rule,
+with no integer division), so that a point can be shown with its last
+nonzero coordinate 1.  ``NumberField.approx`` evaluates such a vector over
+its denominator at one conjugate root, as a complex number.  No value type
+wraps an element: a point's coordinates are its integer vectors.
 
 Roots come in orbits (``root_orbits``), one per irreducible factor: a
 rational root as a Fraction, or the NumberField of a factor of degree >= 2.
@@ -44,7 +43,7 @@ order, and conjugate k evaluates its vector at b_k = c_n a_k.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 import sympy as sp
@@ -55,22 +54,13 @@ _X = sp.Symbol("x")
 
 
 def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination, every
-    division exact)."""
-    m = [list(row) for row in rows]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    """Determinant of a square integer matrix by cofactor expansion along
+    the first row: no pivoting and no division.  The matrices here are the
+    minors of a multiplication matrix, at most 3x3."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * c * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
 
 
 class NumberField:
@@ -134,30 +124,27 @@ class NumberField:
                         acc[i + j] += ui * vj
         return self.reduce(acc)
 
-    def element(self, coeffs, den: int = 1, conjugate: int = 0) -> "AlgebraicNumber":
-        """The number (sum_i coeffs[i] b^i) / den at conjugate k."""
-        return AlgebraicNumber(tuple(coeffs), self, conjugate, den)
-
     def inverse(self, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """(w, D) with (sum_i w_i b^i) / D the inverse of the nonzero
-        element sum_i coeffs[i] b^i: Cramer's rule on its multiplication
-        matrix, whose column j is coeffs * b^j.  The zero vector raises
-        ZeroDivisionError."""
+        element sum_i coeffs[i] b^i, and D > 0.  Cramer's rule on its
+        multiplication matrix M, whose column j is coeffs * b^j, needs only
+        the cofactors C_0j of M's first row: w_j = C_0j and
+        D = det M = sum_j M_0j C_0j, both negated when det M < 0.  The zero
+        vector raises ZeroDivisionError."""
         n = self.degree
         columns, col = [], list(coeffs)
         for _ in range(n):
             columns.append(col)
             col = self.reduce([0] + col)
         matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-        den = _det(matrix)
+        cofactors = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+                     for j in range(n)]
+        den = sum(m * c for m, c in zip(matrix[0], cofactors))
         if den == 0:
             raise ZeroDivisionError("element not invertible modulo the witness")
-        unit = [1] + [0] * (n - 1)
-        out = tuple(_det([row[:j] + [unit[i]] + row[j + 1:] for i, row in enumerate(matrix)])
-                    for j in range(n))
         if den < 0:
-            return tuple(-c for c in out), -den
-        return out, den
+            return tuple(-c for c in cofactors), -den
+        return tuple(cofactors), den
 
     # -- display ----------------------------------------------------------------
 
@@ -178,89 +165,28 @@ class NumberField:
             self._roots[dps] = found
         return self._roots[dps]
 
-
-class AlgebraicNumber:
-    """A rational, or a field element at the conjugate root a_k, for
-    display and the public API; the engine builds none.
-
-    When ``field`` is None, ``value`` is a Fraction.  Otherwise ``value`` is
-    the integer vector in b and ``den`` the positive denominator, and some
-    coefficient of b^1 .. b^(n-1) is nonzero (such a value is never
-    rational, so it is never zero).  There is no arithmetic.  Numbers
-    compare (==) and hash by value, also against int and Fraction; equality
-    across fields or conjugates is not decided.
-    """
-
-    __slots__ = ("value", "den", "field", "conjugate")
-
-    def __init__(self, value, field: NumberField | None = None,
-                 conjugate: int = 0, den: int = 1):
-        if field is not None and not any(value[1:]):
-            value, field = Fraction(value[0], den), None
-        if field is None:
-            value = value if isinstance(value, Fraction) else Fraction(value)
-            den, conjugate = 1, 0
-        self.value = value
-        self.den = den
-        self.field = field
-        self.conjugate = conjugate
-
-    @property
-    def is_rational(self) -> bool:
-        return self.field is None
-
-    def as_fraction(self) -> Fraction:
-        if self.field is not None:
-            raise ValueError("not a rational number")
-        return self.value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.field is None and self.value == other
-        if not isinstance(other, AlgebraicNumber):
-            return NotImplemented
-        if self.field is None or other.field is None:
-            return self.field is other.field and self.value == other.value
-        if self.field != other.field or self.conjugate != other.conjugate:
-            raise ValueError("equality across fields or conjugates is not decided")
-        return all(a * other.den == b * self.den for a, b in zip(self.value, other.value))
-
-    def __hash__(self):
-        if self.field is None:
-            return hash(self.value)
-        common = gcd(self.den, *self.value)
-        return hash((self.field, tuple(c // common for c in self.value),
-                     self.den // common, self.conjugate))
-
-    # -- display ------------------------------------------------------------
-
-    def approx(self, digits: int = 6) -> complex:
-        """A complex approximation with at least ``digits`` correct digits,
-        evaluated from the roots of the witness at rising precision until
-        cancellation leaves enough of them."""
-        if self.field is None:
-            return complex(self.value)
+    def approx(self, vector, den: int = 1, conjugate: int = 0, digits: int = 6) -> complex:
+        """(sum_i vector[i] b^i) / den at conjugate k, as a complex number
+        with at least ``digits`` correct digits: evaluated from the roots of
+        the witness at rising precision until cancellation leaves enough of
+        them.  A vector with no irrational part is evaluated exactly."""
+        if not any(vector[1:]):
+            return complex(Fraction(vector[0], den))
         import mpmath
 
         dps = 30
         while True:
             with mpmath.workdps(dps):
-                b = self.field.roots(dps)[self.conjugate] * self.field.lead
+                b = self.roots(dps)[conjugate] * self.lead
                 total, scale = mpmath.mpc(0), mpmath.mpf(0)
-                for i, c in enumerate(self.value):
-                    term = mpmath.mpf(c) / self.den * b ** i
+                for i, c in enumerate(vector):
+                    term = mpmath.mpf(c) / den * b ** i
                     total += term
                     scale = max(scale, abs(term))
                 lost = mpmath.log10(scale / abs(total)) if total != 0 else dps
             if dps - lost >= digits + 5 or dps >= 2000:
                 return complex(total)
             dps *= 2
-
-    def __repr__(self) -> str:
-        if self.field is None:
-            return f"AlgebraicNumber({self.value})"
-        v = self.approx()
-        return f"AlgebraicNumber(~{v.real:.6g}{v.imag:+.6g}j)"
 
 
 # The primes of the irreducibility certificate, tried in this order.

@@ -13,7 +13,7 @@ because several named arrangements are known only through their published
 (d, k, t) data.  A point of P^2 is stored as integer vectors: a rational
 point as its primitive integer coordinates, which key it, and an irrational
 one as vectors in the integral generator of its number field, shared by its
-conjugates.  Its AlgebraicNumber coordinates are built only when asked for.
+conjugates.  Display reads those vectors; no other coordinate type is built.
 
 File formats (UTF-8 text, ``#`` comments):
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebraic import AlgebraicNumber, NumberField
+from .algebraic import NumberField
 from .polynomials import coprime_integers, parse_rational
 
 
@@ -185,12 +185,13 @@ class ProjectivePoint:
     engine builds every point from integers (``from_integers``,
     ``in_field``) and never divides it.
 
-    ``coords``, the coordinates as AlgebraicNumbers, are built on each call,
-    for the public API.  Display (``repr``, ``approx``) shows the point with
-    its last nonzero coordinate 1: the other coordinates are multiplied by
-    the field inverse of that coordinate's vector, the one division in the
-    package.  Points compare and hash by (field, conjugate, vectors); the
-    three are never changed after construction.
+    Display (``repr``, ``approx``) shows the point with its last nonzero
+    coordinate 1: the other coordinates are multiplied by the field inverse
+    of that coordinate's vector, an integer vector over one integer
+    denominator; no other code divides a point.  A rational quotient prints
+    exactly, and an irrational one is evaluated at the point's conjugate
+    root by ``NumberField.approx``.  Points compare and hash by (field,
+    conjugate, vectors); the three are never changed after construction.
     """
 
     __slots__ = ("field", "conjugate", "vectors")
@@ -231,16 +232,6 @@ class ProjectivePoint:
             return cls.from_integers(*(v[0] for v in vectors))
         return cls(field, conjugate, vectors)
 
-    @property
-    def coords(self) -> tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]:
-        """The coordinates as AlgebraicNumbers: normalized for a rational
-        point, the field elements of ``vectors`` for an irrational one."""
-        field = self.field
-        if field is None:
-            pivot = next(v[0] for v in reversed(self.vectors) if v[0])
-            return tuple(AlgebraicNumber(Fraction(v[0], pivot)) for v in self.vectors)
-        return tuple(field.element(v, conjugate=self.conjugate) for v in self.vectors)
-
     def conjugates(self) -> list["ProjectivePoint"]:
         """The points of this point's orbit, by conjugate index; this point
         is one of them, and all share its vectors."""
@@ -259,29 +250,34 @@ class ProjectivePoint:
     def __hash__(self) -> int:
         return hash((self.field, self.conjugate, self.vectors))
 
-    def _display_coords(self) -> list[AlgebraicNumber]:
-        """The coordinates divided by the last nonzero one (the pivot): each
-        vector before the pivot times the field inverse of the pivot's
-        vector, then 1, then zeros."""
+    def _display_coords(self) -> list:
+        """The coordinates divided by the last nonzero one (the pivot): a
+        Fraction where the quotient is rational, else the (vector, den) of
+        the field element, each vector before the pivot times the field
+        inverse of the pivot's vector."""
+        pivot = max(i for i, v in enumerate(self.vectors) if any(v))
         field = self.field
         if field is None:
-            return list(self.coords)
-        pivot = max(i for i, v in enumerate(self.vectors) if any(v))
+            return [Fraction(v[0], self.vectors[pivot][0]) for v in self.vectors]
         inverse, den = field.inverse(self.vectors[pivot])
-        return ([field.element(field.dot((v,), (inverse,)), den, self.conjugate)
-                 for v in self.vectors[:pivot]]
-                + [AlgebraicNumber(1)] + [AlgebraicNumber(0)] * (2 - pivot))
+        coords = []
+        for v in self.vectors[:pivot]:
+            w = field.dot((v,), (inverse,))
+            coords.append((tuple(w), den) if any(w[1:]) else Fraction(w[0], den))
+        return coords + [Fraction(1)] + [Fraction(0)] * (2 - pivot)
 
     def approx(self) -> tuple[complex, complex, complex]:
-        return tuple(c.approx() for c in self._display_coords())
+        return tuple(complex(c) if isinstance(c, Fraction)
+                     else self.field.approx(*c, self.conjugate)
+                     for c in self._display_coords())
 
     def __repr__(self) -> str:
         parts = []
         for c in self._display_coords():
-            if c.is_rational:
-                parts.append(str(c.as_fraction()))
+            if isinstance(c, Fraction):
+                parts.append(str(c))
             else:
-                v = c.approx()
+                v = self.field.approx(*c, self.conjugate)
                 parts.append(f"~{v.real:.4g}{v.imag:+.4g}j")
         return "(" + " : ".join(parts) + ")"
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebraic import AlgebraicNumber, NumberField, root_orbits
+from .algebraic import NumberField, root_orbits
 from .curves import (
     Arrangement,
     CombinatorialType,
@@ -311,20 +311,16 @@ def _eliminate_x(p: tuple[int, ...], q: tuple[int, ...]
     return quartic, lin1, lin0
 
 
-def _element(field: NumberField | None, conjugate: int, vector: list[int]) -> AlgebraicNumber:
-    if field is None:
-        return AlgebraicNumber(vector[0])
-    return field.element(vector + [0] * (field.degree - len(vector)), conjugate=conjugate)
-
-
 def tangent_line(curve: PlaneCurve, point: ProjectivePoint
-                 ) -> tuple[AlgebraicNumber, AlgebraicNumber, AlgebraicNumber]:
-    """Tangent of the curve at a point of it, as a line: the gradient of the
-    curve's integer form at the point's integer vectors (a multiple of the
-    gradient at the normalized point)."""
-    field, vectors = point.field, point.vectors
-    return tuple(_element(field, point.conjugate, g)
-                 for g in _tangent(curve.coefficients, field, vectors))
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Tangent of the curve at a point of it, as the three integer vectors
+    of its line coefficients (a, b, c): the gradient of the curve's integer
+    form at the point's integer vectors, a nonzero multiple of the gradient
+    at the normalized point.  A line's vectors are its coefficients as
+    1-vectors; a conic's have the length of the point's vectors, in the
+    integral generator b of the point's field.  Raises ValidationError when
+    the point is not on the curve."""
+    return tuple(tuple(g) for g in _tangent(curve.coefficients, point.field, point.vectors))
 
 
 def _tangent(coeffs: tuple[int, ...], field: NumberField | None, point) -> list[list[int]]:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -280,17 +281,17 @@ def test_repeated_type_count_rejected():
 
 def test_projective_point_normalization():
     p = ProjectivePoint.from_coords(F(2), F(4), F(2))
-    assert [c.as_fraction() for c in p.coords] == [1, 2, 1]
-    q = ProjectivePoint.from_coords(F(3), F(5), F(0))
-    assert [c.as_fraction() for c in q.coords] == [F(3, 5), 1, 0]
+    assert p.vectors == ((1,), (2,), (1,)) and repr(p) == "(1 : 2 : 1)"
+    q = ProjectivePoint.from_coords(F(-3, 2), F(-5, 2), F(0))
+    assert q.vectors == ((3,), (5,), (0,)) and repr(q) == "(3/5 : 1 : 0)"
     with pytest.raises(ValidationError):
         ProjectivePoint.from_coords(F(0), F(0), F(0))
 
 
 def test_from_coords_takes_only_ints_and_fractions():
-    field = NumberField([-2, 0, 1])
-    root, other = field.element((0, 1)), field.element((1, 1))
-    for coords in ((root, F(0), F(1)), (F(1), F(2), other), (0.5, 1, 1)):
+    # a field element's vector, a complex number or a float is no
+    # rational coordinate
+    for coords in (((0, 1), F(0), F(1)), (F(1), F(2), 1j), (0.5, 1, 1)):
         with pytest.raises(TypeError):
             ProjectivePoint.from_coords(*coords)
 
@@ -323,7 +324,7 @@ def test_integer_points_agree_with_from_coords(xyz, den, sign):
     common = math.lcm(*(c.denominator for c in normalized))
     vectors = tuple((c.numerator * (common // c.denominator),) for c in normalized)
     for p in (point, other):
-        assert [c.as_fraction() for c in p.coords] == normalized
+        assert p.approx() == tuple(complex(c) for c in normalized)
         assert p.vectors == vectors
         assert p.field is None and p.conjugate == 0
         assert repr(p) == repr(point)
@@ -365,7 +366,14 @@ def test_conjugates_share_vectors(point):
     for k, conj in enumerate(orbit):
         assert conj.conjugate == k and conj.field == point.field
         assert conj.vectors is point.vectors
-        assert conj.coords == tuple(point.field.element(v, conjugate=k) for v in point.vectors)
+        # the display of conjugate k is the quotient of the vectors'
+        # values at b_k = c_n a_k, by the last nonzero one
+        with mpmath.workdps(30):
+            b = point.field.roots()[k] * point.field.lead
+            values = [complex(mpmath.polyval(list(reversed(v)), b)) for v in point.vectors]
+        pivot = next(value for value in reversed(values) if value != 0)
+        assert conj.approx() == pytest.approx([value / pivot for value in values],
+                                              rel=1e-6, abs=1e-9)
 
 
 def test_projective_point_equality_is_projective():

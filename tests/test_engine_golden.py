@@ -18,7 +18,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
 
-from coniclines.algebraic import AlgebraicNumber
+from coniclines.algebraic import NumberField
 from coniclines.catalog import build_pencil4, catalog_get, catalog_list
 from coniclines.curves import Arrangement, PlaneCurve, ValidationError, validate_arrangement
 from coniclines.intersect import combinatorial_type, intersect_pair
@@ -132,9 +132,9 @@ def test_engine_matches_golden():
         assert summary(arr) == golden[name], name
 
 
-def test_engine_builds_no_algebraic_number(monkeypatch):
-    # the engine computes on integer vectors alone; AlgebraicNumber is built
-    # only for display and the public API
+def test_engine_computes_no_numeric_value(monkeypatch):
+    # the engine computes on integer vectors alone; the roots of a witness
+    # and the numeric value of a field element are for display only
     arrangements = [catalog_get(name).build() for name in catalog_list()
                     if catalog_get(name).builder is not None]
     arrangements += criterion6_corpus(seed=1)
@@ -142,10 +142,11 @@ def test_engine_builds_no_algebraic_number(monkeypatch):
                 for arr in arrangements]
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("the engine built an AlgebraicNumber")
+        raise AssertionError("the engine computed a numeric value")
 
     with monkeypatch.context() as patch:
-        patch.setattr(AlgebraicNumber, "__init__", refuse)
+        patch.setattr(NumberField, "roots", refuse)
+        patch.setattr(NumberField, "approx", refuse)
         derived = [combinatorial_type(arr) for arr in arrangements]
     assert any(p.location.field is not None for d in derived for p in d.points)
     assert [[repr(p.location) for p in d.points] for d in derived] == expected

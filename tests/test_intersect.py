@@ -78,7 +78,7 @@ def test_line_conic_transversal():
     # x = z meets x^2 + y^2 - 2 z^2 at (1 : +-1 : 1)
     pts = intersect_pair(line(1, 0, -1), conic(1, 1, -2, 0, 0, 0))
     assert sum(m for _p, m in pts) == 2
-    coords = sorted(float(p.coords[1].approx().real) for p, _m in pts)
+    coords = sorted(p.approx()[1].real for p, _m in pts)
     assert coords == pytest.approx([-1.0, 1.0])
 
 
@@ -111,8 +111,8 @@ def test_conic_conic_pencil_base_points():
     got = set()
     for p, m in pts:
         assert m == 1
-        got.add((round(float(p.coords[0].approx().real)),
-                 round(float(p.coords[1].approx().real))))
+        x, y, _z = p.approx()
+        got.add((round(x.real), round(y.real)))
     assert got == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
@@ -190,15 +190,24 @@ def test_pair_multiplicities_sum_to_degree_product():
 def test_tangent_line_of_a_line_is_itself():
     l = line(1, 2, -3)
     pt = ProjectivePoint.from_coords(F(1), F(1), F(1))
-    grad = tangent_line(l, pt)
-    assert [g.as_fraction() for g in grad] == [1, 2, -3]
+    assert tangent_line(l, pt) == ((1,), (2,), (-3,))
 
 
 def test_tangent_line_of_conic():
     c = conic(1, 1, -1, 0, 0, 0)
     pt = ProjectivePoint.from_coords(F(0), F(1), F(1))
-    grad = tangent_line(c, pt)
-    assert [g.as_fraction() for g in grad] == [0, 2, -2]
+    assert tangent_line(c, pt) == ((0,), (2,), (-2,))
+
+
+def test_tangent_line_at_an_irrational_point():
+    # x = 0 meets x^2 + y^2 - 2 z^2 at (0 : +-sqrt(2) : 1); the conic's
+    # tangent there is a vector in the point's field and passes through it
+    c = conic(1, 1, -2, 0, 0, 0)
+    for p, _m in intersect_pair(line(1, 0, 0), c):
+        tangent = tangent_line(c, p)
+        assert [len(g) for g in tangent] == [p.field.degree] * 3
+        assert p.field.dot(p.vectors, tangent) == [0] * p.field.degree
+        assert tangent_line(line(1, 0, 0), p) == ((1,), (0,), (0,))
 
 
 def test_tangent_line_needs_incidence():
