@@ -52,6 +52,9 @@ from .polynomials import primitive
 
 _X = sp.Symbol("x")
 
+# The correct digits of a value from ``NumberField.approx``; repr prints 4.
+_DIGITS = 6
+
 
 def _det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by cofactor expansion along
@@ -165,11 +168,11 @@ class NumberField:
             self._roots[dps] = found
         return self._roots[dps]
 
-    def approx(self, vector, den: int = 1, conjugate: int = 0, digits: int = 6) -> complex:
+    def approx(self, vector, den: int = 1, conjugate: int = 0) -> complex:
         """(sum_i vector[i] b^i) / den at conjugate k, as a complex number
-        with at least ``digits`` correct digits: evaluated from the roots of
-        the witness at rising precision until cancellation leaves enough of
-        them.  A vector with no irrational part is evaluated exactly."""
+        with at least ``_DIGITS`` correct digits: evaluated from the roots
+        of the witness at rising precision until cancellation leaves enough
+        of them.  A vector with no irrational part is evaluated exactly."""
         if not any(vector[1:]):
             return complex(Fraction(vector[0], den))
         import mpmath
@@ -184,7 +187,7 @@ class NumberField:
                     total += term
                     scale = max(scale, abs(term))
                 lost = mpmath.log10(scale / abs(total)) if total != 0 else dps
-            if dps - lost >= digits + 5 or dps >= 2000:
+            if dps - lost >= _DIGITS + 5 or dps >= 2000:
                 return complex(total)
             dps *= 2
 

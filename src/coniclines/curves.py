@@ -192,6 +192,8 @@ class ProjectivePoint:
     exactly, and an irrational one is evaluated at the point's conjugate
     root by ``NumberField.approx``.  Points compare and hash by (field,
     conjugate, vectors); the three are never changed after construction.
+    Past Python's int-str limit (4300 digits by default) ``repr`` raises
+    ValueError; the CLI lifts it, as can a caller: ``sys.set_int_max_str_digits(0)``.
     """
 
     __slots__ = ("field", "conjugate", "vectors")
@@ -223,10 +225,12 @@ class ProjectivePoint:
         return cls.from_integers(*(v.numerator * (den // v.denominator) for v in values))
 
     @classmethod
-    def in_field(cls, field: NumberField, vectors, conjugate: int = 0) -> "ProjectivePoint":
+    def in_field(cls, field: NumberField | None, vectors,
+                 conjugate: int = 0) -> "ProjectivePoint":
         """The point at the given conjugate whose coordinates are the three
-        integer vectors in b (length deg f each), not normalized; a rational
-        point when no vector has a nonzero entry past its first."""
+        integer vectors in b (length deg f each), not normalized; the
+        rational point of their first entries when no vector has a nonzero
+        entry past its first, as for 1-vectors with the field None."""
         vectors = tuple(tuple(v) for v in vectors)
         if not any(any(v[1:]) for v in vectors):
             return cls.from_integers(*(v[0] for v in vectors))

@@ -18,29 +18,31 @@ integers and on field vectors alike.  At most 30 centres fail (see
 
 Each pair routine maps the roots of one binary form to points: the
 restriction of the conic to the line, a quadratic in the line's parameter
-(s : t), or the quartic in (y : z).  ``_binary_roots`` is the one rule for
-the root (1 : 0): it comes first, with the multiplicity the form's degree
-lost, then the orbits of ``root_orbits``.  ``intersect_pair`` alone
-certifies a pair: every point lies on both curves, by exact evaluation of
-their integer forms, and the pair multiplicities sum to the product of the
-curve degrees.  The six-line search intersects nothing: it reads its line
-meets from the singular points of ``combinatorial_type``.
+(s : t), or the quartic in (y : z).  ``_binary_roots`` gives each root one
+shape, (field, s, t, multiplicity): the root (1 : 0) first, with the
+multiplicity the form's degree lost, then a rational root num/den as
+(None, num, den, m) and an orbit as (field, None, c_n, m), at
+(s : t) = (b : c_n).  A routine writes its point as polynomials in s, which
+``_at`` evaluates at the integer s or reduces modulo the witness of b.
+``_pair_orbits`` alone certifies a pair: every point lies on both curves,
+by exact evaluation of their integer forms, and the pair multiplicities,
+each orbit's times its degree, sum to the product of the curve degrees.
+The six-line search intersects nothing: it reads its line meets from the
+singular points of ``combinatorial_type``.
 
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
 coordinates in Q[a]/(f), which stands for deg f geometric points.  The
-point is built projectively, never divided: with b = c_n a the integral
-generator of the field, a line-conic point is b*P0 + c_n*P1 and a
-conic-conic point is M_t (-lin0(y) : y lin1(y) : lin1(y)) times c_n^2, so its
-coordinates are integer vectors in b.  Incidence and tangency are
-Galois-invariant, so one exact evaluation in the field decides them for the
-whole orbit: the curves' primitive integer forms are evaluated at those
-vectors, a line entrywise and a conic with integer arithmetic modulo the
-monic witness of b.  No point is divided or turned into Fractions on the
-way: a rational point is its primitive integer vector (last nonzero entry
-positive), and rational points are grouped by those vectors; an irrational
-orbit is evaluated against the other curves and counted at the pair of its
-two lowest-index curves.
+engine carries that one point from ``_pair_orbits`` to its singular points,
+where it builds the deg f conjugates, once; ``intersect_pair`` builds them
+for its callers.  Incidence and tangency are Galois-invariant, so one exact
+evaluation in the field decides them for the whole orbit: the curves'
+primitive integer forms are evaluated at its vectors, a line entrywise and
+a conic with integer arithmetic modulo the monic witness of b.  No point is
+divided or turned into Fractions on the way: a rational point is its
+primitive integer vector (last nonzero entry positive), and rational points
+are grouped by those vectors; an irrational orbit is evaluated against the
+other curves and counted at the pair of its two lowest-index curves.
 
 A point is ordinary iff each pair of its curves meets transversally there.
 For lines and smooth conics that is a pair multiplicity of 1 (Fulton,
@@ -54,6 +56,7 @@ tangents for any point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -87,6 +90,14 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     The deg f points of an orbit come consecutively, by conjugate index,
     and share their exact coordinates.
     """
+    return [(conj, mult) for point, mult in _pair_orbits(c1, c2)
+            for conj in point.conjugates()]
+
+
+def _pair_orbits(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
+    """One point per orbit of two distinct curves, with pair multiplicities,
+    certified: each lies on both curves, by exact evaluation, and the
+    multiplicities times the orbits' degrees sum to deg(c1) * deg(c2)."""
     u, v = c1.coefficients, c2.coefficients
     # the coprime integer coefficients of one curve agree up to sign
     if u == v or u == tuple(-c for c in v):
@@ -108,12 +119,11 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
                 raise IntersectionError("back-substitution verification failed")
     except IntersectionError as exc:
         raise _pair_error(c1, c2, exc) from None
-    points = [(conj, mult) for point, mult in orbits for conj in point.conjugates()]
-    total = sum(m for _p, m in points)
+    total = sum(m * (p.field.degree if p.field else 1) for p, m in orbits)
     if total != c1.degree * c2.degree:
         raise _pair_error(c1, c2, f"pair multiplicities sum to {total}, "
                                   f"not {c1.degree * c2.degree}")
-    return points
+    return orbits
 
 
 def _intersect_lines(l1: tuple[int, ...], l2: tuple[int, ...]) -> PairResult:
@@ -167,18 +177,25 @@ def _conic_value(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
     return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
 
-def _binary_roots(form: list[int]) -> list[tuple[tuple[int, int] | NumberField, int]]:
+def _binary_roots(form: list[int]) -> list[tuple[NumberField | None, int | None, int, int]]:
     """The roots (s : t) of a nonzero binary form sum_i form[i] s^i t^(n-i),
-    n = len(form) - 1, one per orbit, with their multiplicities.  The root
-    (1 : 0) comes first, with the multiplicity the form's degree in s lost,
-    then the orbits of ``root_orbits``, in its order.  A rational root is
-    (num, den); an irrational orbit is its NumberField, at (s : t) =
-    (b : c_n)."""
+    n = len(form) - 1, one per orbit, as (field, s, t, multiplicity).  The
+    root (1 : 0) comes first, as (None, 1, 0, m) with the multiplicity m the
+    form's degree in s lost, then the orbits of ``root_orbits``, in its
+    order: a rational root num/den as (None, num, den, m), an irrational
+    orbit as (field, None, c_n, m), at (s : t) = (b : c_n)."""
     lost = len(form) - 1 - max(i for i, c in enumerate(form) if c)
-    roots = [((1, 0), lost)] if lost else []
-    roots += [(root.as_integer_ratio() if isinstance(root, Fraction) else root, mult)
-              for root, mult in root_orbits(form)]
-    return roots
+    roots = [(None, 1, 0, lost)] if lost else []
+    return roots + [(None, r.numerator, r.denominator, m) if isinstance(r, Fraction)
+                    else (r, None, r.lead, m) for r, m in root_orbits(form)]
+
+
+def _at(field: NumberField | None, s: int | None, poly: list[int]) -> list[int]:
+    """The integer polynomial ``poly`` (lowest first) at the root s of
+    ``_binary_roots``: reduced modulo the witness of b, or a 1-vector."""
+    if field is None:
+        return [sum(c * s ** i for i, c in enumerate(poly))]
+    return field.reduce(poly)
 
 
 def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> PairResult:
@@ -189,20 +206,10 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
     quad_b = _conic_value(conic, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
     if not (quad_a or quad_b or quad_c):
         raise IntersectionError("line is a component of the conic")
-    points: PairResult = []
-    for root, mult in _binary_roots([quad_c, quad_b, quad_a]):
-        if isinstance(root, tuple):
-            # the root (s : t) = (num : den) is the point num*P0 + den*P1
-            num, den = root
-            points.append((ProjectivePoint.from_integers(
-                *(num * p0[i] + den * p1[i] for i in range(3))), mult))
-            continue
-        # the root (s : t) = (b : c_n) is the point b*P0 + c_n*P1
-        field = root
-        zeros = (0,) * (field.degree - 2)
-        vectors = tuple((field.lead * p1[i], p0[i], *zeros) for i in range(3))
-        points.append((ProjectivePoint.in_field(field, vectors), mult))
-    return points
+    # the root (s : t) is the point s*P0 + t*P1
+    return [(ProjectivePoint.in_field(field, [_at(field, s, [t * p1[i], p0[i]])
+                                              for i in range(3)]), mult)
+            for field, s, t, mult in _binary_roots([quad_c, quad_b, quad_a])]
 
 
 # A projection centre C fails only if it lies on one of the conics, or on a
@@ -247,22 +254,13 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
     if u == v == 0 or not sum(c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
         raise _NotGeneric("two intersection points share a fiber")
     points: PairResult = []
-    for root, mult in _binary_roots(quartic):
-        if isinstance(root, tuple):
-            # x = -lin0 / lin1: in the changed coordinates the point over
-            # (y : z) = (num : den) is (-lin0 : y lin1 : z lin1), times den^2,
-            # and M_t maps (x, y, z) back to (x, t x + y, t^3 x + z)
-            num, den = root
-            lin1_y = lin1[0] * den + lin1[1] * num
-            x = -(lin0[0] * den * den + lin0[1] * num * den + lin0[2] * num * num)
-            points.append((ProjectivePoint.from_integers(
-                x, t * x + num * lin1_y, t ** 3 * x + den * lin1_y), mult))
-            continue
-        # at (y : z) = (b : c_n), times c_n^2: polynomials in b of degree <= 2
-        field, c = root, root.lead
-        x = field.reduce([-lin0[0] * c * c, -lin0[1] * c, -lin0[2]])
-        y = field.reduce([0, lin1[0] * c, lin1[1]])
-        z = field.reduce([lin1[0] * c * c, lin1[1] * c])
+    for field, s, w, mult in _binary_roots(quartic):
+        # x = -lin0 / lin1: over the root (y : z) = (s : w) the point is
+        # (-lin0 : y lin1 : z lin1) times w^2, polynomials in s of degree <= 2;
+        # M_t maps (x, y, z) back to (x, t x + y, t^3 x + z)
+        x = _at(field, s, [-lin0[0] * w * w, -lin0[1] * w, -lin0[2]])
+        y = _at(field, s, [0, lin1[0] * w, lin1[1]])
+        z = _at(field, s, [lin1[0] * w * w, lin1[1] * w])
         y = [t * xi + yi for xi, yi in zip(x, y)]
         z = [t ** 3 * xi + zi for xi, zi in zip(x, z)]
         points.append((ProjectivePoint.in_field(field, (x, y, z)), mult))
@@ -426,24 +424,24 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     validate_arrangement(arrangement)
     curves = arrangement.curves
     forms = [c.coefficients for c in curves]
-    # [points of one orbit, incident curve indices, ordinary], by first pair
+    # [one point of an orbit, incident curve indices, ordinary], by first pair
     found: list[list] = []
     # the entries of the rational points, by their primitive integer vectors
     rational: dict[tuple[tuple[int], ...], list] = {}
     for i, j in combinations(range(len(curves)), 2):
         try:
-            pair = intersect_pair(curves[i], curves[j])
+            orbits = _pair_orbits(curves[i], curves[j])
         except IntersectionError as exc:
             raise IntersectionError(f"curves {i} and {j}, {exc}") from None
-        for point, mult in pair:
+        for point, mult in orbits:
             if point.field is None:
                 entry = rational.get(point.vectors)
                 if entry is None:
-                    entry = rational[point.vectors] = [[point], set(), True]
+                    entry = rational[point.vectors] = [point, set(), True]
                     found.append(entry)
                 entry[1].update((i, j))
                 entry[2] = entry[2] and mult == 1
-            elif point.conjugate == 0:
+            else:
                 incident = _orbit_incidence(forms, point, i, j)
                 if incident is None:
                     continue
@@ -451,15 +449,10 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
                 # are not at hand, so their tangents decide
                 ordinary = mult == 1 and (len(incident) == 2 or _tangents_distinct(
                     [forms[k] for k in sorted(incident)], point))
-                found.append([point.conjugates(), incident, ordinary])
-    points = []
-    for orbit, incident, ordinary in found:
-        points.extend(SingularPoint(location=p, incident=frozenset(incident),
-                                    ordinary=ordinary)
-                      for p in orbit)
-    t: dict[int, int] = {}
-    for p in points:
-        t[p.multiplicity] = t.get(p.multiplicity, 0) + 1
+                found.append([point, incident, ordinary])
+    points = [SingularPoint(location=p, incident=frozenset(incident), ordinary=ordinary)
+              for point, incident, ordinary in found for p in point.conjugates()]
+    t = Counter(p.multiplicity for p in points)
     ct = CombinatorialType(d=arrangement.d, k=arrangement.k, t=t)
     return DerivedCombinatorics(ct=ct, points=points)
 

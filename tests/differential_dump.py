@@ -15,7 +15,8 @@ The corpus: the first 250 criterion-6 draws that validate for each of the
 seeds 1-7, pencil4 with k = 2..10, every catalog builder, the
 ``tests/data/cli/big-*.txt`` inputs, 200 seeded line-conic pairs and 30
 seeded arrangements of 6-12 lines, some with a conic.  The script takes no
-options; pytest does not collect it.
+options; pytest does not collect it.  Like the CLI, it lifts Python's limit
+on int-str conversion, so a point of any size prints.
 """
 
 from __future__ import annotations
@@ -125,5 +126,9 @@ def dump(inputs: Iterable[tuple[str, Arrangement]]) -> Iterator[str]:
 if __name__ == "__main__":
     if sys.argv[1:]:
         sys.exit("usage: python tests/differential_dump.py (no options)")
+    # coordinates may have any number of digits; as in the CLI, lift the
+    # 4300-digit limit of Python 3.10.7+ on int-str conversion
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     for text in dump(corpus()):
         print(text)

@@ -1,0 +1,179 @@
+"""Run the committed hand-made mutants of the package against the tests.
+
+Each entry of ``MUTANTS`` is a name, a file of the tree, the exact old text,
+the new text and the test expected to kill the mutant.  For each entry the
+script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the edit there, runs the expected test and then, when
+that test passes, the Tier-1 suite with ``-x``.  It prints one line per
+entry:
+
+    killed    the expected test fails, or else another test does (named)
+    survived  every test passes
+    stale     the old text does not occur exactly once in the file, the
+              edited file does not compile, or the expected test is not
+              found: the entry needs updating
+
+and exits 1 when any entry survived or is stale.  The working tree is never
+touched.  Run it from anywhere:
+
+    python tests/mutants.py                 # every entry
+    python tests/mutants.py NAME [NAME ...] # the named entries
+
+A run of every entry takes a few minutes.  pytest does not collect this
+file.  A change that adds a test for a mutant it found adds the entry here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    test: str
+
+
+MUTANTS = [
+    # the pair certificate and the one shape of a root
+    Mutant("pair-sum-check-deleted", "src/coniclines/intersect.py",
+           "    if total != c1.degree * c2.degree:\n",
+           "    if False:\n",
+           "tests/test_intersect.py::test_pair_multiplicity_certificate_fires"),
+    Mutant("pair-sum-counts-each-orbit-once", "src/coniclines/intersect.py",
+           "total = sum(m * (p.field.degree if p.field else 1) for p, m in orbits)",
+           "total = sum(m for p, m in orbits)",
+           "tests/test_intersect.py::test_line_conic_irrational_points"),
+    Mutant("rational-root-at-t-s", "src/coniclines/intersect.py",
+           "(None, r.numerator, r.denominator, m)",
+           "(None, r.denominator, r.numerator, m)",
+           "tests/test_intersect.py::test_line_conic_tangent"),
+    Mutant("in-field-keeps-a-rational-1-vector", "src/coniclines/curves.py",
+           "        if not any(any(v[1:]) for v in vectors):\n",
+           "        if field is not None and not any(any(v[1:]) for v in vectors):\n",
+           "tests/test_intersect.py::test_cluster_pencil4"),
+    Mutant("binary-roots-drops-one-zero", "src/coniclines/intersect.py",
+           "    roots = [(None, 1, 0, lost)] if lost else []\n",
+           "    roots = []\n",
+           "tests/test_intersect.py::test_line_conic_root_at_infinity_of_the_parameter"),
+    Mutant("engine-keeps-one-point-per-orbit", "src/coniclines/intersect.py",
+           "for point, incident, ordinary in found for p in point.conjugates()]",
+           "for point, incident, ordinary in found for p in [point]]",
+           "tests/test_intersect.py::test_engine_builds_each_conjugate_point_once"),
+    # display and the field kernel
+    Mutant("engine-calls-approx", "src/coniclines/intersect.py",
+           "                incident = _orbit_incidence(forms, point, i, j)\n",
+           "                point.approx()\n"
+           "                incident = _orbit_incidence(forms, point, i, j)\n",
+           "tests/test_engine_golden.py::test_engine_computes_no_numeric_value"),
+    Mutant("rational-quotient-printed-numerically", "src/coniclines/curves.py",
+           "coords.append((tuple(w), den) if any(w[1:]) else Fraction(w[0], den))",
+           "coords.append((tuple(w), den))",
+           "tests/test_curves.py::test_display_divides_by_the_pivot_exactly"),
+    Mutant("inverse-drops-cofactor-signs", "src/coniclines/algebraic.py",
+           "cofactors = [(-1) ** j * _det(", "cofactors = [_det(",
+           "tests/test_algebraic.py::test_kernel_inverse"),
+    Mutant("det-drops-cofactor-signs", "src/coniclines/algebraic.py",
+           "return sum((-1) ** j * c * _det(", "return sum(c * _det(",
+           "tests/test_algebraic.py::test_kernel_inverse"),
+    Mutant("approx-ignores-the-conjugate", "src/coniclines/algebraic.py",
+           "b = self.roots(dps)[conjugate] * self.lead",
+           "b = self.roots(dps)[0] * self.lead",
+           "tests/test_curves.py::test_conjugates_share_vectors"),
+    Mutant("tangent-line-truncated", "src/coniclines/intersect.py",
+           "return tuple(tuple(g) for g in _tangent(",
+           "return tuple(tuple(g[:1]) for g in _tangent(",
+           "tests/test_intersect.py::test_tangent_line_at_an_irrational_point"),
+    # reports and the CLI
+    Mutant("negative-overflow-printed-as-inf", "src/coniclines/invariants.py",
+           'approx = "inf" if v > 0 else "-inf"',
+           'approx = "inf"',
+           "tests/test_invariants.py::test_rational_with_decimal_past_the_float_range"),
+    Mutant("cli-keeps-the-digit-limit", "src/coniclines/cli.py",
+           "        sys.set_int_max_str_digits(0)\n",
+           "        pass\n",
+           "tests/test_cli.py::"
+           "test_analyze_coordinates_past_the_int_str_digit_limit_in_a_subprocess"),
+    Mutant("six-line-search-reads-curve-indices", "src/coniclines/intersect.py",
+           "through = [line_of[c] for c in point.incident if c in line_of]",
+           "through = [c for c in point.incident if c in line_of]",
+           "tests/test_intersect.py::test_six_line_subarrangement"),
+]
+
+
+def _copy_tree(target: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, target / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", target / "pyproject.toml")
+
+
+def _pytest(tree: Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *TIER1, *args], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=1200)
+
+
+def _first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split()[1]
+    return "(no test named; see pytest's output)"
+
+
+def run(mutant: Mutant) -> str:
+    """The verdict line of one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        target = tree / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return (f"stale     {mutant.name}: the old text occurs "
+                    f"{text.count(mutant.old)} times in {mutant.path}")
+        text = text.replace(mutant.old, mutant.new)
+        try:
+            compile(text, mutant.path, "exec")
+        except SyntaxError as exc:
+            return f"stale     {mutant.name}: the edit does not compile ({exc.msg})"
+        target.write_text(text, encoding="utf-8")
+        expected = _pytest(tree, [mutant.test])
+        if expected.returncode in (4, 5):
+            return f"stale     {mutant.name}: {mutant.test} not found"
+        if expected.returncode != 0:
+            return f"killed    {mutant.name}: by {mutant.test}"
+        tier1 = _pytest(tree, [])
+        if tier1.returncode != 0:
+            return (f"killed    {mutant.name}: by {_first_failure(tier1.stdout)}, "
+                    f"not by {mutant.test}")
+        return f"survived  {mutant.name}"
+
+
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = False
+    for mutant in [known[n] for n in names] if names else MUTANTS:
+        verdict = run(mutant)
+        print(verdict, flush=True)
+        failed |= verdict.startswith(("survived", "stale"))
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

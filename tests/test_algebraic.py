@@ -97,6 +97,11 @@ def test_isolate_zero_rejected():
         root_orbits([])
 
 
+def test_number_field_needs_degree_two():
+    with pytest.raises(ValueError, match="degree >= 2"):
+        NumberField((1, 2))
+
+
 def test_arithmetic_and_zero_detection():
     assert _is_root(SQRT2, [-2, 0, 1])
     assert not _is_root(SQRT2, [-1, 1])

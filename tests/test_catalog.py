@@ -27,6 +27,11 @@ def test_unknown_name_rejected():
         catalog_get("no-such-entry")
 
 
+def test_combinatorial_entry_has_no_equations():
+    with pytest.raises(ValidationError, match="klein is combinatorial-only"):
+        catalog_build("klein")
+
+
 def test_defects_of_catalog_types():
     # the pairwise count assumes transversal intersections, so the one
     # tangential entry is exempt alongside the flagged-inconsistent one

@@ -49,6 +49,17 @@ def test_catalog_show():
     assert "BMY defect=-66" in result.output
 
 
+@pytest.mark.parametrize("name, line", [
+    ("pencil4", "  parameters: k: int = len(t), or 3; "
+                "t: k distinct rationals not in {0, -1}, by default 1..k"),
+    ("tangency-demo", "  flags: non-ordinary"),
+])
+def test_catalog_show_prints_parameters_and_flags(name, line):
+    result = run("catalog", "show", name)
+    assert result.exit_code == 0
+    assert result.output.splitlines()[2] == line
+
+
 def test_catalog_show_unknown():
     result = run("catalog", "show", "nope")
     assert result.exit_code != 0

@@ -206,6 +206,11 @@ def test_pencil4_catalog_entry_validates():
     validate_arrangement(arr)
 
 
+def test_empty_arrangement_rejected():
+    with pytest.raises(ValidationError, match="at least one curve"):
+        Arrangement(())
+
+
 def test_combinatorial_type_invariants():
     ct = CombinatorialType(d=2, k=0, t={2: 1})
     assert ct.t_of(2) == 1 and ct.t_of(3) == 0

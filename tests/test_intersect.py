@@ -187,6 +187,48 @@ def test_pair_multiplicities_sum_to_degree_product():
         assert total == c1.degree * c2.degree
 
 
+@pytest.mark.parametrize("first, second, message", [
+    (conic(1, 1, -2, 0, 0, 0), conic(1, 2, -3, 0, 0, 0),
+     "pair multiplicities sum to 1, not 4"),
+    (line(1, -1, 0), conic(1, 1, -2, 0, 0, 0), "pair multiplicities sum to 1, not 2"),
+], ids=["conic-conic", "line-conic"])
+def test_pair_multiplicity_certificate_fires(monkeypatch, first, second, message):
+    # only the first orbit of each form survives: every point found is on
+    # both curves, so only the multiplicity sum can catch the lost ones
+    monkeypatch.setattr(intersect, "root_orbits", lambda coeffs: root_orbits(coeffs)[:1])
+    with pytest.raises(IntersectionError) as info:
+        intersect_pair(first, second)
+    assert str(info.value) == f"{first.name} and {second.name}: {message}"
+
+
+def test_line_component_of_a_conic_rejected():
+    with pytest.raises(IntersectionError) as info:
+        intersect_pair(line(1, 0, 0), conic(1, 0, 0, 0, 0, 0))
+    assert str(info.value) == ("line: 1 0 0 and conic: 1 0 0 0 0 0: "
+                               "line is a component of the conic")
+
+
+def test_engine_builds_each_conjugate_point_once(monkeypatch):
+    # each irrational orbit here lies on two curves only, so it is found at
+    # one pair, and its deg f points are built once, as singular points
+    arr = Arrangement((line(1, 0, 0), conic(1, 1, -2, 0, 0, 0),
+                       conic(1, 3, -5, 1, 0, 0)))
+    built = []
+    original = ProjectivePoint.__init__
+
+    def recording(self, field, conjugate, vectors):
+        if field is not None:
+            built.append((field.witness, conjugate, vectors))
+        original(self, field, conjugate, vectors)
+
+    monkeypatch.setattr(ProjectivePoint, "__init__", recording)
+    points = [p.location for p in combinatorial_type(arr).points]
+    irrational = [(p.field.witness, p.conjugate, p.vectors)
+                  for p in points if p.field is not None]
+    assert len(irrational) >= 6
+    assert sorted(built) == sorted(irrational)
+
+
 def test_tangent_line_of_a_line_is_itself():
     l = line(1, 2, -3)
     pt = ProjectivePoint.from_coords(F(1), F(1), F(1))
@@ -307,7 +349,7 @@ def _six_lines(arrangement):
 
 def test_wrong_six_line_meet_fails_verification(monkeypatch):
     # the meets of the six-line search are the points combinatorial_type
-    # certifies with intersect_pair
+    # certifies pair by pair
     original = ProjectivePoint.from_integers
     monkeypatch.setattr(ProjectivePoint, "from_integers",
                         classmethod(lambda cls, x, y, z: original(y, x, z)))

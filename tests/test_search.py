@@ -34,6 +34,11 @@ def test_enumerate_small_case():
     ]
 
 
+def test_enumerate_one_conic():
+    # one curve has no pairs: only the empty t-vector, even with max_mult < 2
+    assert list(enumerate_types(0, 1, 1)) == [CombinatorialType(d=0, k=1, t={})]
+
+
 def test_enumerate_matches_brute_force():
     d, k, max_mult = 3, 1, 4
     total = pair_total(d, k)
@@ -87,6 +92,13 @@ def test_scan_urzua_finds_no_violation_in_small_ranges():
     for d, k in ((2, 2), (3, 2), (2, 3)):
         assert scan_conjecture(enumerate_types(d, k, min(5, d + k)),
                                "urzua") == []
+
+
+def test_scan_urzua_flags_ten_concurrent_lines():
+    # ten lines through one point: 8k + 2 t2 + t3 = 0 < d + 3 + (10 - 4) = 19
+    violations = scan_conjecture(enumerate_types(10, 0, 10), "urzua")
+    assert CombinatorialType(d=10, k=0, t={10: 1}) in [v.ct for v in violations]
+    assert all(v.detail == "urzua inequality fails" for v in violations)
 
 
 def test_scan_slope_8_3_clean_on_catalog():
