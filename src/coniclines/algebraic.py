@@ -24,8 +24,10 @@ nonzero coordinate 1.  ``NumberField.approx`` evaluates such a vector over
 its denominator at one conjugate root, as a complex number.  No value type
 wraps an element: a point's coordinates are its integer vectors.
 
-Roots come in orbits (``root_orbits``), one per irreducible factor: a
-rational root as a Fraction, or the NumberField of a factor of degree >= 2.
+Roots come in orbits (``root_orbits``), one NumberField per irreducible
+factor of a polynomial of degree <= 4.  A rational root p/q is no
+exception: it is the field Q[a]/(q a - p) of degree 1, whose integral
+generator is b = p, so reducing modulo its witness evaluates at p.
 Integers decide the factors wherever they can.  A linear or quadratic
 polynomial is split by the integer square root of its discriminant.  A
 cubic or quartic is a single orbit when a modular certificate proves it
@@ -34,15 +36,14 @@ degree for a rational factor.  Modulo a prime that divides neither its
 leading coefficient nor its discriminant D, those degrees follow from two
 numbers: its count of roots mod p, and the parity of the factor count,
 which the Legendre symbol (D/p) gives.  What is reducible, has a repeated
-factor, is not certified or has degree >= 5 goes to sympy's
-``factor_list`` over ZZ, the only sympy call.  Numeric values are for
-display only: mpmath ``polyroots`` finds the roots of f, taken in a fixed
-order, and conjugate k evaluates its vector at b_k = c_n a_k.
+factor or is not certified goes to sympy's ``factor_list`` over ZZ, the
+only sympy call.  Numeric values are for display only: mpmath
+``polyroots`` finds the roots of f, taken in a fixed order, and conjugate
+k evaluates its vector at b_k = c_n a_k.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
@@ -59,16 +60,17 @@ _DIGITS = 6
 def _det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by cofactor expansion along
     the first row: no pivoting and no division.  The matrices here are the
-    minors of a multiplication matrix, at most 3x3."""
-    if len(rows) == 1:
-        return rows[0][0]
+    minors of a multiplication matrix, at most 3x3; the empty one is 1."""
+    if not rows:
+        return 1
     return sum((-1) ** j * c * _det([row[:j] + row[j + 1:] for row in rows[1:]])
                for j, c in enumerate(rows[0]) if c)
 
 
 class NumberField:
-    """Q[a]/(f) for an irreducible witness f of degree n >= 2, computed in
-    the integral generator b = c_n a, a root of the monic g.
+    """Q[a]/(f) for an irreducible witness f of degree n >= 1, computed in
+    the integral generator b = c_n a, a root of the monic g.  At n = 1 the
+    witness q a - p has the rational root p/q, and b = p.
 
     ``witness`` is the primitive integer f (coefficients lowest degree
     first) with positive leading coefficient ``lead`` = c_n; ``monic`` holds
@@ -81,8 +83,8 @@ class NumberField:
     __slots__ = ("witness", "lead", "monic", "_roots")
 
     def __init__(self, witness: Sequence[int]):
-        if len(witness) < 3 or witness[-1] == 0:
-            raise ValueError("a number field witness has degree >= 2")
+        if len(witness) < 2 or witness[-1] == 0:
+            raise ValueError("a number field witness has degree >= 1")
         self.witness = coeffs = primitive(witness)
         n = len(coeffs) - 1
         self.lead = coeffs[-1]
@@ -174,7 +176,7 @@ class NumberField:
         of the witness at rising precision until cancellation leaves enough
         of them.  A vector with no irrational part is evaluated exactly."""
         if not any(vector[1:]):
-            return complex(Fraction(vector[0], den))
+            return complex(vector[0] / den)
         import mpmath
 
         dps = 30
@@ -196,21 +198,20 @@ class NumberField:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def root_orbits(coeffs: Sequence[int]) -> list[tuple[Fraction | NumberField, int]]:
-    """One root per irreducible factor of a nonzero integer polynomial
-    (coefficients lowest degree first), with the factor's multiplicity.
-
-    A linear factor gives its rational root as a Fraction; a factor f of
-    degree >= 2 gives its NumberField Q[a]/(f), which stands for all deg f
-    roots of f.  Factors come in sympy's order (degree, then multiplicity,
-    then coefficients); the roots counted with degree and multiplicity
-    number the degree of the polynomial.
+def root_orbits(coeffs: Sequence[int]) -> list[tuple[NumberField, int]]:
+    """One NumberField per irreducible factor f of a nonzero integer
+    polynomial of degree <= 4 (coefficients lowest degree first), with the
+    factor's multiplicity: Q[a]/(f) stands for all deg f roots of f, and a
+    rational root p/q is the field of q a - p, of degree 1.  Factors come in
+    sympy's order (degree, then multiplicity, then coefficients); the roots
+    counted with degree and multiplicity number the degree of the
+    polynomial.  Degree 5 or more raises ValueError.
 
     Integers decide what they can: a linear or quadratic polynomial is
     split by the integer square root of its discriminant, and a cubic or
     quartic is one orbit when a modular certificate proves it irreducible.
-    Only a polynomial that is reducible, has a repeated factor, is not
-    certified or has degree >= 5 goes to sympy's ``factor_list``.
+    Only a polynomial that is reducible, has a repeated factor or is not
+    certified goes to sympy's ``factor_list``.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -221,31 +222,25 @@ def root_orbits(coeffs: Sequence[int]) -> list[tuple[Fraction | NumberField, int
     n = len(f) - 1
     if n == 0:
         return []
-    if n == 1:
-        return [(Fraction(-f[0], f[1]), 1)]
+    if n > 4:
+        raise ValueError(f"root_orbits takes degree <= 4, not {n}")
     if n == 2:
         c, b, a = f
         disc = b * b - 4 * a * c
         root = isqrt(disc) if disc >= 0 else -1
         if root * root == disc:
+            # the root p/q = (-b -+ root) / 2a has the witness q a - p
             if root == 0:
-                return [(Fraction(-b, 2 * a), 2)]
-            # the primitive factor of p/q is q x - p: sympy sorts by q, then -p
-            roots = sorted((Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)),
-                           key=lambda r: (r.denominator, -r.numerator))
-            return [(r, 1) for r in roots]
+                return [(NumberField((b, 2 * a)), 2)]
+            # sympy sorts the primitive factors q a - p by q, then -p
+            fields = sorted((NumberField((b + root, 2 * a)), NumberField((b - root, 2 * a))),
+                            key=lambda field: field.witness[::-1])
+            return [(field, 1) for field in fields]
+    if n <= 2 or _certified_irreducible(f):
         return [(NumberField(f), 1)]
-    if n <= 4 and _certified_irreducible(f):
-        return [(NumberField(f), 1)]
-    out = []
     _content, factors = sp.Poly(list(reversed(f)), _X, domain="ZZ").factor_list()
-    for factor_sp, mult in factors:
-        factor = [int(c) for c in reversed(factor_sp.rep.to_list())]
-        if len(factor) == 2:
-            out.append((Fraction(-factor[0], factor[1]), int(mult)))
-        else:
-            out.append((NumberField(factor), int(mult)))
-    return out
+    return [(NumberField([int(c) for c in reversed(factor.rep.to_list())]), int(mult))
+            for factor, mult in factors]
 
 
 # -- the irreducibility certificate ----------------------------------------------

@@ -13,7 +13,11 @@ because several named arrangements are known only through their published
 (d, k, t) data.  A point of P^2 is stored as integer vectors: a rational
 point as its primitive integer coordinates, which key it, and an irrational
 one as vectors in the integral generator of its number field, shared by its
-conjugates.  Display reads those vectors; no other coordinate type is built.
+conjugates.  The engine builds both kinds from the fields of its roots, a
+rational root being a field of degree 1 whose 1-vectors ``in_field`` turns
+into the primitive integer point.  Display reads those vectors; no other
+coordinate type is built, and a Fraction appears in a point only when it
+is displayed.
 
 File formats (UTF-8 text, ``#`` comments):
 
@@ -225,12 +229,12 @@ class ProjectivePoint:
         return cls.from_integers(*(v.numerator * (den // v.denominator) for v in values))
 
     @classmethod
-    def in_field(cls, field: NumberField | None, vectors,
+    def in_field(cls, field: NumberField, vectors,
                  conjugate: int = 0) -> "ProjectivePoint":
         """The point at the given conjugate whose coordinates are the three
         integer vectors in b (length deg f each), not normalized; the
         rational point of their first entries when no vector has a nonzero
-        entry past its first, as for 1-vectors with the field None."""
+        entry past its first, as for the 1-vectors of a field of degree 1."""
         vectors = tuple(tuple(v) for v in vectors)
         if not any(any(v[1:]) for v in vectors):
             return cls.from_integers(*(v[0] for v in vectors))

@@ -19,11 +19,13 @@ integers and on field vectors alike.  At most 30 centres fail (see
 Each pair routine maps the roots of one binary form to points: the
 restriction of the conic to the line, a quadratic in the line's parameter
 (s : t), or the quartic in (y : z).  ``_binary_roots`` gives each root one
-shape, (field, s, t, multiplicity): the root (1 : 0) first, with the
-multiplicity the form's degree lost, then a rational root num/den as
-(None, num, den, m) and an orbit as (field, None, c_n, m), at
-(s : t) = (b : c_n).  A routine writes its point as polynomials in s, which
-``_at`` evaluates at the integer s or reduces modulo the witness of b.
+shape, (field, t, multiplicity), at (s : t) = (b : t) for the integral
+generator b of the field: the root (1 : 0) first, as b = 1 in Q[a]/(a - 1)
+over t = 0 with the multiplicity the form's degree lost, then one orbit
+per irreducible factor, over t = c_n; a rational root p/q is the field of
+degree 1 with b = p, over t = q.  A routine writes its point as
+polynomials in s and reduces them modulo the witness of b: at degree 1
+that evaluates them at the integer p.
 ``_pair_orbits`` alone certifies a pair: every point lies on both curves,
 by exact evaluation of their integer forms, and the pair multiplicities,
 each orbit's times its degree, sum to the product of the curve degrees.
@@ -39,7 +41,7 @@ for its callers.  Incidence and tangency are Galois-invariant, so one exact
 evaluation in the field decides them for the whole orbit: the curves'
 primitive integer forms are evaluated at its vectors, a line entrywise and
 a conic with integer arithmetic modulo the monic witness of b.  No point is
-divided or turned into Fractions on the way: a rational point is its
+divided and no Fraction is built on the way: a rational point is its
 primitive integer vector (last nonzero entry positive), and rational points
 are grouped by those vectors; an irrational orbit is evaluated against the
 other curves and counted at the pair of its two lowest-index curves.
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .algebraic import NumberField, root_orbits
@@ -177,25 +178,16 @@ def _conic_value(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
     return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
 
-def _binary_roots(form: list[int]) -> list[tuple[NumberField | None, int | None, int, int]]:
-    """The roots (s : t) of a nonzero binary form sum_i form[i] s^i t^(n-i),
-    n = len(form) - 1, one per orbit, as (field, s, t, multiplicity).  The
-    root (1 : 0) comes first, as (None, 1, 0, m) with the multiplicity m the
-    form's degree in s lost, then the orbits of ``root_orbits``, in its
-    order: a rational root num/den as (None, num, den, m), an irrational
-    orbit as (field, None, c_n, m), at (s : t) = (b : c_n)."""
+def _binary_roots(form: list[int]) -> list[tuple[NumberField, int, int]]:
+    """The roots (s : t) = (b : t) of a nonzero binary form
+    sum_i form[i] s^i t^(n-i), n = len(form) - 1, one per orbit, as
+    (field, t, multiplicity), b the integral generator of the field.  The
+    root (1 : 0) comes first, as b = 1 in Q[a]/(a - 1) over t = 0, with the
+    multiplicity m the form's degree in s lost; then the fields of
+    ``root_orbits``, in its order, over t = c_n."""
     lost = len(form) - 1 - max(i for i, c in enumerate(form) if c)
-    roots = [(None, 1, 0, lost)] if lost else []
-    return roots + [(None, r.numerator, r.denominator, m) if isinstance(r, Fraction)
-                    else (r, None, r.lead, m) for r, m in root_orbits(form)]
-
-
-def _at(field: NumberField | None, s: int | None, poly: list[int]) -> list[int]:
-    """The integer polynomial ``poly`` (lowest first) at the root s of
-    ``_binary_roots``: reduced modulo the witness of b, or a 1-vector."""
-    if field is None:
-        return [sum(c * s ** i for i, c in enumerate(poly))]
-    return field.reduce(poly)
+    roots = [(NumberField((-1, 1)), 0, lost)] if lost else []
+    return roots + [(field, field.lead, m) for field, m in root_orbits(form)]
 
 
 def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> PairResult:
@@ -207,9 +199,9 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
     if not (quad_a or quad_b or quad_c):
         raise IntersectionError("line is a component of the conic")
     # the root (s : t) is the point s*P0 + t*P1
-    return [(ProjectivePoint.in_field(field, [_at(field, s, [t * p1[i], p0[i]])
+    return [(ProjectivePoint.in_field(field, [field.reduce([t * p1[i], p0[i]])
                                               for i in range(3)]), mult)
-            for field, s, t, mult in _binary_roots([quad_c, quad_b, quad_a])]
+            for field, t, mult in _binary_roots([quad_c, quad_b, quad_a])]
 
 
 # A projection centre C fails only if it lies on one of the conics, or on a
@@ -254,13 +246,13 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
     if u == v == 0 or not sum(c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
         raise _NotGeneric("two intersection points share a fiber")
     points: PairResult = []
-    for field, s, w, mult in _binary_roots(quartic):
+    for field, w, mult in _binary_roots(quartic):
         # x = -lin0 / lin1: over the root (y : z) = (s : w) the point is
         # (-lin0 : y lin1 : z lin1) times w^2, polynomials in s of degree <= 2;
         # M_t maps (x, y, z) back to (x, t x + y, t^3 x + z)
-        x = _at(field, s, [-lin0[0] * w * w, -lin0[1] * w, -lin0[2]])
-        y = _at(field, s, [0, lin1[0] * w, lin1[1]])
-        z = _at(field, s, [lin1[0] * w * w, lin1[1] * w])
+        x = field.reduce([-lin0[0] * w * w, -lin0[1] * w, -lin0[2]])
+        y = field.reduce([0, lin1[0] * w, lin1[1]])
+        z = field.reduce([lin1[0] * w * w, lin1[1] * w])
         y = [t * xi + yi for xi, yi in zip(x, y)]
         z = [t ** 3 * xi + zi for xi, zi in zip(x, z)]
         points.append((ProjectivePoint.in_field(field, (x, y, z)), mult))

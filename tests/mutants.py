@@ -56,18 +56,22 @@ MUTANTS = [
            "total = sum(m * (p.field.degree if p.field else 1) for p, m in orbits)",
            "total = sum(m for p, m in orbits)",
            "tests/test_intersect.py::test_line_conic_irrational_points"),
-    Mutant("rational-root-at-t-s", "src/coniclines/intersect.py",
-           "(None, r.numerator, r.denominator, m)",
-           "(None, r.denominator, r.numerator, m)",
+    Mutant("root-read-at-t-s", "src/coniclines/intersect.py",
+           "field.reduce([t * p1[i], p0[i]])",
+           "field.reduce([t * p0[i], p1[i]])",
            "tests/test_intersect.py::test_line_conic_tangent"),
     Mutant("in-field-keeps-a-rational-1-vector", "src/coniclines/curves.py",
            "        if not any(any(v[1:]) for v in vectors):\n",
-           "        if field is not None and not any(any(v[1:]) for v in vectors):\n",
-           "tests/test_intersect.py::test_cluster_pencil4"),
+           "        if field.degree > 1 and not any(any(v[1:]) for v in vectors):\n",
+           "tests/test_intersect.py::test_cluster_dbe_sharpness"),
     Mutant("binary-roots-drops-one-zero", "src/coniclines/intersect.py",
-           "    roots = [(None, 1, 0, lost)] if lost else []\n",
+           "    roots = [(NumberField((-1, 1)), 0, lost)] if lost else []\n",
            "    roots = []\n",
            "tests/test_intersect.py::test_line_conic_root_at_infinity_of_the_parameter"),
+    Mutant("degree-one-witness-with-the-wrong-sign", "src/coniclines/algebraic.py",
+           "NumberField((b, 2 * a))",
+           "NumberField((-b, 2 * a))",
+           "tests/test_algebraic.py::test_isolate_repeated_root"),
     Mutant("engine-keeps-one-point-per-orbit", "src/coniclines/intersect.py",
            "for point, incident, ordinary in found for p in point.conjugates()]",
            "for point, incident, ordinary in found for p in [point]]",

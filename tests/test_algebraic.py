@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
@@ -19,13 +17,8 @@ from coniclines.algebraic import (
 
 def conjugate_values(p):
     """Numeric values of all roots of p, each orbit expanded, with mults."""
-    out = []
-    for root, mult in root_orbits(p):
-        if isinstance(root, F):
-            out.append((complex(root), mult))
-        else:
-            out += [(_generator(root, k), mult) for k in range(root.degree)]
-    return out
+    return [(_generator(field, k), mult) for field, mult in root_orbits(p)
+            for k in range(field.degree)]
 
 
 def _product(*factors):
@@ -43,7 +36,7 @@ def _product(*factors):
 def _generator(field, conjugate=0):
     """The value of the root a_k = b_k / c_n of the witness, for
     k = ``conjugate``."""
-    return field.approx((0, 1) + (0,) * (field.degree - 2), field.lead, conjugate)
+    return field.approx(field.reduce([0, 1]), field.lead, conjugate)
 
 
 def _scaled_value(field, p):
@@ -81,15 +74,20 @@ def test_isolate_conjugate_pair():
 
 def test_isolate_repeated_root():
     roots = root_orbits([1, -2, 1])  # (x - 1)^2
-    assert roots == [(1, 2)]
-    assert isinstance(roots[0][0], F)
+    assert roots == [(NumberField((-1, 1)), 2)]
+    assert conjugate_values([1, -2, 1]) == [(1, 2)]
 
 
 def test_isolate_multiplicities_sum_to_degree():
-    p = _product([-1, 1], [-1, 1], [1, 0, 1], [-2, 0, 1])
+    p = _product([-1, 1], [-1, 1], [-2, 0, 1])  # (x - 1)^2 (x^2 - 2)
     values = conjugate_values(p)
     assert sum(m for _v, m in values) == len(p) - 1
-    assert len(values) == 5
+    assert len(values) == 3
+
+
+def test_root_orbits_rejects_degree_five():
+    with pytest.raises(ValueError, match="degree <= 4"):
+        root_orbits(_product([-1, 1], [-1, 1], [1, 0, 1], [-2, 0, 1]))
 
 
 def test_isolate_zero_rejected():
@@ -97,9 +95,23 @@ def test_isolate_zero_rejected():
         root_orbits([])
 
 
-def test_number_field_needs_degree_two():
-    with pytest.raises(ValueError, match="degree >= 2"):
-        NumberField((1, 2))
+def test_number_field_needs_degree_one():
+    with pytest.raises(ValueError, match="degree >= 1"):
+        NumberField((3,))
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (-5, 7), (0, 1), (4, 1)])
+def test_degree_one_field_is_its_rational_root(p, q):
+    # Q[a]/(q a - p): the generator b = q a is p, and reducing a polynomial
+    # in b evaluates it at p
+    field = NumberField((-p, q))
+    assert (field.degree, field.lead) == (1, q)
+    assert field.reduce([0, 1]) == [p]
+    assert field.reduce([5, -3, 2, 1]) == [5 - 3 * p + 2 * p ** 2 + p ** 3]
+    assert _generator(field) == p / q
+    # the inverse of the element c is 1/c, over a positive denominator
+    for c in (3, -7):
+        assert field.inverse((c,)) == (((1,), c) if c > 0 else ((-1,), -c))
 
 
 def test_arithmetic_and_zero_detection():
@@ -254,16 +266,9 @@ def _sympy_factors(coeffs):
 
 
 def _orbit_factors(orbits):
-    """The primitive factor of each orbit: q x - p for a rational root p/q,
-    else the witness of its field."""
-    out = []
-    for root, mult in orbits:
-        if isinstance(root, F):
-            out.append(((-root.numerator, root.denominator), mult))
-        else:
-            assert isinstance(root, NumberField)
-            out.append((root.witness, mult))
-    return out
+    """The witness of each orbit's field: q x - p for a rational root p/q."""
+    assert all(isinstance(field, NumberField) for field, _mult in orbits)
+    return [(field.witness, mult) for field, mult in orbits]
 
 
 @st.composite

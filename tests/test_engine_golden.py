@@ -152,6 +152,29 @@ def test_engine_computes_no_numeric_value(monkeypatch):
     assert [[repr(p.location) for p in d.points] for d in derived] == expected
 
 
+def test_engine_builds_no_fraction(monkeypatch):
+    # every root is a number field, a rational one of degree 1, and every
+    # point is built from integer vectors; inputs are built first, since
+    # their coefficients may be Fractions
+    arrangements = [catalog_get(name).build() for name in catalog_list()
+                    if catalog_get(name).builder is not None]
+    arrangements += [build_pencil4(4, range(1, 5))] + criterion6_corpus(seed=1)
+
+    def points(derived):
+        return [(repr(p.location), p.incident, p.ordinary) for p in derived.points]
+
+    expected = [points(combinatorial_type(arr)) for arr in arrangements]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the engine built a Fraction")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", refuse)
+        derived = [combinatorial_type(arr) for arr in arrangements]
+    assert any(p.location.field is None for d in derived for p in d.points)
+    assert [points(d) for d in derived] == expected
+
+
 def test_differential_dump_on_the_catalog_builders():
     # tests/differential_dump.py compares two checkouts of the package; its
     # dump runs here so that it keeps working
