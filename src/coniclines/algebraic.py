@@ -27,7 +27,8 @@ wraps an element: a point's coordinates are its integer vectors.
 Roots come in orbits (``root_orbits``), one NumberField per irreducible
 factor of a polynomial of degree <= 4.  A rational root p/q is no
 exception: it is the field Q[a]/(q a - p) of degree 1, whose integral
-generator is b = p, so reducing modulo its witness evaluates at p.
+generator is b = p, so reducing modulo its witness evaluates at p.  A
+point's field is one of these, or ``QQ`` = Q[a]/(a) for a rational point.
 Integers decide the factors wherever they can.  A linear or quadratic
 polynomial is split by the integer square root of its discriminant.  A
 cubic or quartic is a single orbit when a modular certificate proves it
@@ -120,7 +121,10 @@ class NumberField:
 
     def dot(self, us, vs) -> list[int]:
         """The reduced vector of sum_i us[i] * vs[i], for integer vectors in
-        b of length at most n; one reduction for the whole sum."""
+        b of length at most n; one reduction for the whole sum.  At degree 1,
+        a rational point's case, it is the plain sum of integer products."""
+        if len(self.monic) == 1:
+            return [sum(u[0] * v[0] for u, v in zip(us, vs))]
         acc = [0] * (2 * len(self.monic) - 1)
         for u, v in zip(us, vs):
             for i, ui in enumerate(u):
@@ -192,6 +196,9 @@ class NumberField:
             if dps - lost >= _DIGITS + 5 or dps >= 2000:
                 return complex(total)
             dps *= 2
+
+
+QQ = NumberField((0, 1))  # Q as Q[a]/(a): the field of every rational point
 
 
 # The primes of the irreducibility certificate, tried in this order.

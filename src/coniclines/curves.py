@@ -10,14 +10,14 @@ their coefficients agree up to sign.  The
 combinatorial type (d, k, t) records the number of lines, conics, and
 r-fold intersection points; it is also a first-class input on its own,
 because several named arrangements are known only through their published
-(d, k, t) data.  A point of P^2 is stored as integer vectors: a rational
-point as its primitive integer coordinates, which key it, and an irrational
-one as vectors in the integral generator of its number field, shared by its
-conjugates.  The engine builds both kinds from the fields of its roots, a
-rational root being a field of degree 1 whose 1-vectors ``in_field`` turns
-into the primitive integer point.  Display reads those vectors; no other
-coordinate type is built, and a Fraction appears in a point only when it
-is displayed.
+(d, k, t) data.  A point of P^2 lies in a number field and is stored as
+integer vectors in the field's integral generator, shared by its
+conjugates.  A rational point lies in ``QQ`` = Q[a]/(a), as its primitive
+integer 1-vectors, which key it.  The engine builds both kinds from the
+fields of its roots, a rational root being a field of degree 1 whose
+1-vectors ``in_field`` turns into the point of ``QQ``.  Display reads those
+vectors as (vector, denominator) pairs, one coordinate type for every
+point; a Fraction appears in a point only when it is printed.
 
 File formats (UTF-8 text, ``#`` comments):
 
@@ -27,7 +27,8 @@ File formats (UTF-8 text, ``#`` comments):
                                                      + d*xy + e*xz + f*yz = 0
                          coefficients are rationals "p/q" or integers; they
                          are written back as the coprime integers
-  combinatorial type     header ``d=<int> k=<int>`` then lines ``t <r> = <count>``
+  combinatorial type     header ``d=<int> k=<int>`` (each once, either order,
+                         nothing else), then lines ``t <r> = <count>``
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebraic import NumberField
+from .algebraic import QQ, NumberField
 from .polynomials import coprime_integers, parse_rational
 
 
@@ -178,12 +179,12 @@ class CombinatorialType:
 class ProjectivePoint:
     """Point of P^2 with algebraic coordinates, stored as integer vectors.
 
-    ``field`` is the number field of the coordinates, None for a rational
-    point; ``conjugate`` is the index of the point in its orbit, 0 for a
-    rational point; ``vectors`` are the three coordinates times one nonzero
-    number, as integer vectors in the field's integral generator b (length
-    deg f each) or as 1-vectors for a rational point.  A rational point's
-    vectors are primitive with their last nonzero entry positive, so they
+    ``field`` is the number field of the coordinates, ``QQ`` for a rational
+    point (``field.degree == 1``); ``conjugate`` is the index of the point
+    in its orbit, 0 for a rational point; ``vectors`` are the three
+    coordinates times one nonzero number, as integer vectors in the field's
+    integral generator b, of length deg f each.  A rational point's
+    1-vectors are primitive with their last nonzero entry positive, so they
     serve as its dict key.  An irrational point stands for itself and the
     other deg f conjugate points of its orbit, which share its vectors.  The
     engine builds every point from integers (``from_integers``,
@@ -192,17 +193,17 @@ class ProjectivePoint:
     Display (``repr``, ``approx``) shows the point with its last nonzero
     coordinate 1: the other coordinates are multiplied by the field inverse
     of that coordinate's vector, an integer vector over one integer
-    denominator; no other code divides a point.  A rational quotient prints
-    exactly, and an irrational one is evaluated at the point's conjugate
-    root by ``NumberField.approx``.  Points compare and hash by (field,
-    conjugate, vectors); the three are never changed after construction.
+    denominator, at every degree; no other code divides a point.  A quotient
+    with no irrational part prints exactly, any other is evaluated at the
+    point's conjugate root by ``NumberField.approx``.  Points compare and
+    hash by (field, conjugate, vectors), never changed after construction.
     Past Python's int-str limit (4300 digits by default) ``repr`` raises
     ValueError; the CLI lifts it, as can a caller: ``sys.set_int_max_str_digits(0)``.
     """
 
     __slots__ = ("field", "conjugate", "vectors")
 
-    def __init__(self, field: NumberField | None, conjugate: int,
+    def __init__(self, field: NumberField, conjugate: int,
                  vectors: tuple[tuple[int, ...], ...]):
         self.field = field
         self.conjugate = conjugate
@@ -210,13 +211,13 @@ class ProjectivePoint:
 
     @classmethod
     def from_integers(cls, x: int, y: int, z: int) -> "ProjectivePoint":
-        """The rational point (x : y : z) of integer coordinates."""
+        """The rational point (x : y : z) of integer coordinates, in ``QQ``."""
         common = gcd(x, y, z)
         if common == 0:
             raise ValidationError("(0 : 0 : 0) is not a projective point")
         if (z or y or x) < 0:
             common = -common
-        return cls(None, 0, ((x // common,), (y // common,), (z // common,)))
+        return cls(QQ, 0, ((x // common,), (y // common,), (z // common,)))
 
     @classmethod
     def from_coords(cls, x, y, z) -> "ProjectivePoint":
@@ -232,9 +233,9 @@ class ProjectivePoint:
     def in_field(cls, field: NumberField, vectors,
                  conjugate: int = 0) -> "ProjectivePoint":
         """The point at the given conjugate whose coordinates are the three
-        integer vectors in b (length deg f each), not normalized; the
-        rational point of their first entries when no vector has a nonzero
-        entry past its first, as for the 1-vectors of a field of degree 1."""
+        integer vectors in b (length deg f each), not normalized; the point
+        of ``QQ`` of their first entries when no vector has a nonzero entry
+        past its first, as for the 1-vectors of a field of degree 1."""
         vectors = tuple(tuple(v) for v in vectors)
         if not any(any(v[1:]) for v in vectors):
             return cls.from_integers(*(v[0] for v in vectors))
@@ -243,11 +244,8 @@ class ProjectivePoint:
     def conjugates(self) -> list["ProjectivePoint"]:
         """The points of this point's orbit, by conjugate index; this point
         is one of them, and all share its vectors."""
-        field = self.field
-        if field is None:
-            return [self]
-        return [self if k == self.conjugate else ProjectivePoint(field, k, self.vectors)
-                for k in range(field.degree)]
+        return [self if k == self.conjugate else ProjectivePoint(self.field, k, self.vectors)
+                for k in range(self.field.degree)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectivePoint):
@@ -258,35 +256,28 @@ class ProjectivePoint:
     def __hash__(self) -> int:
         return hash((self.field, self.conjugate, self.vectors))
 
-    def _display_coords(self) -> list:
-        """The coordinates divided by the last nonzero one (the pivot): a
-        Fraction where the quotient is rational, else the (vector, den) of
-        the field element, each vector before the pivot times the field
-        inverse of the pivot's vector."""
+    def _display_coords(self) -> list[tuple[tuple[int, ...], int]]:
+        """The coordinates divided by the last nonzero one (the pivot), each
+        the (vector, den) of a field element: a vector before the pivot
+        times the field inverse of the pivot's vector, then 1, then 0."""
         pivot = max(i for i, v in enumerate(self.vectors) if any(v))
         field = self.field
-        if field is None:
-            return [Fraction(v[0], self.vectors[pivot][0]) for v in self.vectors]
         inverse, den = field.inverse(self.vectors[pivot])
-        coords = []
-        for v in self.vectors[:pivot]:
-            w = field.dot((v,), (inverse,))
-            coords.append((tuple(w), den) if any(w[1:]) else Fraction(w[0], den))
-        return coords + [Fraction(1)] + [Fraction(0)] * (2 - pivot)
+        return ([(tuple(field.dot((v,), (inverse,))), den) for v in self.vectors[:pivot]]
+                + [((1,), 1)] + [((0,), 1)] * (2 - pivot))
 
     def approx(self) -> tuple[complex, complex, complex]:
-        return tuple(complex(c) if isinstance(c, Fraction)
-                     else self.field.approx(*c, self.conjugate)
-                     for c in self._display_coords())
+        return tuple(self.field.approx(v, den, self.conjugate)
+                     for v, den in self._display_coords())
 
     def __repr__(self) -> str:
         parts = []
-        for c in self._display_coords():
-            if isinstance(c, Fraction):
-                parts.append(str(c))
+        for v, den in self._display_coords():
+            if not any(v[1:]):
+                parts.append(str(Fraction(v[0], den)))
             else:
-                v = self.field.approx(*c, self.conjugate)
-                parts.append(f"~{v.real:.4g}{v.imag:+.4g}j")
+                z = self.field.approx(v, den, self.conjugate)
+                parts.append(f"~{z.real:.4g}{z.imag:+.4g}j")
         return "(" + " : ".join(parts) + ")"
 
 
@@ -358,10 +349,12 @@ def parse_combinatorial_type(text: str) -> CombinatorialType:
         if not line:
             continue
         if d is None:
-            tokens = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-            if "d" not in tokens or "k" not in tokens:
-                raise ParseError(f"line {lineno}: expected header 'd=<int> k=<int>'")
-            d, k = _parse_int(tokens["d"], lineno), _parse_int(tokens["k"], lineno)
+            pairs = [tok.split("=", 1) for tok in line.split()]
+            if len(pairs) != 2 or sorted(p[0] for p in pairs if len(p) == 2) != ["d", "k"]:
+                raise ParseError(f"line {lineno}: expected header 'd=<int> k=<int>', "
+                                 "each once and nothing else")
+            header = dict(pairs)
+            d, k = _parse_int(header["d"], lineno), _parse_int(header["k"], lineno)
             continue
         parts = line.replace("=", " ").split()
         if len(parts) != 3 or parts[0] != "t":

@@ -40,11 +40,12 @@ where it builds the deg f conjugates, once; ``intersect_pair`` builds them
 for its callers.  Incidence and tangency are Galois-invariant, so one exact
 evaluation in the field decides them for the whole orbit: the curves'
 primitive integer forms are evaluated at its vectors, a line entrywise and
-a conic with integer arithmetic modulo the monic witness of b.  No point is
-divided and no Fraction is built on the way: a rational point is its
-primitive integer vector (last nonzero entry positive), and rational points
-are grouped by those vectors; an irrational orbit is evaluated against the
-other curves and counted at the pair of its two lowest-index curves.
+a conic by ``NumberField.dot``, integer arithmetic modulo the monic witness
+of b.  Every point has a field: a rational point lies in ``QQ``, as its
+primitive integer 1-vectors (last nonzero entry positive).  No point is
+divided and no Fraction is built on the way.  Rational points are grouped
+by their vectors; an irrational orbit is evaluated against the other
+curves and counted at the pair of its two lowest-index curves.
 
 A point is ordinary iff each pair of its curves meets transversally there.
 For lines and smooth conics that is a pair multiplicity of 1 (Fulton,
@@ -120,7 +121,7 @@ def _pair_orbits(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
                 raise IntersectionError("back-substitution verification failed")
     except IntersectionError as exc:
         raise _pair_error(c1, c2, exc) from None
-    total = sum(m * (p.field.degree if p.field else 1) for p, m in orbits)
+    total = sum(m * p.field.degree for p, m in orbits)
     if total != c1.degree * c2.degree:
         raise _pair_error(c1, c2, f"pair multiplicities sum to {total}, "
                                   f"not {c1.degree * c2.degree}")
@@ -147,21 +148,14 @@ def _gradient(coeffs: tuple[int, ...], point: list[list[int]]) -> list[list[int]
             [e * x + f * y + 2 * c * z for x, y, z in zip(xs, ys, zs)]]
 
 
-def _dot(field: NumberField | None, us, vs) -> list[int]:
-    """The reduced vector of sum_i us[i] * vs[i]; a 1-vector over Q."""
-    if field is None:
-        return [sum(u[0] * v[0] for u, v in zip(us, vs))]
-    return field.dot(us, vs)
-
-
-def _vanishes(coeffs: tuple[int, ...], field: NumberField | None, point) -> bool:
+def _vanishes(coeffs: tuple[int, ...], field: NumberField, point) -> bool:
     """Does the integer curve pass through the point (integer vectors)?  A
     line's value is linear in the reduced vectors, so it is taken entrywise
     and needs no reducing."""
     if len(coeffs) == 3:
         a, b, c = coeffs
         return not any(a * x + b * y + c * z for x, y, z in zip(*point))
-    return not any(_dot(field, point, _gradient(coeffs, point)))
+    return not any(field.dot(point, _gradient(coeffs, point)))
 
 
 def _line_basis(a: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -313,18 +307,18 @@ def tangent_line(curve: PlaneCurve, point: ProjectivePoint
     return tuple(tuple(g) for g in _tangent(curve.coefficients, point.field, point.vectors))
 
 
-def _tangent(coeffs: tuple[int, ...], field: NumberField | None, point) -> list[list[int]]:
+def _tangent(coeffs: tuple[int, ...], field: NumberField, point) -> list[list[int]]:
     """The gradient of an integer curve at a point of it (integer vectors)."""
     gradient = _gradient(coeffs, point)
-    if any(_dot(field, point, gradient)):
+    if any(field.dot(point, gradient)):
         raise ValidationError("point does not lie on the curve")
     return gradient
 
 
-def _tangents_proportional(field: NumberField | None, u, v) -> bool:
+def _tangents_proportional(field: NumberField, u, v) -> bool:
     # reduced vectors are unique, so each 2x2 minor u_i v_j - u_j v_i
     # vanishes iff its reduced vector is zero
-    return not any(any(_dot(field, (u[i], u[j]), (v[j], [-c for c in v[i]])))
+    return not any(any(field.dot((u[i], u[j]), (v[j], [-c for c in v[i]])))
                    for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
@@ -426,7 +420,8 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
         except IntersectionError as exc:
             raise IntersectionError(f"curves {i} and {j}, {exc}") from None
         for point, mult in orbits:
-            if point.field is None:
+            # by vector: O(n^2) for n lines, where _orbit_incidence is O(n^3)
+            if point.field.degree == 1:
                 entry = rational.get(point.vectors)
                 if entry is None:
                     entry = rational[point.vectors] = [point, set(), True]

@@ -53,7 +53,7 @@ MUTANTS = [
            "    if False:\n",
            "tests/test_intersect.py::test_pair_multiplicity_certificate_fires"),
     Mutant("pair-sum-counts-each-orbit-once", "src/coniclines/intersect.py",
-           "total = sum(m * (p.field.degree if p.field else 1) for p, m in orbits)",
+           "total = sum(m * p.field.degree for p, m in orbits)",
            "total = sum(m for p, m in orbits)",
            "tests/test_intersect.py::test_line_conic_irrational_points"),
     Mutant("root-read-at-t-s", "src/coniclines/intersect.py",
@@ -82,9 +82,9 @@ MUTANTS = [
            "                point.approx()\n"
            "                incident = _orbit_incidence(forms, point, i, j)\n",
            "tests/test_engine_golden.py::test_engine_computes_no_numeric_value"),
-    Mutant("rational-quotient-printed-numerically", "src/coniclines/curves.py",
-           "coords.append((tuple(w), den) if any(w[1:]) else Fraction(w[0], den))",
-           "coords.append((tuple(w), den))",
+    Mutant("repr-prints-every-coordinate-numerically", "src/coniclines/curves.py",
+           "            if not any(v[1:]):\n",
+           "            if False:\n",
            "tests/test_curves.py::test_display_divides_by_the_pivot_exactly"),
     Mutant("inverse-drops-cofactor-signs", "src/coniclines/algebraic.py",
            "cofactors = [(-1) ** j * _det(", "cofactors = [_det(",
@@ -92,6 +92,10 @@ MUTANTS = [
     Mutant("det-drops-cofactor-signs", "src/coniclines/algebraic.py",
            "return sum((-1) ** j * c * _det(", "return sum(c * _det(",
            "tests/test_algebraic.py::test_kernel_inverse"),
+    Mutant("dot-takes-the-plain-sum-at-degree-two", "src/coniclines/algebraic.py",
+           "        if len(self.monic) == 1:\n",
+           "        if len(self.monic) <= 2:\n",
+           "tests/test_algebraic.py::test_arithmetic_and_zero_detection"),
     Mutant("approx-ignores-the-conjugate", "src/coniclines/algebraic.py",
            "b = self.roots(dps)[conjugate] * self.lead",
            "b = self.roots(dps)[0] * self.lead",
@@ -100,7 +104,11 @@ MUTANTS = [
            "return tuple(tuple(g) for g in _tangent(",
            "return tuple(tuple(g[:1]) for g in _tangent(",
            "tests/test_intersect.py::test_tangent_line_at_an_irrational_point"),
-    # reports and the CLI
+    # parsing, reports and the CLI
+    Mutant("type-header-check-deleted", "src/coniclines/curves.py",
+           "            if len(pairs) != 2 or sorted(",
+           "            if False and sorted(",
+           "tests/test_curves.py::test_malformed_type_header_rejected"),
     Mutant("negative-overflow-printed-as-inf", "src/coniclines/invariants.py",
            'approx = "inf" if v > 0 else "-inf"',
            'approx = "inf"',

@@ -7,6 +7,7 @@ from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
 from coniclines.algebraic import (
     _PRIMES,
+    QQ,
     NumberField,
     _certified_irreducible,
     _degree_pattern,
@@ -112,6 +113,17 @@ def test_degree_one_field_is_its_rational_root(p, q):
     # the inverse of the element c is 1/c, over a positive denominator
     for c in (3, -7):
         assert field.inverse((c,)) == (((1,), c) if c > 0 else ((-1,), -c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, NumberField((-3, 2)), NumberField((5, 7))]),
+       st.lists(st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(-99, 99)),
+                max_size=4))
+def test_degree_one_dot_is_the_plain_sum(field, pairs):
+    # at degree 1 the vectors are integers, whatever the rational root
+    us = [(u,) for u, _v in pairs]
+    vs = [(v,) for _u, v in pairs]
+    assert field.dot(us, vs) == [sum(u * v for u, v in pairs)]
 
 
 def test_arithmetic_and_zero_detection():

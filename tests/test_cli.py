@@ -444,6 +444,17 @@ def test_analyze_repeated_type_count(tmp_path):
     assert "t 2 is given twice" in result.stderr
 
 
+@pytest.mark.parametrize("header", ["d=2 k=1 d=3", "d=2 k=1 x"],
+                         ids=["repeated-d", "stray-token"])
+def test_analyze_malformed_type_header(tmp_path, header):
+    # a repeated key is not its last value, and a stray token is not dropped
+    target = tmp_path / "header.txt"
+    target.write_text(f"{header}\nt 2 = 1\n")
+    result = run("analyze", str(target))
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert "line 1: expected header 'd=<int> k=<int>', each once" in result.stderr
+
+
 def test_analyze_forty_concurrent_lines_in_a_subprocess(tmp_path):
     # no 6 of the lines qualify, so the six-line search must prune: the full
     # walk over C(40, 6) subsets takes half a minute

@@ -284,6 +284,20 @@ def test_repeated_type_count_rejected():
         parse_combinatorial_type("d=2 k=1\nt 2 = 1\nt 2 = 5\n")
 
 
+@pytest.mark.parametrize("header", ["d=2 k=1 d=3", "k=1 d=2 k=1", "d=2 k=1 x",
+                                    "d=2 k=1 r=3", "d=2 k", "d=2", "d=2 d=2"])
+def test_malformed_type_header_rejected(header):
+    # a repeated key is not its last value, and a stray token is not dropped
+    with pytest.raises(ParseError, match="line 2: expected header 'd=<int> k=<int>', "
+                                         "each once and nothing else"):
+        parse_combinatorial_type(f"# type\n{header}\nt 2 = 1\n")
+
+
+def test_type_header_in_either_order():
+    assert parse_combinatorial_type("k=1 d=2\nt 2 = 1\n") == \
+        CombinatorialType(d=2, k=1, t={2: 1})
+
+
 def test_projective_point_normalization():
     p = ProjectivePoint.from_coords(F(2), F(4), F(2))
     assert p.vectors == ((1,), (2,), (1,)) and repr(p) == "(1 : 2 : 1)"
@@ -331,7 +345,7 @@ def test_integer_points_agree_with_from_coords(xyz, den, sign):
     for p in (point, other):
         assert p.approx() == tuple(complex(c) for c in normalized)
         assert p.vectors == vectors
-        assert p.field is None and p.conjugate == 0
+        assert p.field.degree == 1 and p.conjugate == 0
         assert repr(p) == repr(point)
     assert point == other and hash(point) == hash(other)
 

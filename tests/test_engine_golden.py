@@ -16,9 +16,10 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
-from coniclines.algebraic import NumberField
+from coniclines.algebraic import QQ, NumberField
 from coniclines.catalog import build_pencil4, catalog_get, catalog_list
 from coniclines.curves import Arrangement, PlaneCurve, ValidationError, validate_arrangement
 from coniclines.intersect import combinatorial_type, intersect_pair
@@ -148,7 +149,7 @@ def test_engine_computes_no_numeric_value(monkeypatch):
         patch.setattr(NumberField, "roots", refuse)
         patch.setattr(NumberField, "approx", refuse)
         derived = [combinatorial_type(arr) for arr in arrangements]
-    assert any(p.location.field is not None for d in derived for p in d.points)
+    assert any(p.location.field.degree > 1 for d in derived for p in d.points)
     assert [[repr(p.location) for p in d.points] for d in derived] == expected
 
 
@@ -171,7 +172,16 @@ def test_engine_builds_no_fraction(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(F, "__new__", refuse)
         derived = [combinatorial_type(arr) for arr in arrangements]
-    assert any(p.location.field is None for d in derived for p in d.points)
+    locations = [p.location for d in derived for p in d.points]
+    assert all(isinstance(p.field, NumberField) for p in locations)
+    # every rational point lies in QQ, as its primitive integer 1-vectors
+    # with the last nonzero entry positive
+    rational = [p for p in locations if p.field.degree == 1]
+    assert rational and all(p.field == QQ for p in rational)
+    for p in rational:
+        assert all(len(v) == 1 for v in p.vectors)
+        x, y, z = (v[0] for v in p.vectors)
+        assert gcd(x, y, z) == 1 and next(c for c in (z, y, x) if c) > 0
     assert [points(d) for d in derived] == expected
 
 
