@@ -29,6 +29,9 @@ File formats (UTF-8 text, ``#`` comments):
                          are written back as the coprime integers
   combinatorial type     header ``d=<int> k=<int>`` (each once, either order,
                          nothing else), then lines ``t <r> = <count>``
+
+Every integer of both formats, p and q included, is ASCII ``[+-]?[0-9]+``
+(``polynomials.parse_integer``): no ``_`` separator, no other digit.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebraic import QQ, NumberField
-from .polynomials import coprime_integers, parse_rational
+from .polynomials import coprime_integers, parse_integer, parse_rational
 
 
 class ValidationError(ValueError):
@@ -230,16 +233,16 @@ class ProjectivePoint:
         return cls.from_integers(*(v.numerator * (den // v.denominator) for v in values))
 
     @classmethod
-    def in_field(cls, field: NumberField, vectors,
-                 conjugate: int = 0) -> "ProjectivePoint":
-        """The point at the given conjugate whose coordinates are the three
-        integer vectors in b (length deg f each), not normalized; the point
-        of ``QQ`` of their first entries when no vector has a nonzero entry
-        past its first, as for the 1-vectors of a field of degree 1."""
+    def in_field(cls, field: NumberField, vectors) -> "ProjectivePoint":
+        """The point at conjugate 0 whose coordinates are the three integer
+        vectors in b (length deg f each), not normalized, standing for its
+        orbit (``conjugates``); the point of ``QQ`` of their first entries
+        when no vector has a nonzero entry past its first, as for the
+        1-vectors of a field of degree 1."""
         vectors = tuple(tuple(v) for v in vectors)
         if not any(any(v[1:]) for v in vectors):
             return cls.from_integers(*(v[0] for v in vectors))
-        return cls(field, conjugate, vectors)
+        return cls(field, 0, vectors)
 
     def conjugates(self) -> list["ProjectivePoint"]:
         """The points of this point's orbit, by conjugate index; this point
@@ -336,7 +339,7 @@ def serialize_arrangement(arrangement: Arrangement) -> str:
 
 def _parse_int(token: str, lineno: int) -> int:
     try:
-        return int(token)
+        return parse_integer(token)
     except ValueError:
         raise ParseError(f"line {lineno}: expected an integer, got {token!r}") from None
 

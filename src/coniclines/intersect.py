@@ -26,7 +26,7 @@ per irreducible factor, over t = c_n; a rational root p/q is the field of
 degree 1 with b = p, over t = q.  A routine writes its point as
 polynomials in s and reduces them modulo the witness of b: at degree 1
 that evaluates them at the integer p.
-``_pair_orbits`` alone certifies a pair: every point lies on both curves,
+``intersect_pair`` certifies a pair: every point lies on both curves,
 by exact evaluation of their integer forms, and the pair multiplicities,
 each orbit's times its degree, sum to the product of the curve degrees.
 The six-line search intersects nothing: it reads its line meets from the
@@ -35,17 +35,17 @@ singular points of ``combinatorial_type``.
 The unit of work is the conjugate orbit: each irreducible factor f of the
 restricted quadratic or the eliminated quartic gives one exact point with
 coordinates in Q[a]/(f), which stands for deg f geometric points.  The
-engine carries that one point from ``_pair_orbits`` to its singular points,
-where it builds the deg f conjugates, once; ``intersect_pair`` builds them
-for its callers.  Incidence and tangency are Galois-invariant, so one exact
-evaluation in the field decides them for the whole orbit: the curves'
-primitive integer forms are evaluated at its vectors, a line entrywise and
-a conic by ``NumberField.dot``, integer arithmetic modulo the monic witness
-of b.  Every point has a field: a rational point lies in ``QQ``, as its
-primitive integer 1-vectors (last nonzero entry positive).  No point is
-divided and no Fraction is built on the way.  Rational points are grouped
-by their vectors; an irrational orbit is evaluated against the other
-curves and counted at the pair of its two lowest-index curves.
+engine carries that one point from ``intersect_pair`` to its singular
+points, where ``conjugates()`` builds the deg f points, once.  Incidence
+and tangency are Galois-invariant, so one exact evaluation in the field
+decides them for the whole orbit: the curves' primitive integer forms are
+evaluated at its vectors, a line entrywise and a conic by
+``NumberField.dot``, integer arithmetic modulo the monic witness of b.
+Every point has a field: a rational point lies in ``QQ``, as its primitive
+integer 1-vectors (last nonzero entry positive).  No point is divided and
+no Fraction is built on the way.  Rational points are grouped by their
+vectors; an irrational orbit is evaluated against the other curves and
+counted at the pair of its two lowest-index curves.
 
 A point is ordinary iff each pair of its curves meets transversally there.
 For lines and smooth conics that is a pair multiplicity of 1 (Fulton,
@@ -86,20 +86,11 @@ def _pair_error(c1: PlaneCurve, c2: PlaneCurve, message) -> IntersectionError:
 
 
 def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
-    """All intersection points of two distinct curves with pair multiplicities.
-
-    Multiplicities sum to deg(c1) * deg(c2); complex points are included.
-    The deg f points of an orbit come consecutively, by conjugate index,
-    and share their exact coordinates.
-    """
-    return [(conj, mult) for point, mult in _pair_orbits(c1, c2)
-            for conj in point.conjugates()]
-
-
-def _pair_orbits(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
-    """One point per orbit of two distinct curves, with pair multiplicities,
-    certified: each lies on both curves, by exact evaluation, and the
-    multiplicities times the orbits' degrees sum to deg(c1) * deg(c2)."""
+    """The intersection of two distinct curves, one point per Galois orbit
+    with its pair multiplicity, certified: each lies on both curves, by
+    exact evaluation, and the multiplicities times the orbits' degrees sum
+    to deg(c1) * deg(c2).  ``point.conjugates()`` gives an orbit's deg f
+    geometric points, each of that multiplicity."""
     u, v = c1.coefficients, c2.coefficients
     # the coprime integer coefficients of one curve agree up to sign
     if u == v or u == tuple(-c for c in v):
@@ -304,15 +295,10 @@ def tangent_line(curve: PlaneCurve, point: ProjectivePoint
     1-vectors; a conic's have the length of the point's vectors, in the
     integral generator b of the point's field.  Raises ValidationError when
     the point is not on the curve."""
-    return tuple(tuple(g) for g in _tangent(curve.coefficients, point.field, point.vectors))
-
-
-def _tangent(coeffs: tuple[int, ...], field: NumberField, point) -> list[list[int]]:
-    """The gradient of an integer curve at a point of it (integer vectors)."""
-    gradient = _gradient(coeffs, point)
-    if any(field.dot(point, gradient)):
+    gradient = _gradient(curve.coefficients, point.vectors)
+    if any(point.field.dot(point.vectors, gradient)):
         raise ValidationError("point does not lie on the curve")
-    return gradient
+    return tuple(tuple(g) for g in gradient)
 
 
 def _tangents_proportional(field: NumberField, u, v) -> bool:
@@ -322,16 +308,16 @@ def _tangents_proportional(field: NumberField, u, v) -> bool:
                    for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
-def _tangents_distinct(curves: list[tuple[int, ...]], location: ProjectivePoint) -> bool:
-    """Are the tangents of the integer curves at the point pairwise distinct?"""
-    field, vectors = location.field, location.vectors
-    tangents = [_tangent(coeffs, field, vectors) for coeffs in curves]
-    return not any(_tangents_proportional(field, u, v) for u, v in combinations(tangents, 2))
+def _tangents_distinct(curves: list[PlaneCurve], location: ProjectivePoint) -> bool:
+    """Are the tangents of the curves at the point pairwise distinct?"""
+    tangents = [tangent_line(curve, location) for curve in curves]
+    return not any(_tangents_proportional(location.field, u, v)
+                   for u, v in combinations(tangents, 2))
 
 
 def check_ordinary(point: SingularPoint, arrangement: Arrangement) -> bool:
     """Decide ordinarity from tangent lines: pairwise non-proportional."""
-    curves = [arrangement.curves[i].coefficients for i in sorted(point.incident)]
+    curves = [arrangement.curves[i] for i in sorted(point.incident)]
     return _tangents_distinct(curves, point.location)
 
 
@@ -416,7 +402,7 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     rational: dict[tuple[tuple[int], ...], list] = {}
     for i, j in combinations(range(len(curves)), 2):
         try:
-            orbits = _pair_orbits(curves[i], curves[j])
+            orbits = intersect_pair(curves[i], curves[j])
         except IntersectionError as exc:
             raise IntersectionError(f"curves {i} and {j}, {exc}") from None
         for point, mult in orbits:
@@ -435,7 +421,7 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
                 # through three or more curves the other pairs' multiplicities
                 # are not at hand, so their tangents decide
                 ordinary = mult == 1 and (len(incident) == 2 or _tangents_distinct(
-                    [forms[k] for k in sorted(incident)], point))
+                    [curves[k] for k in sorted(incident)], point))
                 found.append([point, incident, ordinary])
     points = [SingularPoint(location=p, incident=frozenset(incident), ordinary=ordinary)
               for point, incident, ordinary in found for p in point.conjugates()]

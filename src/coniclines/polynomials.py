@@ -5,28 +5,42 @@
   primitive         -- the same for a univariate polynomial, with positive
                        leading coefficient.  The engine computes in these
                        integers.
-  parse_rational    -- the rationals ``p/q`` of the file formats; ``str`` of
-                       a ``Fraction`` writes them back.
+  parse_integer     -- the integers of the file formats, ASCII
+                       ``[+-]?[0-9]+`` and nothing else;
+  parse_rational    -- the rationals ``p`` and ``p/q`` of two such integers;
+                       ``str`` of a ``Fraction`` writes them back.
 
 Everything here is exact; there is no floating point.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer written as ASCII ``[+-]?[0-9]+``.  ``int`` alone
+    would also take ``_`` separators, surrounding whitespace and any Unicode
+    decimal digit; those raise ValueError here."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational written as ``p/q`` or ``p``."""
-    text = text.strip()
-    if "/" in text:
-        num, den = (int(v) for v in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    """Parse a rational written as ``p/q`` or ``p``, each of p and q an
+    integer of ``parse_integer``."""
+    num, slash, den = text.partition("/")
+    den = parse_integer(den) if slash else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(parse_integer(num), den)
 
 
 def coprime_integers(values: Sequence) -> tuple[int, ...]:

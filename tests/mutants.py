@@ -56,6 +56,10 @@ MUTANTS = [
            "total = sum(m * p.field.degree for p, m in orbits)",
            "total = sum(m for p, m in orbits)",
            "tests/test_intersect.py::test_line_conic_irrational_points"),
+    Mutant("intersect-pair-expands-conjugates", "src/coniclines/intersect.py",
+           "    return orbits\n",
+           "    return [(conj, m) for p, m in orbits for conj in p.conjugates()]\n",
+           "tests/test_intersect.py::test_line_conic_irrational_points"),
     Mutant("root-read-at-t-s", "src/coniclines/intersect.py",
            "field.reduce([t * p1[i], p0[i]])",
            "field.reduce([t * p0[i], p1[i]])",
@@ -101,10 +105,14 @@ MUTANTS = [
            "b = self.roots(dps)[0] * self.lead",
            "tests/test_curves.py::test_conjugates_share_vectors"),
     Mutant("tangent-line-truncated", "src/coniclines/intersect.py",
-           "return tuple(tuple(g) for g in _tangent(",
-           "return tuple(tuple(g[:1]) for g in _tangent(",
+           "return tuple(tuple(g) for g in gradient)",
+           "return tuple(tuple(g[:1]) for g in gradient)",
            "tests/test_intersect.py::test_tangent_line_at_an_irrational_point"),
     # parsing, reports and the CLI
+    Mutant("integer-grammar-check-deleted", "src/coniclines/polynomials.py",
+           "    if not _INTEGER.fullmatch(text):\n",
+           "    if False:\n",
+           "tests/test_polynomials.py::test_rational_grammar_rejects"),
     Mutant("type-header-check-deleted", "src/coniclines/curves.py",
            "            if len(pairs) != 2 or sorted(",
            "            if False and sorted(",

@@ -163,7 +163,8 @@ def test_criterion_6_random_geometric_arrangements():
         for (i, j) in [(a, b) for a in range(len(arr.curves))
                        for b in range(a + 1, len(arr.curves))]:
             c1, c2 = arr.curves[i], arr.curves[j]
-            total = sum(m for _p, m in intersect_pair(c1, c2))
+            # one point per orbit, of deg f geometric points
+            total = sum(m * p.field.degree for p, m in intersect_pair(c1, c2))
             ok = ok and total == c1.degree * c2.degree
         if not ok:
             break

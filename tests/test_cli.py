@@ -455,6 +455,30 @@ def test_analyze_malformed_type_header(tmp_path, header):
     assert "line 1: expected header 'd=<int> k=<int>', each once" in result.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("line: 1_0 0 -1\nline: 0 1 -1\n", "line 1: bad coefficient (not an integer: '1_0')"),
+    ("line: 1 0 -1\nline: 0 \u0661 -1\n",
+     "line 2: bad coefficient (not an integer: '\u0661')"),
+    ("d=1_0 k=0\n", "line 1: expected an integer, got '1_0'"),
+    ("d=2 k=0\nt \uff12 = 4_5\n", "line 2: expected an integer, got '\uff12'"),
+], ids=["underscore", "arabic-indic-digit", "type-header", "fullwidth-r"])
+def test_analyze_integers_outside_the_grammar(tmp_path, text, message):
+    # int() would read these as 10, 1, 10 and 2
+    target = tmp_path / "input.txt"
+    target.write_text(text, encoding="utf-8")
+    result = run("analyze", str(target))
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert result.stderr == f"parse error: {message}\n"
+
+
+def test_analyze_record_without_a_colon(tmp_path):
+    target = tmp_path / "input.txt"
+    target.write_text("line: 1 0 -1\nconic 1 1 -1 0 0 0\n")
+    result = run("analyze", str(target))
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert result.stderr == "parse error: line 2: expected 'line:' or 'conic:' record\n"
+
+
 def test_analyze_forty_concurrent_lines_in_a_subprocess(tmp_path):
     # no 6 of the lines qualify, so the six-line search must prune: the full
     # walk over C(40, 6) subsets takes half a minute
@@ -487,6 +511,15 @@ def test_export_malformed_parameters(tmp_path, params):
     result = run("catalog", "export", "pencil4", str(tmp_path / "out.txt"),
                  "--k", "2", "--t", params)
     _assert_clean_exit(result, EXIT_PARSE)
+
+
+def test_export_parameters_outside_the_grammar(tmp_path):
+    # int() would read 1_5 as 15 and write conic: 1 15 -16 0 0 0
+    out = tmp_path / "out.txt"
+    result = run("catalog", "export", "pencil4", str(out), "--t", "1_5,2")
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert result.stderr == "parse error: --t: not an integer: '1_5'\n"
+    assert not out.exists()
 
 
 def test_analyze_renders_huge_invariants(tmp_path):

@@ -13,6 +13,7 @@ from coniclines.curves import (
     ParseError,
     PlaneCurve,
     ProjectivePoint,
+    SingularPoint,
     ValidationError,
     _det_2a,
     parse_arrangement,
@@ -293,6 +294,56 @@ def test_malformed_type_header_rejected(header):
         parse_combinatorial_type(f"# type\n{header}\nt 2 = 1\n")
 
 
+@pytest.mark.parametrize("record, token", [
+    ("line: 1_0 0 -1", "1_0"),
+    ("line: 0 \u0661 -1", "\u0661"),
+    ("conic: 1 1 -2 0 0 1/\uff12", "\uff12"),
+], ids=["underscore", "arabic-indic-digit", "fullwidth-denominator"])
+def test_arrangement_coefficients_are_ascii_integers(record, token):
+    with pytest.raises(ParseError) as info:
+        parse_arrangement(f"line: 0 1 -1\n{record}\n")
+    assert str(info.value) == f"line 2: bad coefficient (not an integer: {token!r})"
+
+
+@pytest.mark.parametrize("text, lineno, token", [
+    ("d=1_0 k=0\n", 1, "1_0"),
+    ("d=2 k=\u0661\n", 1, "\u0661"),
+    ("d=2 k=0\nt \uff12 = 1\n", 2, "\uff12"),
+    ("d=2 k=0\nt 2 = 4_5\n", 2, "4_5"),
+], ids=["underscore-d", "arabic-indic-k", "fullwidth-r", "underscore-count"])
+def test_type_integers_are_ascii(text, lineno, token):
+    with pytest.raises(ParseError) as info:
+        parse_combinatorial_type(text)
+    assert str(info.value) == f"line {lineno}: expected an integer, got {token!r}"
+
+
+def test_record_without_a_colon_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_arrangement("line: 1 0 -1\nconic 1 1 -1 0 0 0\n")
+    assert str(info.value) == "line 2: expected 'line:' or 'conic:' record"
+
+
+def test_arrangement_without_records_rejected():
+    with pytest.raises(ParseError, match="no curve records found"):
+        parse_arrangement("# only a comment\n\n   \n")
+
+
+def test_singular_point_needs_two_curves():
+    point = ProjectivePoint.from_integers(0, 0, 1)
+    with pytest.raises(ValidationError, match="multiplicity >= 2"):
+        SingularPoint(location=point, incident=frozenset({0}), ordinary=True)
+    assert SingularPoint(location=point, incident=frozenset({0, 1}),
+                         ordinary=True).multiplicity == 2
+
+
+def test_combinatorial_types_hash_by_value():
+    # a zero count is dropped, so t with it equals t without it
+    a = CombinatorialType(d=3, k=1, t={2: 3, 3: 1, 4: 0})
+    b = CombinatorialType(d=3, k=1, t={3: 1, 2: 3})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert CombinatorialType(d=3, k=1, t={2: 3}) not in {a}
+
+
 def test_type_header_in_either_order():
     assert parse_combinatorial_type("k=1 d=2\nt 2 = 1\n") == \
         CombinatorialType(d=2, k=1, t={2: 1})
@@ -374,7 +425,7 @@ def _irrational_points(draw):
     vector = st.tuples(*[st.integers(-9, 9)] * field.degree)
     vectors = draw(st.tuples(vector, vector, vector).filter(
         lambda vs: any(any(v[1:]) for v in vs)))
-    return ProjectivePoint.in_field(field, vectors, draw(st.integers(0, field.degree - 1)))
+    return draw(st.sampled_from(ProjectivePoint.in_field(field, vectors).conjugates()))
 
 
 @settings(max_examples=100, deadline=None)

@@ -116,7 +116,9 @@ def golden_inputs() -> list[tuple[str, Arrangement]]:
 def summary(arr: Arrangement) -> dict:
     derived = combinatorial_type(arr)
     ct = derived.ct
-    pair_mults = [sorted(m for _p, m in intersect_pair(arr.curves[i], arr.curves[j]))
+    # the multiplicity of each geometric point, conjugates expanded
+    pair_mults = [sorted(m for p, m in intersect_pair(arr.curves[i], arr.curves[j])
+                         for _conj in p.conjugates())
                   for i, j in combinations(range(len(arr.curves)), 2)]
     return {"d": ct.d, "k": ct.k,
             "t": {str(r): n for r, n in sorted(ct.t.items())},

@@ -92,15 +92,17 @@ def test_line_conic_tangent():
 
 
 def test_line_conic_irrational_points():
-    # x = 0 meets x^2 + y^2 - 2 z^2 at (0 : +-sqrt(2) : 1)
-    pts = intersect_pair(line(1, 0, 0), conic(1, 1, -2, 0, 0, 0))
-    assert sum(m for _p, m in pts) == 2
-    for p, _m in pts:
-        # x = 0, and y^2 = 2 z^2 with y / z irrational
-        x, y, z = p.vectors
-        assert p.field.degree > 1 and not any(x)
-        assert p.field.dot([y, z], [y, [-2 * c for c in z]]) == [0] * p.field.degree
-        assert abs(p.approx()[1]) == pytest.approx(2 ** 0.5)
+    # x = 0 meets x^2 + y^2 - 2 z^2 at (0 : +-sqrt(2) : 1), one orbit
+    [(orbit, mult)] = intersect_pair(line(1, 0, 0), conic(1, 1, -2, 0, 0, 0))
+    assert orbit.field.degree == 2 and mult == 1
+    # x = 0, and y^2 = 2 z^2 with y / z irrational
+    x, y, z = orbit.vectors
+    assert not any(x)
+    assert orbit.field.dot([y, z], [y, [-2 * c for c in z]]) == [0, 0]
+    points = orbit.conjugates()
+    assert [p.conjugate for p in points] == [0, 1] and orbit in points
+    assert sorted(p.approx()[1].real for p in points) == pytest.approx(
+        [-2 ** 0.5, 2 ** 0.5])
 
 
 def test_conic_conic_pencil_base_points():
@@ -227,6 +229,28 @@ def test_engine_builds_each_conjugate_point_once(monkeypatch):
                   for p in points if p.field.degree > 1]
     assert len(irrational) >= 6
     assert sorted(built) == sorted(irrational)
+
+
+@pytest.mark.parametrize("arrangement", [
+    build_dbe_sharpness(),
+    Arrangement((line(1, 0, 0), conic(1, 1, -2, 0, 0, 0), conic(1, 3, -5, 1, 0, 0),
+                 conic(1, 2, -3, 0, 0, 0))),
+], ids=["dbe-sharpness", "irrational-orbits"])
+def test_engine_intersects_through_the_public_pair_api(monkeypatch, arrangement):
+    # a wrapper of the module's intersect_pair sees each of the C(n, 2)
+    # pairs once, in order, and changes nothing
+    expected = combinatorial_type(arrangement)
+    calls = []
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return intersect_pair(c1, c2)
+
+    monkeypatch.setattr(intersect, "intersect_pair", counting)
+    derived = combinatorial_type(arrangement)
+    curves = arrangement.curves
+    assert calls == [(curves[i], curves[j]) for i, j in combinations(range(len(curves)), 2)]
+    assert derived == expected
 
 
 def test_tangent_line_of_a_line_is_itself():
@@ -416,7 +440,8 @@ def test_ordinarity_agrees_with_tangents(arrangement):
 
 def test_conjugate_points_compare_unequal():
     # x = 0 meets x^2 + y^2 - 2z^2 at the conjugates (0 : +-sqrt 2 : 1)
-    (p, _), (q, _) = intersect_pair(line(1, 0, 0), conic(1, 1, -2, 0, 0, 0))
+    [(orbit, _)] = intersect_pair(line(1, 0, 0), conic(1, 1, -2, 0, 0, 0))
+    p, q = orbit.conjugates()
     assert p.field.degree > 1 and p.vectors is q.vectors
     assert p != q and p == p and not p == q
     assert p not in [q] and len({p, q}) == 2

@@ -14,6 +14,7 @@ from coniclines.intersect import (
 )
 from coniclines.polynomials import (
     coprime_integers,
+    parse_integer,
     parse_rational,
     primitive,
 )
@@ -31,6 +32,40 @@ def test_coprime_integers_of_integers_agree_with_fractions(values, den):
 def test_rational_round_trip():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-7") == F(-7)
+
+
+def _in_integer_grammar(text: str) -> bool:
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits != "" and all(c in "0123456789" for c in digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=5) | st.from_regex(r"[+-]?[0-9_ \u0660-\u0669\uff10-\uff19]{0,4}",
+                                            fullmatch=True))
+def test_parse_integer_takes_exactly_ascii_digits(text):
+    # int() alone takes "_" separators, surrounding spaces and any Unicode
+    # decimal digit
+    if _in_integer_grammar(text):
+        assert parse_integer(text) == int(text)
+    else:
+        with pytest.raises(ValueError):
+            parse_integer(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("+5", F(5)), ("-0", F(0)), ("007/-014", F(-1, 2)), ("12/8", F(3, 2)),
+])
+def test_rational_grammar_accepts(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "\u0661", "\uff12", "1/2_0", "1/\u0662", " 2", "2 ", "1 /2", "1/ 2",
+    "", "/", "1/", "/2", "1/2/3", "+-1", "2.0", "1e3", "0x10", "1/0",
+])
+def test_rational_grammar_rejects(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 def test_primitive_normalization():
