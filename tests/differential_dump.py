@@ -14,7 +14,10 @@ checkouts agree when their dumps are identical byte for byte:
 The corpus: the first 250 criterion-6 draws that validate for each of the
 seeds 1-7, pencil4 with k = 2..10, every catalog builder, the
 ``tests/data/cli/big-*.txt`` inputs, 200 seeded line-conic pairs and 30
-seeded arrangements of 6-12 lines, some with a conic.  The script takes no
+seeded arrangements of 6-12 lines, some with a conic, and 100 seeded
+pencil arrangements: 2-5 members of a pencil of conics, some lines and a
+rational chord through an irrational orbit of their base points.  The
+script takes no
 options; pytest does not collect it.  Like the CLI, it lifts Python's limit
 on int-str conversion, so a point of any size prints.
 """
@@ -28,7 +31,11 @@ from pathlib import Path
 
 from coniclines.catalog import build_pencil4, catalog_get, catalog_list
 from coniclines.curves import Arrangement, PlaneCurve, parse_arrangement
-from coniclines.intersect import combinatorial_type, has_six_line_subarrangement
+from coniclines.intersect import (
+    combinatorial_type,
+    has_six_line_subarrangement,
+    intersect_pair,
+)
 from test_engine_golden import _validates, criterion6_corpus
 
 CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
@@ -87,6 +94,67 @@ def line_heavy(count: int = 30, seed: int = 6) -> list[Arrangement]:
     return out
 
 
+def _line_product(l1: list[int], l2: list[int]) -> list[int]:
+    """The conic (a1 x + b1 y + c1 z)(a2 x + b2 y + c2 z)."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    return [a1 * a2, b1 * b2, c1 * c2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1,
+            b1 * c2 + b2 * c1]
+
+
+def _chord(c1: PlaneCurve, c2: PlaneCurve) -> PlaneCurve | None:
+    """The rational line through a degree-2 orbit of two conics, or None
+    when they have none.  An orbit's points P = v0 + b v1 and its conjugate
+    span the line v0 x v1; of several such lines the least is taken, so the
+    choice depends on neither the order nor the presentation of the orbits."""
+    chords = []
+    for point, _mult in intersect_pair(c1, c2):
+        if point.field.degree == 2:
+            v0, v1 = zip(*point.vectors)
+            chord = PlaneCurve("line", _cross(list(v0), list(v1))).coefficients
+            chords.append(max(chord, tuple(-c for c in chord)))
+    return PlaneCurve("line", min(chords)) if chords else None
+
+
+def pencils(count: int = 100, seed: int = 11) -> list[Arrangement]:
+    """The first ``count`` valid arrangements of 2-5 smooth members
+    s q1 + t q2 of a pencil of conics with coefficients in [-3, 3], 0-2
+    random lines, and the chord of ``_chord`` through the first two members
+    when it exists.  q1 is a random conic; q2 is a random conic, a double
+    line (a bitangent pencil, whose members touch) or a line pair.  The
+    members share their base points, so an orbit there lies on every member
+    and often on the chord too: the inputs reach irrational points on three
+    or more curves and tangencies between them."""
+    rng = random.Random(seed)
+    small = range(-3, 4)
+    out = []
+    while len(out) < count:
+        q1 = [rng.choice(small) for _ in range(6)]
+        kind = rng.choice(("conic", "double line", "line pair"))
+        if kind == "conic":
+            q2 = [rng.choice(small) for _ in range(6)]
+        else:
+            l1 = [rng.choice(small) for _ in range(3)]
+            l2 = l1 if kind == "double line" else [rng.choice(small) for _ in range(3)]
+            q2 = _line_product(l1, l2)
+        curves = []
+        for _ in range(rng.randint(2, 5)):
+            s, t = rng.choice(small), rng.choice(small)
+            member = [s * u + t * v for u, v in zip(q1, q2)]
+            if any(member):
+                curves.append(PlaneCurve("conic", member))
+        for _ in range(rng.randint(0, 2)):
+            line = [rng.choice(small) for _ in range(3)]
+            if any(line):
+                curves.append(PlaneCurve("line", line))
+        arr = Arrangement(tuple(curves))
+        if len(curves) < 2 or not _validates(arr):
+            continue
+        chord = _chord(curves[0], curves[1])
+        with_chord = Arrangement(arr.curves + (chord,)) if chord else arr
+        out.append(with_chord if _validates(with_chord) else arr)
+    return out
+
+
 def corpus() -> Iterator[tuple[str, Arrangement]]:
     for seed in range(1, 8):
         for i, arr in enumerate(criterion6_corpus(seed=seed, size=250)):
@@ -100,6 +168,8 @@ def corpus() -> Iterator[tuple[str, Arrangement]]:
         yield f"line-conic-{i:03d}", arr
     for i, arr in enumerate(line_heavy()):
         yield f"line-heavy-{i:02d}", arr
+    for i, arr in enumerate(pencils()):
+        yield f"pencil-{i:03d}", arr
 
 
 def catalog_inputs() -> Iterator[tuple[str, Arrangement]]:
