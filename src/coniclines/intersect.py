@@ -2,23 +2,24 @@
 
 Pairwise intersections are computed exactly, in integers, from each
 curve's coprime integer coefficients: linear solving for two lines,
-substitution into an integer parametrization for line/conic, and resultant
-elimination with back-substitution for conic/conic.  The conic/conic route
-projects the common points from a centre onto a line: it eliminates x into
-a binary quartic in (y : z), whose roots are the projected points, and
-solves lin1(y, z) x + lin0(y, z) = 0 on each fiber.  With lin1 = u y + v z,
-the fiber test is quartic(-v, u) != 0, and a root (1 : 0) is a point on z = 0.
-The centre is (1 : 0 : 0) of the given coordinates when it lies on neither
-conic and passes the fiber test, else (1 : t : t^3) for the first t that
-does, through x = M_t v with the integer matrix M_t of determinant 1, which
-maps (X, Y, Z) to (X, t X + Y, t^3 X + Z).  The changed conic is that
-substitution, in closed form, and the points are mapped back by it, on
-integers and on field vectors alike.  At most 30 centres fail (see
-``_CENTRES``), so the first 31 always decide the pair.
+substitution into an integer parametrization for line/conic, and projection
+from a centre C for conic/conic.  A conic Q is read on the lines through C
+as Q(X C + (0, Y, Z)) = a2 X^2 + a1 X + a0: a2 = Q(C) and
+a1 = grad Q(C) . (0, Y, Z) are its value and gradient at C, and
+a0 = Q(0, Y, Z).  For the conics p and q, the member b2 p - a2 q =
+lin1 X + lin0 of their pencil has no X^2 term; the resultant in X of p and
+that member, a2 lin0^2 - a1 lin0 lin1 + a0 lin1^2, is a binary quartic in
+(Y : Z) whose roots are the projected points, and X = -lin0 / lin1 on each
+fiber.  With lin1 = u Y + v Z, the fiber test is quartic(-v, u) != 0, and a
+root (1 : 0) is a point on the line through C and (0 : 1 : 0).  The centre
+is C_t = (1 : t : t^3) for the first t = 0, 1, ... at which it lies on
+neither conic and passes the fiber test, and the point is
+(X, t X + Y, t^3 X + Z), on integers and on field vectors alike.  At most
+30 centres fail (see ``_CENTRES``), so the first 31 always decide the pair.
 
 Each pair routine maps the roots of one binary form to points: the
 restriction of the conic to the line, a quadratic in the line's parameter
-(s : t), or the quartic in (y : z).  ``_binary_roots`` gives each root one
+(s : t), or the quartic in (Y : Z).  ``_binary_roots`` gives each root one
 shape, (field, t, multiplicity), at (s : t) = (b : t) for the integral
 generator b of the field: the root (1 : 0) first, as b = 1 in Q[a]/(a - 1)
 over t = 0 with the multiplicity the form's degree lost, then one orbit
@@ -191,50 +192,65 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
 
 # A projection centre C fails only if it lies on one of the conics, or on a
 # line component of a degenerate member of their pencil: the member through C
-# is lin1 x + lin0, and a root shared by the quartic and lin1 is a root of
-# lin0 (the quartic is a2 lin0^2 - a1 lin0 lin1 + a0 lin1^2 up to a nonzero
-# factor), so the fiber line through it is a component of the member; for
-# lin1 = 0 the member is a binary quadratic in (y : z), two lines through C.
-# The pencil has at most 3 degenerate members, since det(A + s B) is a cubic
-# in s with leading coefficient det B != 0.  The centres C_t = (1 : t : t^3)
-# lie on the irreducible cuspidal cubic x^2 z = y^3, so by Bezout at most
+# is lin1 X + lin0, and a root shared by the quartic and lin1 is a root of
+# lin0 (the quartic is a2 lin0^2 - a1 lin0 lin1 + a0 lin1^2), so the fiber
+# line through it is a component of the member; for lin1 = 0 the member is a
+# binary quadratic in (Y : Z), two lines through C.  The pencil has at most
+# 3 degenerate members, since det(A + s B) is a cubic in s with leading
+# coefficient det B != 0.  The centres C_t = (1 : t : t^3) lie on the
+# irreducible cuspidal cubic x^2 z = y^3, so by Bezout at most
 # 6 + 6 + 6 * 3 = 30 of them fail, and one of the first 31 works.
 _CENTRES = 31
 
 
 def _intersect_conics(p: tuple[int, ...], q: tuple[int, ...]) -> PairResult:
     for t in range(_CENTRES):
-        try:
-            return _intersect_conics_in_coords(p, q, t)
-        except _NotGeneric:
-            pass
+        points = _intersect_conics_from(p, q, t)
+        if points is not None:
+            return points
     raise IntersectionError(f"none of the {_CENTRES} projection centres is generic")
 
 
-class _NotGeneric(Exception):
-    pass
+def _expansion(coeffs: tuple[int, ...], t: int
+               ) -> tuple[int, list[int], list[int]]:
+    """The integer conic Q at X C + (0, Y, Z), C = (1, t, t^3), as
+    a2 X^2 + a1 X + a0: a2 = Q(C), a1 = grad Q(C) . (0, Y, Z) and
+    a0 = Q(0, Y, Z), the binary forms as coefficients of Y^0, Y^1, ..."""
+    a, b, c, d, e, f = coeffs
+    u = t ** 3
+    return (_conic_value(coeffs, 1, t, u), [e + f * t + 2 * c * u, d + 2 * b * t + f * u],
+            [c, f, b])
 
 
-def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
-                                t: int) -> PairResult:
-    """The points of the conics p and q, found in the coordinates v of the
-    change x = M_t v, by projection from the centre (1 : 0 : 0) of those
-    coordinates.  M_t = [[1,0,0],[t,1,0],[t^3,0,1]] has first column
-    C_t = (1 : t : t^3) and determinant 1; M_0 is the identity.  The
-    quartic, lin1 and lin0 are binary forms in (y : z)."""
-    quartic, lin1, lin0 = _eliminate_x(_changed_conic(p, t), _changed_conic(q, t))
+def _intersect_conics_from(p: tuple[int, ...], q: tuple[int, ...],
+                           t: int) -> PairResult | None:
+    """The points of the conics p and q, by projection from the centre
+    C = C_t onto the line x = 0, or None when C is not generic.  Each conic
+    is read at X C + (0, Y, Z) by ``_expansion``; the member
+    b2 p - a2 q = lin1 X + lin0 of their pencil has no X^2 term, and the
+    resultant in X of p and that member is the quartic, binary forms in
+    (Y : Z)."""
+    a2, a1, a0 = _expansion(p, t)
+    b2, b1, b0 = _expansion(q, t)
+    if a2 == 0 or b2 == 0:
+        return None  # a conic passes through the centre
+    lin1 = [b2 * u - a2 * v for u, v in zip(a1, b1)]
+    lin0 = [b2 * u - a2 * v for u, v in zip(a0, b0)]
+    quartic = [a2 * u - v + w for u, v, w in zip(
+        _poly_mul(lin0, lin0), _poly_mul(a1, _poly_mul(lin0, lin1)),
+        _poly_mul(a0, _poly_mul(lin1, lin1)))]
     if not any(quartic):
         raise IntersectionError("identical curves")
-    # lin1 = u*y + v*z must not vanish at a root, else x is not determined
+    # lin1 = u*Y + v*Z must not vanish at a root, else X is not determined
     # there: lin1 is not zero, and quartic(-v, u) != 0
     v, u = lin1
     if u == v == 0 or not sum(c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
-        raise _NotGeneric("two intersection points share a fiber")
+        return None  # two intersection points share a fiber
     points: PairResult = []
     for field, w, mult in _binary_roots(quartic):
-        # x = -lin0 / lin1: over the root (y : z) = (s : w) the point is
-        # (-lin0 : y lin1 : z lin1) times w^2, polynomials in s of degree <= 2;
-        # M_t maps (x, y, z) back to (x, t x + y, t^3 x + z)
+        # X = -lin0 / lin1: over the root (Y : Z) = (s : w), (X : Y : Z) is
+        # (-lin0 : s lin1 : w lin1), polynomials in s of degree <= 2, and the
+        # point X C + (0, Y, Z) is (X, t X + Y, t^3 X + Z)
         x = field.reduce([-lin0[0] * w * w, -lin0[1] * w, -lin0[2]])
         y = field.reduce([0, lin1[0] * w, lin1[1]])
         z = field.reduce([lin1[0] * w * w, lin1[1] * w])
@@ -244,46 +260,12 @@ def _intersect_conics_in_coords(p: tuple[int, ...], q: tuple[int, ...],
     return points
 
 
-def _changed_conic(coeffs: tuple[int, ...], t: int) -> tuple[int, ...]:
-    """The integer conic Q(M_t v) = Q(X, t X + Y, t^3 X + Z) in the
-    coordinates v = (X, Y, Z).  Only the X^2, XY and XZ coefficients
-    change."""
-    a, b, c, d, e, f = coeffs
-    u = t ** 3
-    return (a + (b * t + d) * t + (c * u + e) * u + f * t * u, b, c,
-            2 * b * t + d + f * u, 2 * c * u + e + f * t, f)
-
-
 def _poly_mul(u: list[int], v: list[int]) -> list[int]:
     out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
             out[i + j] += ui * vj
     return out
-
-
-def _eliminate_x(p: tuple[int, ...], q: tuple[int, ...]
-                 ) -> tuple[list[int], list[int], list[int]]:
-    """Eliminate x from two integer conics.
-
-    Each conic a x^2 + b y^2 + c z^2 + d xy + e xz + f yz is read as
-    a2 x^2 + a1 x + a0, with a2 = a and the binary forms a1 = e z + d y,
-    a0 = c z^2 + f yz + b y^2.  Returns (quartic, lin1, lin0), binary forms
-    in (y : z) as integer coefficients of y^0, y^1, ... (5, 2 and 3 of
-    them): the resultant in x, and b2*p - a2*q = lin1*x + lin0, where a2
-    and b2 are the x^2 coefficients of p and q.
-    """
-    a2, b2 = p[0], q[0]
-    if a2 == 0 or b2 == 0:
-        raise _NotGeneric("a conic passes through the projection centre")
-    a1, b1 = [p[4], p[3]], [q[4], q[3]]
-    a0, b0 = [p[2], p[5], p[1]], [q[2], q[5], q[1]]
-    lin1 = [b2 * u - a2 * v for u, v in zip(a1, b1)]
-    lin0 = [b2 * u - a2 * v for u, v in zip(a0, b0)]
-    # (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1)
-    cross = [u - v for u, v in zip(_poly_mul(a1, b0), _poly_mul(a0, b1))]
-    quartic = [u + v for u, v in zip(_poly_mul(lin0, lin0), _poly_mul(lin1, cross))]
-    return quartic, lin1, lin0
 
 
 def tangent_line(curve: PlaneCurve, point: ProjectivePoint

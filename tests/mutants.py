@@ -64,6 +64,19 @@ MUTANTS = [
            "field.reduce([t * p1[i], p0[i]])",
            "field.reduce([t * p0[i], p1[i]])",
            "tests/test_intersect.py::test_line_conic_tangent"),
+    Mutant("expansion-drops-the-f-t-term", "src/coniclines/intersect.py",
+           "[e + f * t + 2 * c * u, d + 2 * b * t + f * u]",
+           "[e + 2 * c * u, d + 2 * b * t + f * u]",
+           "tests/test_polynomials.py::test_expansion_at_the_centre"),
+    Mutant("point-map-takes-t-for-t-cubed", "src/coniclines/intersect.py",
+           "z = [t ** 3 * xi + zi for xi, zi in zip(x, z)]",
+           "z = [t * xi + zi for xi, zi in zip(x, z)]",
+           "tests/test_intersect.py::"
+           "test_conics_through_the_first_centres_are_decided_at_t4"),
+    Mutant("fiber-test-deleted", "src/coniclines/intersect.py",
+           "    if u == v == 0 or not sum(",
+           "    if u == v == 0 or False and not sum(",
+           "tests/test_intersect.py::test_two_points_on_one_fiber_move_the_centre"),
     Mutant("in-field-keeps-a-rational-1-vector", "src/coniclines/curves.py",
            "        if not any(any(v[1:]) for v in vectors):\n",
            "        if field.degree > 1 and not any(any(v[1:]) for v in vectors):\n",

@@ -139,6 +139,22 @@ def test_conic_conic_points_do_not_depend_on_scaling(first, second):
     assert intersect_pair(conic(*first, 0, 0, 0), conic(*second, 0, 0, 0)) == expected
 
 
+def _intersect_recording_centres(monkeypatch, p, q, expected):
+    """The points of the conics p and q, after checking that the engine
+    tried exactly the centres C_t of ``expected``, in order."""
+    from_centre = intersect._intersect_conics_from
+    attempts = []
+
+    def recording(p, q, t):
+        attempts.append(t)
+        return from_centre(p, q, t)
+
+    monkeypatch.setattr(intersect, "_intersect_conics_from", recording)
+    points = intersect._intersect_conics(p, q)
+    assert attempts == expected
+    return points
+
+
 def test_conics_through_the_first_centres_are_decided_at_t4(monkeypatch):
     # both conics pass through C_0 ... C_3 = (1 : t : t^3): they meet in
     # exactly those four points, and C_4 is the first usable centre
@@ -146,16 +162,7 @@ def test_conics_through_the_first_centres_are_decided_at_t4(monkeypatch):
     centres = [(1, t, t ** 3) for t in range(5)]
     for coeffs in (p, q):
         assert [intersect._conic_value(coeffs, *c) == 0 for c in centres] == [True] * 4 + [False]
-    in_coords = intersect._intersect_conics_in_coords
-    attempts = []
-
-    def recording(p, q, t):
-        attempts.append(t)
-        return in_coords(p, q, t)
-
-    monkeypatch.setattr(intersect, "_intersect_conics_in_coords", recording)
-    points = intersect._intersect_conics(p, q)
-    assert attempts == [0, 1, 2, 3, 4]
+    points = _intersect_recording_centres(monkeypatch, p, q, [0, 1, 2, 3, 4])
     assert sorted(p.vectors for p, _m in points) == sorted(
         ProjectivePoint.from_integers(*c).vectors for c in centres[:4])
     assert [m for _p, m in points] == [1] * 4
@@ -165,11 +172,27 @@ def test_point_at_infinity_needs_no_other_centre():
     # the conics meet transversally at (1 : 1 : 0), whose projection from
     # (1 : 0 : 0) is the root (1 : 0) of the binary quartic
     p, q = (1, 2, -1, -3, 1, -1), (2, -2, 1, 0, 0, 1)
-    points = intersect._intersect_conics_in_coords(p, q, 0)
+    points = intersect._intersect_conics_from(p, q, 0)
     expected = [(1, 1, 0), (0, 1, 1), (0, -1, 2), (10, 11, 3)]
     assert sorted(p.vectors for p, _m in points) == sorted(
         ProjectivePoint.from_integers(*v).vectors for v in expected)
     assert [m for _p, m in points] == [1] * 4
+
+
+def test_two_points_on_one_fiber_move_the_centre(monkeypatch):
+    # both conics miss C_0 = (1 : 0 : 0), but lin1 = -2 y there vanishes at
+    # the root (0 : 1) of the quartic: the two conjugate points of an orbit
+    # lie on the fiber y = 0, and C_1 decides
+    p, q = (2, 0, 2, -1, -2, 0), (-2, -2, -2, 2, 2, -2)
+    (a2, a1, a0), (b2, b1, b0) = intersect._expansion(p, 0), intersect._expansion(q, 0)
+    assert a2 and b2
+    assert [b2 * u - a2 * v for u, v in zip(a1, b1)] == [0, -2]
+    points = _intersect_recording_centres(monkeypatch, p, q, [0, 1])
+    assert [p.field.degree for p, _m in points if not any(p.vectors[1])] == [2]
+    for point, _m in points:
+        assert intersect._vanishes(p, point.field, point.vectors)
+        assert intersect._vanishes(q, point.field, point.vectors)
+    assert sum(m * point.field.degree for point, m in points) == 4
 
 
 def test_tangency_on_every_centre_line():

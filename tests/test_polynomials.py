@@ -4,13 +4,13 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from coniclines import intersect
 from coniclines.intersect import (
     IntersectionError,
-    _changed_conic,
     _conic_value,
-    _eliminate_x,
+    _expansion,
     _intersect_conics,
-    _NotGeneric,
+    _intersect_conics_from,
 )
 from coniclines.polynomials import (
     coprime_integers,
@@ -77,8 +77,9 @@ def test_primitive_normalization():
 
 def test_resultant_self_vanishes():
     p = (1, 1, -2, 0, 0, 0)
-    assert not any(_eliminate_x(p, p)[0])
-    assert not any(_eliminate_x(p, tuple(-3 * c for c in p))[0])
+    for q in (p, tuple(-3 * c for c in p)):
+        with pytest.raises(IntersectionError, match="identical curves"):
+            _intersect_conics_from(p, q, 0)
     with pytest.raises(IntersectionError, match="identical curves"):
         _intersect_conics(p, tuple(3 * c for c in p))
 
@@ -86,34 +87,58 @@ def test_resultant_self_vanishes():
 def test_resultant_nothing_to_eliminate():
     # without an x^2 term the conic passes through the projection centre
     # (1:0:0), where the elimination would lose a point; the engine moves
-    # the centre
+    # the centre; C_1 = (1 : 1 : 1) fails the fiber test, and C_2 decides
     p = (0, 1, -1, 1, 0, 0)
     q = (1, 1, -1, 0, 0, 0)
-    with pytest.raises(_NotGeneric, match="passes through"):
-        _eliminate_x(p, q)
+    assert _intersect_conics_from(p, q, 0) is None
+    assert _intersect_conics_from(p, q, 1) is None
+    assert _intersect_conics(p, q) == _intersect_conics_from(p, q, 2)
 
 
 _COEFF = st.integers(-6, 6)
 _CONIC = st.tuples(*[_COEFF] * 6)
 
 
+def _quartic(p, q, t):
+    """The binary quartic that ``_intersect_conics_from`` factors at the
+    centre C_t, or None when it returns before factoring."""
+    seen = []
+    binary_roots = intersect._binary_roots
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(intersect, "_binary_roots",
+                            lambda form: seen.append(form) or binary_roots(form))
+        try:
+            _intersect_conics_from(p, q, t)
+        except IntersectionError:  # identical curves
+            return None
+    return seen[0] if seen else None
+
+
 @settings(max_examples=60, deadline=None)
-@given(_CONIC, _CONIC)
-def test_resultant_specialization(pc, qc):
-    # the closed-form quartic is sympy's resultant in x at z = 1
-    assume(pc[0] != 0 and qc[0] != 0)
+@given(_CONIC, _CONIC, st.integers(0, 4))
+def test_resultant_specialization(pc, qc, t):
+    # the quartic is sympy's resultant in x of the conics at
+    # (x, t x + y, t^3 x + 1), up to a nonzero rational factor
+    quartic = _quartic(pc, qc, t)
+    assume(quartic is not None)
     x, y = sp.symbols("x y")
-    expected = sp.Poly(sp.resultant(_conic_value(pc, x, y, 1), _conic_value(qc, x, y, 1), x), y)
+    point = (x, t * x + y, t ** 3 * x + 1)
+    expected = sp.Poly(sp.resultant(_conic_value(pc, *point), _conic_value(qc, *point), x), y)
     coeffs = [int(c) for c in reversed(expected.all_coeffs())]
-    quartic = _eliminate_x(pc, qc)[0]
-    assert quartic == coeffs + [0] * (5 - len(coeffs))
+    coeffs += [0] * (5 - len(coeffs))
+    i = next(i for i, c in enumerate(coeffs) if c)
+    assert quartic[i] and all(u * coeffs[i] == quartic[i] * v for u, v in zip(quartic, coeffs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_CONIC, st.integers(0, 30))
-def test_changed_conic_is_the_substitution(pc, t):
-    # the changed conic is the conic at M_t v = (X, t X + Y, t^3 X + Z): a
-    # conic is determined by its values at these six points
-    changed = _changed_conic(pc, t)
-    for x, y, z in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
-        assert _conic_value(changed, x, y, z) == _conic_value(pc, x, t * x + y, t ** 3 * x + z)
+_SMALL = st.integers(-50, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONIC, st.integers(0, 30), _SMALL, _SMALL, _SMALL)
+def test_expansion_at_the_centre(pc, t, x, y, z):
+    # Q(X C + (0, Y, Z)) = Q(C) X^2 + (grad Q(C) . (0, Y, Z)) X + Q(0, Y, Z)
+    # for C = (1, t, t^3), at integer (X, Y, Z)
+    a2, a1, a0 = _expansion(pc, t)
+    value = _conic_value(pc, x, t * x + y, t ** 3 * x + z)
+    assert value == (a2 * x * x + (a1[0] * z + a1[1] * y) * x
+                     + a0[0] * z * z + a0[1] * y * z + a0[2] * y * y)
