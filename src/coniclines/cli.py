@@ -29,8 +29,7 @@ from .curves import (
     CombinatorialType,
     ParseError,
     ValidationError,
-    parse_arrangement,
-    parse_combinatorial_type,
+    parse_input,
     serialize_arrangement,
     serialize_combinatorial_type,
 )
@@ -58,22 +57,16 @@ def _fail(code: int, message: str) -> NoReturn:
 
 
 def _load_input(path: Path) -> Arrangement | CombinatorialType:
-    """An arrangement or a combinatorial type, by the file's first record:
-    only arrangement records hold a colon.  A UTF-8 byte-order mark is
-    skipped."""
+    """An arrangement or a combinatorial type (``parse_input``).  A UTF-8
+    byte-order mark is skipped."""
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         _fail(EXIT_PARSE, f"parse error: {path} is not UTF-8 text ({exc.reason})")
     except OSError as exc:
         _fail(EXIT_PARSE, f"parse error: cannot read {path} ({exc.strerror})")
-    first = next((ln.split("#", 1)[0].strip()
-                  for ln in text.splitlines()
-                  if ln.split("#", 1)[0].strip()), "")
     try:
-        if ":" in first:
-            return parse_arrangement(text)
-        return parse_combinatorial_type(text)
+        return parse_input(text)
     except ParseError as exc:
         _fail(EXIT_PARSE, f"parse error: {exc}")
     except ValidationError as exc:

@@ -19,7 +19,7 @@ fields of its roots, a rational root being a field of degree 1 whose
 vectors as (vector, denominator) pairs, one coordinate type for every
 point; a Fraction appears in a point only when it is printed.
 
-File formats (UTF-8 text, ``#`` comments):
+File formats (UTF-8 text, ``#`` comments), read by ``parse_input``:
 
   arrangement file       one record per line:
                            line: a b c            -> a*x + b*y + c*z = 0
@@ -28,14 +28,21 @@ File formats (UTF-8 text, ``#`` comments):
                          coefficients are rationals "p/q" or integers; they
                          are written back as the coprime integers
   combinatorial type     header ``d=<int> k=<int>`` (each once, either order,
-                         nothing else), then lines ``t <r> = <count>``
+                         nothing else), then lines ``t <r> = <count>``, the
+                         ``=`` optional and the only one
 
-Every integer of both formats, p and q included, is ASCII ``[+-]?[0-9]+``
-(``polynomials.parse_integer``): no ``_`` separator, no other digit.
+Both formats share one record grammar (``_records``): a record ends at a
+line feed, a carriage return before it dropped, and its fields are
+separated by ASCII spaces and tabs; any other character that does not print, outside a
+comment, is a ParseError naming the line.  Every integer of both formats,
+p and q included, is ASCII ``[+-]?[0-9]+`` (``polynomials.parse_integer``):
+no ``_`` separator, no other digit.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -307,16 +314,48 @@ class SingularPoint:
 # (de)serialization
 
 
+# fields are separated by ASCII spaces and tabs, and by nothing else
+_SEPARATOR = re.compile(r"[ \t]+")
+# a type record, its fields joined by one space: at most one "=", between r
+# and the count
+_TYPE_RECORD = re.compile(r"t ([^ =]+)(?: | ?= ?)([^ =]+)")
+
+
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """The nonblank records of a file, as (line number, its fields joined by
+    one space).  A record ends at a line feed, a carriage return before it
+    dropped, and a "#" starts a comment to its end.  Any character that
+    does not print, other than the separators, is a ParseError naming the
+    line: other whitespace (``str.split`` would take U+00A0 as a separator)
+    and control and format characters (``splitlines`` would end a record at
+    U+2028 or a form feed)."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r").split("#", 1)[0]
+        fields = [f for f in _SEPARATOR.split(line) if f]
+        bad = next((c for f in fields for c in f if not c.isprintable()), None)
+        if bad is not None:
+            raise ParseError(f"line {lineno}: unexpected character U+{ord(bad):04X}; "
+                             "fields are separated by ASCII spaces and tabs")
+        if fields:
+            yield lineno, " ".join(fields)
+
+
+def parse_input(text: str) -> Arrangement | CombinatorialType:
+    """An arrangement or a combinatorial type, by the file's first record:
+    only arrangement records hold a colon."""
+    _lineno, first = next(_records(text), (0, ""))
+    if ":" in first:
+        return parse_arrangement(text)
+    return parse_combinatorial_type(text)
+
+
 def parse_arrangement(text: str) -> Arrangement:
     curves = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
+    for lineno, record in _records(text):
+        if ":" not in record:
             raise ParseError(f"line {lineno}: expected 'line:' or 'conic:' record")
-        head, _, rest = line.partition(":")
-        head = head.strip()
+        head, _, rest = record.partition(":")
+        head = head.strip(" ")
         try:
             values = [parse_rational(tok) for tok in rest.split()]
         except ValueError as exc:
@@ -347,25 +386,23 @@ def _parse_int(token: str, lineno: int) -> int:
 def parse_combinatorial_type(text: str) -> CombinatorialType:
     d = k = None
     t: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, record in _records(text):
         if d is None:
-            pairs = [tok.split("=", 1) for tok in line.split()]
+            pairs = [tok.split("=", 1) for tok in record.split()]
             if len(pairs) != 2 or sorted(p[0] for p in pairs if len(p) == 2) != ["d", "k"]:
                 raise ParseError(f"line {lineno}: expected header 'd=<int> k=<int>', "
                                  "each once and nothing else")
             header = dict(pairs)
             d, k = _parse_int(header["d"], lineno), _parse_int(header["k"], lineno)
             continue
-        parts = line.replace("=", " ").split()
-        if len(parts) != 3 or parts[0] != "t":
-            raise ParseError(f"line {lineno}: expected 't <r> = <count>'")
-        r = _parse_int(parts[1], lineno)
+        match = _TYPE_RECORD.fullmatch(record)
+        if match is None:
+            raise ParseError(f"line {lineno}: expected 't <r> = <count>', "
+                             "the '=' optional")
+        r = _parse_int(match[1], lineno)
         if r in t:
             raise ParseError(f"line {lineno}: t {r} is given twice")
-        t[r] = _parse_int(parts[2], lineno)
+        t[r] = _parse_int(match[2], lineno)
     if d is None:
         raise ParseError("missing 'd=<int> k=<int>' header")
     return CombinatorialType(d=d, k=k, t=t)

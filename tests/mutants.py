@@ -126,6 +126,10 @@ MUTANTS = [
            "    if not _INTEGER.fullmatch(text):\n",
            "    if False:\n",
            "tests/test_polynomials.py::test_rational_grammar_rejects"),
+    Mutant("record-reader-splits-on-any-whitespace", "src/coniclines/curves.py",
+           "fields = [f for f in _SEPARATOR.split(line) if f]",
+           "fields = [f for f in line.split() if f]",
+           "tests/test_curves.py::test_records_outside_the_grammar"),
     Mutant("type-header-check-deleted", "src/coniclines/curves.py",
            "            if len(pairs) != 2 or sorted(",
            "            if False and sorted(",

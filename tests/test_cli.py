@@ -471,6 +471,31 @@ def test_analyze_integers_outside_the_grammar(tmp_path, text, message):
     assert result.stderr == f"parse error: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("line: 1\u00a00 -1\nline: 0 1 -1\n",
+     "line 1: unexpected character U+00A0; fields are separated by ASCII spaces and tabs"),
+    ("line: 1 0 -1\u2028line: 0 1 -1\n",
+     "line 1: unexpected character U+2028; fields are separated by ASCII spaces and tabs"),
+    ("d=2 k=1\nt = 2 1\n", "line 2: expected 't <r> = <count>', the '=' optional"),
+], ids=["no-break-space", "line-separator", "equals-before-r"])
+def test_analyze_records_outside_the_grammar(tmp_path, text, message):
+    # each used to exit 0: as the line (1, 0, -1), as two records, as t_2 = 1
+    target = tmp_path / "input.txt"
+    target.write_text(text, encoding="utf-8")
+    result = run("analyze", str(target))
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert result.stderr == f"parse error: {message}\n"
+
+
+def test_analyze_tabs_crlf_and_comments(tmp_path):
+    target = tmp_path / "input.txt"
+    target.write_bytes(b"\xef\xbb\xbf# two lines\r\nline:\t1 0\t-1\t# x\xc2\xa0\r\n"
+                       b"\r\n  line : 0 1 -1\r\n")
+    result = run("analyze", str(target))
+    assert result.exit_code == 0, result.output
+    assert "type: d=2 lines, k=0 conics; t_2=1" in result.output
+
+
 def test_analyze_record_without_a_colon(tmp_path):
     target = tmp_path / "input.txt"
     target.write_text("line: 1 0 -1\nconic 1 1 -1 0 0 0\n")

@@ -18,6 +18,7 @@ from coniclines.curves import (
     _det_2a,
     parse_arrangement,
     parse_combinatorial_type,
+    parse_input,
     serialize_arrangement,
     serialize_combinatorial_type,
     validate_arrangement,
@@ -347,6 +348,72 @@ def test_combinatorial_types_hash_by_value():
 def test_type_header_in_either_order():
     assert parse_combinatorial_type("k=1 d=2\nt 2 = 1\n") == \
         CombinatorialType(d=2, k=1, t={2: 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(" \t", min_size=1, max_size=3), min_size=4, max_size=4),
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "# \u00a0\u2028\x0c"]))
+def test_record_fields_are_separated_by_ascii_spaces_and_tabs(seps, end, comment):
+    # any run of spaces and tabs separates fields, before and after them
+    # too; a comment may hold any character
+    record = seps[0] + "line:" + seps[1] + "1/2" + seps[2] + "0" + seps[3] + "-1"
+    arr = parse_arrangement(f"conic: 1 1 -2 0 0 0{end}{record}{comment}{end}")
+    assert arr.curves[1].coefficients == (1, 0, -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.characters().filter(lambda c: not c.isprintable() and c not in " \t\n\r"),
+       st.integers(0, len("line: 1 0 -1")))
+def test_other_unprintable_characters_rejected(char, position):
+    # U+00A0 and U+3000 are whitespace to str.split, and U+2028 and a form
+    # feed end a line for str.splitlines
+    record = "line: 1 0 -1"
+    text = f"line: 0 1 -1\n{record[:position]}{char}{record[position:]} # c\n"
+    with pytest.raises(ParseError) as info:
+        parse_arrangement(text)
+    assert str(info.value) == (f"line 2: unexpected character U+{ord(char):04X}; "
+                               "fields are separated by ASCII spaces and tabs")
+
+
+@pytest.mark.parametrize("text, lineno, char", [
+    ("line: 1\u00a00 -1\n", 1, "\u00a0"),
+    ("line: 1 0 -1\u2028line: 0 1 -1\n", 1, "\u2028"),
+    ("line: 1 0 -1\x0cline: 0 1 -1\n", 1, "\x0c"),
+    ("line: 1 0 -1\rline: 0 1 -1\n", 1, "\r"),
+    ("line: 0 1 -1\nline: 1 0\r -1\r\n", 2, "\r"),
+    ("d=2 k=1\nt 2\u3000= 1\n", 2, "\u3000"),
+    ("\ufeffd=2 k=1\nt 2 = 1\n", 1, "\ufeff"),
+], ids=["no-break-space", "line-separator", "form-feed", "lone-cr", "inner-cr",
+        "ideographic-space", "bom-in-text"])
+def test_records_outside_the_grammar(text, lineno, char):
+    # str.split takes U+00A0 and U+3000 as separators, and str.splitlines
+    # ends a record at U+2028, a form feed or a lone "\r"
+    with pytest.raises(ParseError, match=f"line {lineno}: unexpected character "
+                                         f"U\\+{ord(char):04X}"):
+        parse_input(text)
+
+
+@pytest.mark.parametrize("record", ["t 2 1", "t 2=1", "t 2 = 1", "t 2= 1", "t 2 =1",
+                                    "\tt\t2\t=\t1\t"])
+def test_type_record_takes_at_most_one_equals_sign(record):
+    assert parse_combinatorial_type(f"d=2 k=1\n{record}\n") == \
+        CombinatorialType(d=2, k=1, t={2: 1})
+
+
+@pytest.mark.parametrize("record", ["t = 2 1", "t=2 1", "t 2 == 1", "t 2 = = 1",
+                                    "t 2 1 =", "t 2=1=", "t 2 1 1", "t 21", "s 2 = 1"])
+def test_malformed_type_record_rejected(record):
+    # every "=" used to become a space, so "t = 2 1" was read as t_2 = 1
+    with pytest.raises(ParseError, match="line 2: expected 't <r> = <count>', "
+                                         "the '=' optional"):
+        parse_combinatorial_type(f"d=2 k=1\n{record}\n")
+
+
+def test_parse_input_reads_the_format_from_the_first_record():
+    assert parse_input("# x\n\n line: 1 0 -1\n") == parse_arrangement("line: 1 0 -1\n")
+    assert parse_input("d=2 k=1\r\nt 2 1\r\n") == CombinatorialType(d=2, k=1, t={2: 1})
+    with pytest.raises(ParseError, match="missing 'd=<int> k=<int>' header"):
+        parse_input("# only a comment\n")
 
 
 def test_projective_point_normalization():
