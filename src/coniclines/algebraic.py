@@ -29,9 +29,9 @@ factor of a polynomial of degree <= 4.  A rational root p/q is no
 exception: it is the field Q[a]/(q a - p) of degree 1, whose integral
 generator is b = p, so reducing modulo its witness evaluates at p.  A
 point's field is one of these, or ``QQ`` = Q[a]/(a) for a rational point.
-Integers decide the factors wherever they can.  A linear or quadratic
-polynomial is split by the integer square root of its discriminant.  A
-cubic or quartic is a single orbit when a modular certificate proves it
+Integers decide the factors wherever they can.  A linear polynomial is
+its own field of degree 1, and a quadratic is split by the integer square
+root of its discriminant.  A cubic or quartic is a single orbit when a modular certificate proves it
 irreducible: its factor degrees modulo a few fixed small primes leave no
 degree for a rational factor.  Modulo a prime that divides neither its
 leading coefficient nor its discriminant D, those degrees follow from two
@@ -214,9 +214,10 @@ def root_orbits(coeffs: Sequence[int]) -> list[tuple[NumberField, int]]:
     counted with degree and multiplicity number the degree of the
     polynomial.  Degree 5 or more raises ValueError.
 
-    Integers decide what they can: a linear or quadratic polynomial is
-    split by the integer square root of its discriminant, and a cubic or
-    quartic is one orbit when a modular certificate proves it irreducible.
+    Integers decide what they can: a linear polynomial is its own field of
+    degree 1, a quadratic is split by the integer square root of its
+    discriminant, and a cubic or quartic is one orbit when a modular
+    certificate proves it irreducible.
     Only a polynomial that is reducible, has a repeated factor or is not
     certified goes to sympy's ``factor_list``.
     """

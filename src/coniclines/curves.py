@@ -33,10 +33,10 @@ File formats (UTF-8 text, ``#`` comments), read by ``parse_input``:
 
 Both formats share one record grammar (``_records``): a record ends at a
 line feed, a carriage return before it dropped, and its fields are
-separated by ASCII spaces and tabs; any other character that does not print, outside a
-comment, is a ParseError naming the line.  Every integer of both formats,
-p and q included, is ASCII ``[+-]?[0-9]+`` (``polynomials.parse_integer``):
-no ``_`` separator, no other digit.
+separated by ASCII spaces and tabs; any other character that does not
+print, outside a comment, is a ParseError naming the line.  Every integer
+of both formats, p and q included, is ASCII ``[+-]?[0-9]+``
+(``polynomials.parse_integer``): no ``_`` separator, no other digit.
 """
 
 from __future__ import annotations
@@ -314,7 +314,6 @@ class SingularPoint:
 # (de)serialization
 
 
-# fields are separated by ASCII spaces and tabs, and by nothing else
 _SEPARATOR = re.compile(r"[ \t]+")
 # a type record, its fields joined by one space: at most one "=", between r
 # and the count
