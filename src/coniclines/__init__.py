@@ -16,7 +16,6 @@ from .curves import (
     SingularPoint,
     parse_arrangement,
     parse_combinatorial_type,
-    parse_input,
     serialize_arrangement,
     serialize_combinatorial_type,
 )
