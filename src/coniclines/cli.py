@@ -190,7 +190,7 @@ def catalog_export(name: str, path: Path, k: int | None, t_params: str | None) -
             kwargs["k"] = k
         if t_params is not None:
             try:
-                kwargs["t"] = [parse_rational(v.strip()) for v in t_params.split(",")]
+                kwargs["t"] = [parse_rational(v.strip(" \t")) for v in t_params.split(",")]
             except ValueError as exc:
                 _fail(EXIT_PARSE, f"parse error: --t: {exc}")
         try:

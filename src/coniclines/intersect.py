@@ -48,14 +48,14 @@ no Fraction is built on the way.  Rational points are grouped by their
 vectors; an irrational orbit is evaluated against the other curves and
 counted at the pair of its two lowest-index curves.
 
-A point is ordinary iff each pair of its curves meets transversally there.
-For lines and smooth conics that is a pair multiplicity of 1 (Fulton,
-*Algebraic Curves*, ch. 3), and the pair layer already has it as a root
-multiplicity: a rational point turns up at every pair of its curves, and an
-orbit through only the two curves of its pair has that pair's multiplicity.
-Only an orbit through three or more curves compares tangents, since the
-other pairs' multiplicities are not at hand; ``check_ordinary`` compares
-tangents for any point.
+A point is ordinary iff each pair of its curves meets transversally there,
+which for lines and smooth conics is a pair multiplicity of 1 (Fulton,
+*Algebraic Curves*, ch. 3), a root multiplicity of the pair layer.  An
+irrational orbit has degree at least 2 and a pair's degrees times
+multiplicities sum to at most 4, so all irrational orbits of one pair share
+one multiplicity: there is one such orbit, or two quadratic ones of
+multiplicity 1.  So every point is read from its pairs' multiplicities, and
+``check_ordinary`` decides the same from tangent lines, independently.
 """
 
 from __future__ import annotations
@@ -283,24 +283,16 @@ def tangent_line(curve: PlaneCurve, point: ProjectivePoint
     return tuple(tuple(g) for g in gradient)
 
 
-def _tangents_proportional(field: NumberField, u, v) -> bool:
-    # reduced vectors are unique, so each 2x2 minor u_i v_j - u_j v_i
-    # vanishes iff its reduced vector is zero
-    return not any(any(field.dot((u[i], u[j]), (v[j], [-c for c in v[i]])))
-                   for i, j in ((0, 1), (0, 2), (1, 2)))
-
-
-def _tangents_distinct(curves: list[PlaneCurve], location: ProjectivePoint) -> bool:
-    """Are the tangents of the curves at the point pairwise distinct?"""
-    tangents = [tangent_line(curve, location) for curve in curves]
-    return not any(_tangents_proportional(location.field, u, v)
-                   for u, v in combinations(tangents, 2))
-
-
 def check_ordinary(point: SingularPoint, arrangement: Arrangement) -> bool:
-    """Decide ordinarity from tangent lines: pairwise non-proportional."""
-    curves = [arrangement.curves[i] for i in sorted(point.incident)]
-    return _tangents_distinct(curves, point.location)
+    """Decide ordinarity from tangent lines: pairwise non-proportional.  The
+    engine reads it from pair multiplicities, so this is an independent
+    oracle for its flags.  Reduced vectors are unique, so a 2x2 minor
+    u_i v_j - u_j v_i of two tangents vanishes iff its reduced vector is 0."""
+    location = point.location
+    tangents = [tangent_line(arrangement.curves[k], location) for k in sorted(point.incident)]
+    return all(any(any(location.field.dot((u[i], u[j]), (v[j], [-c for c in v[i]])))
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
+               for u, v in combinations(tangents, 2))
 
 
 @dataclass
@@ -363,13 +355,13 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
 
     Every point turns up at each pair of its curves; it is collected at the
     pair of its two lowest-index curves, which the pairs reach first.  A
-    rational point's curves are the union of the pairs it turns up at, and
-    it is ordinary iff each of those pairs has multiplicity 1 there; an
+    rational point's curves are the union of the pairs it turns up at; an
     irrational orbit's curves are found by evaluating the other curves in
-    its field, once for all its conjugates, and it is ordinary iff its pair
-    has multiplicity 1 there and, when three or more curves pass through
-    it, their tangents are pairwise distinct.  An ``IntersectionError``
-    names the indices and labels of the pair's curves.
+    its field, once for all its conjugates.  A point is ordinary iff each
+    pair of its curves has multiplicity 1 there: for an orbit, the one
+    multiplicity of that pair's irrational orbits (the module docstring's
+    lemma, checked here).  An ``IntersectionError`` names the indices and
+    labels of the pair's curves.
 
     Non-ordinary points are flagged, never rejected; the combinatorics are
     still returned so the invariant formulas can be evaluated (with a
@@ -378,13 +370,20 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     validate_arrangement(arrangement)
     curves = arrangement.curves
     forms = [c.coefficients for c in curves]
-    # [one point of an orbit, incident curve indices, ordinary], by first pair
+    # [one point of an orbit, incident curve indices, ordinary], by first
+    # pair; an orbit's flag is None until every pair has been read
     found: list[list] = []
     # the entries of the rational points, by their primitive integer vectors
     rational: dict[tuple[tuple[int], ...], list] = {}
+    # the multiplicities of each pair's irrational orbits, by pair
+    shared: dict[tuple[int, int], set[int]] = {}
     for i, j in combinations(range(len(curves)), 2):
         try:
             orbits = intersect_pair(curves[i], curves[j])
+            shared[i, j] = {m for p, m in orbits if p.field.degree > 1}
+            if len(shared[i, j]) > 1:
+                raise _pair_error(curves[i], curves[j], "irrational orbits of "
+                                  f"multiplicities {sorted(shared[i, j])}")
         except IntersectionError as exc:
             raise IntersectionError(f"curves {i} and {j}, {exc}") from None
         for point, mult in orbits:
@@ -398,13 +397,11 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
                 entry[2] = entry[2] and mult == 1
             else:
                 incident = _orbit_incidence(forms, point, i, j)
-                if incident is None:
-                    continue
-                # through three or more curves the other pairs' multiplicities
-                # are not at hand, so their tangents decide
-                ordinary = mult == 1 and (len(incident) == 2 or _tangents_distinct(
-                    [curves[k] for k in sorted(incident)], point))
-                found.append([point, incident, ordinary])
+                if incident is not None:
+                    found.append([point, incident, None])
+    for entry in found:
+        if entry[2] is None:
+            entry[2] = all(shared[pair] == {1} for pair in combinations(sorted(entry[1]), 2))
     points = [SingularPoint(location=p, incident=frozenset(incident), ordinary=ordinary)
               for point, incident, ordinary in found for p in point.conjugates()]
     t = Counter(p.multiplicity for p in points)

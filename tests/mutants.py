@@ -93,6 +93,20 @@ MUTANTS = [
            "for point, incident, ordinary in found for p in point.conjugates()]",
            "for point, incident, ordinary in found for p in [point]]",
            "tests/test_intersect.py::test_engine_builds_each_conjugate_point_once"),
+    # ordinarity from pair multiplicities
+    Mutant("orbit-ordinary-reads-its-first-pair-only", "src/coniclines/intersect.py",
+           "entry[2] = all(shared[pair] == {1} for pair in combinations(sorted(entry[1]), 2))",
+           "entry[2] = shared[tuple(sorted(entry[1])[:2])] == {1}",
+           "tests/test_intersect.py::test_check_ordinary_agrees_with_cluster"),
+    Mutant("shared-multiplicity-check-deleted", "src/coniclines/intersect.py",
+           "            if len(shared[i, j]) > 1:\n",
+           "            if False:\n",
+           "tests/test_intersect.py::"
+           "test_irrational_orbits_of_a_pair_share_one_multiplicity"),
+    Mutant("rational-point-keeps-its-first-multiplicity", "src/coniclines/intersect.py",
+           "entry[2] = entry[2] and mult == 1",
+           "entry[2] = entry[2] and (mult == 1 or len(entry[1]) > 2)",
+           "tests/test_intersect.py::test_rational_point_reads_every_pair_of_its_curves"),
     # display and the field kernel
     Mutant("engine-calls-approx", "src/coniclines/intersect.py",
            "                incident = _orbit_incidence(forms, point, i, j)\n",

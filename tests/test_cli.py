@@ -547,6 +547,17 @@ def test_export_parameters_outside_the_grammar(tmp_path):
     assert not out.exists()
 
 
+def test_export_parameters_are_stripped_of_ascii_spaces_and_tabs_only(tmp_path):
+    # str.strip() would also drop the no-break space and write t = 1, 2
+    out = tmp_path / "out.txt"
+    result = run("catalog", "export", "pencil4", str(out), "--t", "1,\u00a02")
+    _assert_clean_exit(result, EXIT_PARSE)
+    assert result.stderr == "parse error: --t: not an integer: '\\xa02'\n"
+    assert not out.exists()
+    result = run("catalog", "export", "pencil4", str(out), "--t", " 1 ,\t2 ")
+    assert result.exit_code == 0, result.output
+    assert out.read_text(encoding="utf-8").startswith("line: 1 0 -1\nline: 1 0 1\n")
+
 def test_analyze_renders_huge_invariants(tmp_path):
     # H-index 10^400 - 4 does not fit in a float
     target = tmp_path / "huge.txt"

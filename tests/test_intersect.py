@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -340,6 +341,15 @@ def test_cluster_tangency_flagged():
     assert not derived.all_ordinary
 
 
+def test_rational_point_reads_every_pair_of_its_curves():
+    # x = 0 crosses the conic yz = x^2 at (0 : 0 : 1), where y = 0 touches
+    # it: the point's first pair is transversal, a later pair is not
+    arr = Arrangement((line(1, 0, 0), conic(-1, 0, 0, 0, 0, 1), line(0, 1, 0)))
+    [triple] = [p for p in combinatorial_type(arr).points if p.multiplicity == 3]
+    assert triple.location == ProjectivePoint.from_integers(0, 0, 1)
+    assert not triple.ordinary and not check_ordinary(triple, arr)
+
+
 # the line x = 0 and members Q + s x^2 of a bitangent pencil, pairwise tangent at
 # (0 : +-sqrt 2 : 1): an irrational orbit through all four curves, found at the
 # transversal pair of the line and the first conic
@@ -351,7 +361,17 @@ _IRRATIONAL_PENCIL = Arrangement((conic(1, 1, -3, 0, 0, 0), conic(1, -1, -1, 0, 
                                   conic(3, -1, -5, 0, 0, 0), line(0, 1, -1)))
 
 
+@cache
+def _pencils():
+    # the seeded pencil arrangements of the differential dump: irrational
+    # orbits on three or more curves, some of them tangential
+    from differential_dump import pencils
+    return pencils()
+
+
 def test_check_ordinary_agrees_with_cluster():
+    # the engine reads ordinarity from pair multiplicities; check_ordinary
+    # compares tangents, an independent method
     irrational = set()
     for arr in (build_pencil4(), build_dbe_sharpness(), build_tangency_demo(),
                 _BITANGENT, _IRRATIONAL_PENCIL):
@@ -360,6 +380,42 @@ def test_check_ordinary_agrees_with_cluster():
             if point.location.field.degree > 1:
                 irrational.add((point.multiplicity, point.ordinary))
     assert irrational == {(3, True), (4, True), (4, False)}
+    through_three = tangential = 0
+    for arr in _pencils():
+        points = combinatorial_type(arr).points
+        assert [check_ordinary(p, arr) for p in points] == [p.ordinary for p in points]
+        orbits = [p for p in points if p.location.field.degree > 1 and p.multiplicity >= 3]
+        through_three += bool(orbits)
+        tangential += any(not p.ordinary for p in orbits)
+    assert (through_three, tangential) == (80, 17)
+
+
+def test_engine_compares_no_tangents(monkeypatch):
+    # every flag is read from pair multiplicities, even at an irrational
+    # orbit through three or more curves; tangents are the oracle's
+    arrangements = [_BITANGENT, _IRRATIONAL_PENCIL, *_pencils()]
+    expected = [combinatorial_type(arr) for arr in arrangements]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the engine compared tangents")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intersect, "tangent_line", refuse)
+        derived = [combinatorial_type(arr) for arr in arrangements]
+    assert derived == expected
+
+
+def test_irrational_orbits_of_a_pair_share_one_multiplicity(monkeypatch):
+    # degrees times multiplicities sum to at most 4, so a pair's irrational
+    # orbits, of degree 2 or more, cannot have two multiplicities; the check
+    # is raised, so it holds under python -O too
+    [(sqrt2, _)] = intersect_pair(line(1, 0, 0), conic(1, 1, -2, 0, 0, 0))
+    [(sqrt3, _)] = intersect_pair(line(1, 0, 0), conic(1, 1, -3, 0, 0, 0))
+    monkeypatch.setattr(intersect, "intersect_pair", lambda c1, c2: [(sqrt2, 1), (sqrt3, 2)])
+    curves = (line(1, 0, 0, label="L"), conic(1, 1, -2, 0, 0, 0, label="C"))
+    with pytest.raises(IntersectionError, match=r"^curves 0 and 1, L and C: irrational "
+                                                r"orbits of multiplicities \[1, 2\]$"):
+        combinatorial_type(Arrangement(curves))
 
 
 _HEXAGON = Arrangement((line(1, 0, -1), line(1, 0, 1), line(0, 1, -1),
