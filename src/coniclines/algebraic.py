@@ -88,8 +88,9 @@ class NumberField:
             raise ValueError("a number field witness has degree >= 1")
         self.witness = coeffs = primitive(witness)
         n = len(coeffs) - 1
-        self.lead = coeffs[-1]
-        self.monic = tuple(c * self.lead ** (n - 1 - i) for i, c in enumerate(coeffs[:-1]))
+        self.lead = lead = coeffs[-1]
+        self.monic = coeffs[:-1] if lead == 1 or n == 1 else tuple(
+            [c * lead ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])])
         self._roots: dict[int, list] = {}
 
     @property
@@ -241,9 +242,10 @@ def root_orbits(coeffs: Sequence[int]) -> list[tuple[NumberField, int]]:
             if root == 0:
                 return [(NumberField((b, 2 * a)), 2)]
             # sympy sorts the primitive factors q a - p by q, then -p
-            fields = sorted((NumberField((b + root, 2 * a)), NumberField((b - root, 2 * a))),
-                            key=lambda field: field.witness[::-1])
-            return [(field, 1) for field in fields]
+            first, second = NumberField((b + root, 2 * a)), NumberField((b - root, 2 * a))
+            if first.witness[::-1] > second.witness[::-1]:
+                first, second = second, first
+            return [(first, 1), (second, 1)]
     if n <= 2 or _certified_irreducible(f):
         return [(NumberField(f), 1)]
     _content, factors = sp.Poly(list(reversed(f)), _X, domain="ZZ").factor_list()

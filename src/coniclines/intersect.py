@@ -14,19 +14,13 @@ fiber.  With lin1 = u Y + v Z, the fiber test is quartic(-v, u) != 0, and a
 root (1 : 0) is a point on the line through C and (0 : 1 : 0).  The centre
 is C_t = (1 : t : t^3) for the first t = 0, 1, ... at which it lies on
 neither conic and passes the fiber test, and the point is
-(X, t X + Y, t^3 X + Z), on integers and on field vectors alike.  At most
-30 centres fail (see ``_CENTRES``), so the first 31 always decide the pair.
+(X, t X + Y, t^3 X + Z).  At most 30 centres fail (see ``_CENTRES``), so
+the first 31 always decide the pair.
 
-Each pair routine maps the roots of one binary form to points: the
-restriction of the conic to the line, a quadratic in the line's parameter
-(s : t), or the quartic in (Y : Z).  ``_binary_roots`` gives each root one
-shape, (field, t, multiplicity), at (s : t) = (b : t) for the integral
-generator b of the field: the root (1 : 0) first, as b = 1 in Q[a]/(a - 1)
-over t = 0 with the multiplicity the form's degree lost, then one orbit
-per irreducible factor, over t = c_n; a rational root p/q is the field of
-degree 1 with b = p, over t = q.  A routine writes its point as
-polynomials in s and reduces them modulo the witness of b: at degree 1
-that evaluates them at the integer p.
+Each pair routine is a binary form, the restriction of the conic to the
+line (a quadratic in the line's parameter (s : t)) or the quartic in
+(Y : Z), and its point as three binary forms in the same variables;
+``_points`` evaluates the point at each root of the form, (1 : 0) first.
 ``intersect_pair`` certifies a pair: every point lies on both curves,
 by exact evaluation of their integer forms, and the pair multiplicities,
 each orbit's times its degree, sum to the product of the curve degrees.
@@ -73,6 +67,7 @@ from .curves import (
     SingularPoint,
     ValidationError,
     validate_arrangement,
+    validate_curve,
 )
 
 PairResult = list[tuple[ProjectivePoint, int]]
@@ -88,10 +83,10 @@ def _pair_error(c1: PlaneCurve, c2: PlaneCurve, message) -> IntersectionError:
 
 def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     """The intersection of two distinct curves, one point per Galois orbit
-    with its pair multiplicity, certified: each lies on both curves, by
-    exact evaluation, and the multiplicities times the orbits' degrees sum
-    to deg(c1) * deg(c2).  ``point.conjugates()`` gives an orbit's deg f
-    geometric points, each of that multiplicity."""
+    with its pair multiplicity, certified: each lies on both curves, and the
+    multiplicities times the orbits' degrees sum to deg(c1) * deg(c2).
+    ``point.conjugates()`` gives an orbit's deg f points, each of that
+    multiplicity.  A singular conic of a conic pair raises ValidationError."""
     u, v = c1.coefficients, c2.coefficients
     # the coprime integer coefficients of one curve agree up to sign
     if u == v or u == tuple(-c for c in v):
@@ -105,6 +100,8 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
         elif kinds == ("conic", "line"):
             orbits = _intersect_line_conic(v, u)
         else:
+            validate_curve(c1)  # the centre bound of _CENTRES needs det != 0
+            validate_curve(c2)
             orbits = _intersect_conics(u, v)
         # exact evaluation of both integer forms at each orbit's vectors
         for point, _mult in orbits:
@@ -164,16 +161,28 @@ def _conic_value(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
     return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
 
-def _binary_roots(form: list[int]) -> list[tuple[NumberField, int, int]]:
-    """The roots (s : t) = (b : t) of a nonzero binary form
-    sum_i form[i] s^i t^(n-i), n = len(form) - 1, one per orbit, as
-    (field, t, multiplicity), b the integral generator of the field.  The
-    root (1 : 0) comes first, as b = 1 in Q[a]/(a - 1) over t = 0, with the
-    multiplicity m the form's degree in s lost; then the fields of
-    ``root_orbits``, in its order, over t = c_n."""
+def _points(form: list[int], coords: list[list[int]]) -> PairResult:
+    """The points over the roots of the nonzero binary form
+    sum_i form[i] s^i t^(n-i), one per orbit with its multiplicity: the
+    three binary forms ``coords`` in (s : t), of one degree m and lowest
+    power of s first, at the root.  The root (1 : 0) comes first, with the
+    multiplicity the form's degree in s lost, as the forms' leading
+    coefficients; then each field of ``root_orbits`` at (b : c_n), b its
+    integral generator, reduced modulo the witness: at degree 1, (p : q)."""
     lost = len(form) - 1 - max(i for i, c in enumerate(form) if c)
-    roots = [(NumberField((-1, 1)), 0, lost)] if lost else []
-    return roots + [(field, field.lead, m) for field, m in root_orbits(form)]
+    points = [(ProjectivePoint.from_integers(*(c[-1] for c in coords)), lost)] if lost else []
+    m = len(coords[0]) - 1
+    for field, mult in root_orbits(form):
+        w, vectors = field.lead, []
+        for coord in coords:
+            # the term c_i s^i t^(m-i) at (b : w), from the top down
+            v, scale = list(coord), 1
+            for i in range(m - 1, -1, -1):
+                scale *= w
+                v[i] *= scale
+            vectors.append(field.reduce(v))
+        points.append((ProjectivePoint.in_field(field, vectors), mult))
+    return points
 
 
 def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> PairResult:
@@ -185,9 +194,7 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
     if not (quad_a or quad_b or quad_c):
         raise IntersectionError("line is a component of the conic")
     # the root (s : t) is the point s*P0 + t*P1
-    return [(ProjectivePoint.in_field(field, [field.reduce([t * p1[i], p0[i]])
-                                              for i in range(3)]), mult)
-            for field, t, mult in _binary_roots([quad_c, quad_b, quad_a])]
+    return _points([quad_c, quad_b, quad_a], [[p1[i], p0[i]] for i in range(3)])
 
 
 # A projection centre C fails only if it lies on one of the conics, or on a
@@ -225,11 +232,9 @@ def _expansion(coeffs: tuple[int, ...], t: int
 def _intersect_conics_from(p: tuple[int, ...], q: tuple[int, ...],
                            t: int) -> PairResult | None:
     """The points of the conics p and q, by projection from the centre
-    C = C_t onto the line x = 0, or None when C is not generic.  Each conic
-    is read at X C + (0, Y, Z) by ``_expansion``; the member
-    b2 p - a2 q = lin1 X + lin0 of their pencil has no X^2 term, and the
-    resultant in X of p and that member is the quartic, binary forms in
-    (Y : Z)."""
+    C = C_t onto the line x = 0 as the module docstring sets out, each conic
+    read at X C + (0, Y, Z) by ``_expansion``, or None when C is not
+    generic."""
     a2, a1, a0 = _expansion(p, t)
     b2, b1, b0 = _expansion(q, t)
     if a2 == 0 or b2 == 0:
@@ -246,18 +251,11 @@ def _intersect_conics_from(p: tuple[int, ...], q: tuple[int, ...],
     v, u = lin1
     if u == v == 0 or not sum(c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
         return None  # two intersection points share a fiber
-    points: PairResult = []
-    for field, w, mult in _binary_roots(quartic):
-        # X = -lin0 / lin1: over the root (Y : Z) = (s : w), (X : Y : Z) is
-        # (-lin0 : s lin1 : w lin1), polynomials in s of degree <= 2, and the
-        # point X C + (0, Y, Z) is (X, t X + Y, t^3 X + Z)
-        x = field.reduce([-lin0[0] * w * w, -lin0[1] * w, -lin0[2]])
-        y = field.reduce([0, lin1[0] * w, lin1[1]])
-        z = field.reduce([lin1[0] * w * w, lin1[1] * w])
-        y = [t * xi + yi for xi, yi in zip(x, y)]
-        z = [t ** 3 * xi + zi for xi, zi in zip(x, z)]
-        points.append((ProjectivePoint.in_field(field, (x, y, z)), mult))
-    return points
+    # X = -lin0 / lin1: over the root (Y : Z) = (s : w), (X : Y : Z) is
+    # (-lin0 : s lin1 : w lin1), and the point is (X, t X + Y, t^3 X + Z)
+    x = [-c for c in lin0]
+    return _points(quartic, [x, [t * xi + yi for xi, yi in zip(x, [0, *lin1])],
+                             [t ** 3 * xi + zi for xi, zi in zip(x, [*lin1, 0])]])
 
 
 def _poly_mul(u: list[int], v: list[int]) -> list[int]:

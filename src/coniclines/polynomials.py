@@ -46,13 +46,13 @@ def parse_rational(text: str) -> Fraction:
 def coprime_integers(values: Sequence) -> tuple[int, ...]:
     """Integer or rational values, not all zero, scaled by one rational to
     coprime integers (the same curve or polynomial)."""
-    if all(isinstance(v, int) for v in values):
-        ints = values
-    else:
+    try:
+        common = gcd(*values)
+    except TypeError:  # a Fraction among the values
         den = lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (den // v.denominator) for v in values]
-    common = gcd(*ints)
-    return tuple(v // common for v in ints)
+        values = [v.numerator * (den // v.denominator) for v in values]
+        common = gcd(*values)
+    return tuple(values) if common == 1 else tuple([v // common for v in values])
 
 
 def primitive(coeffs: Sequence) -> tuple[int, ...]:
@@ -61,7 +61,7 @@ def primitive(coeffs: Sequence) -> tuple[int, ...]:
     nonzero): coprime integer coefficients with positive leading
     coefficient."""
     ints = coprime_integers(coeffs)
-    return ints if ints[-1] > 0 else tuple(-v for v in ints)
+    return ints if ints[-1] > 0 else tuple([-v for v in ints])
 
 
 class TernaryForm:

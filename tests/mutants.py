@@ -47,7 +47,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the pair certificate and the one shape of a root
+    # the pair certificate and the points over a binary form's roots
     Mutant("pair-sum-check-deleted", "src/coniclines/intersect.py",
            "    if total != c1.degree * c2.degree:\n",
            "    if False:\n",
@@ -61,16 +61,16 @@ MUTANTS = [
            "    return [(conj, m) for p, m in orbits for conj in p.conjugates()]\n",
            "tests/test_intersect.py::test_line_conic_irrational_points"),
     Mutant("root-read-at-t-s", "src/coniclines/intersect.py",
-           "field.reduce([t * p1[i], p0[i]])",
-           "field.reduce([t * p0[i], p1[i]])",
+           "[[p1[i], p0[i]] for i in range(3)]",
+           "[[p0[i], p1[i]] for i in range(3)]",
            "tests/test_intersect.py::test_line_conic_tangent"),
     Mutant("expansion-drops-the-f-t-term", "src/coniclines/intersect.py",
            "[e + f * t + 2 * c * u, d + 2 * b * t + f * u]",
            "[e + 2 * c * u, d + 2 * b * t + f * u]",
            "tests/test_polynomials.py::test_expansion_at_the_centre"),
     Mutant("point-map-takes-t-for-t-cubed", "src/coniclines/intersect.py",
-           "z = [t ** 3 * xi + zi for xi, zi in zip(x, z)]",
-           "z = [t * xi + zi for xi, zi in zip(x, z)]",
+           "[t ** 3 * xi + zi for xi, zi in zip(x, [*lin1, 0])]",
+           "[t * xi + zi for xi, zi in zip(x, [*lin1, 0])]",
            "tests/test_intersect.py::"
            "test_conics_through_the_first_centres_are_decided_at_t4"),
     Mutant("fiber-test-deleted", "src/coniclines/intersect.py",
@@ -82,9 +82,19 @@ MUTANTS = [
            "        if field.degree > 1 and not any(any(v[1:]) for v in vectors):\n",
            "tests/test_intersect.py::test_cluster_dbe_sharpness"),
     Mutant("binary-roots-drops-one-zero", "src/coniclines/intersect.py",
-           "    roots = [(NumberField((-1, 1)), 0, lost)] if lost else []\n",
-           "    roots = []\n",
+           "    points = [(ProjectivePoint.from_integers(*(c[-1] for c in coords)), lost)]"
+           " if lost else []\n",
+           "    points = []\n",
            "tests/test_intersect.py::test_line_conic_root_at_infinity_of_the_parameter"),
+    Mutant("points-reads-the-constant-term-at-infinity", "src/coniclines/intersect.py",
+           "from_integers(*(c[-1] for c in coords))",
+           "from_integers(*(c[0] for c in coords))",
+           "tests/test_intersect.py::test_root_at_infinity_needs_no_field"),
+    Mutant("conic-pair-validation-deleted", "src/coniclines/intersect.py",
+           "            validate_curve(c1)  # the centre bound of _CENTRES needs det != 0\n"
+           "            validate_curve(c2)\n",
+           "            pass\n",
+           "tests/test_intersect.py::test_singular_conic_of_a_conic_pair_rejected"),
     Mutant("degree-one-witness-with-the-wrong-sign", "src/coniclines/algebraic.py",
            "NumberField((b, 2 * a))",
            "NumberField((-b, 2 * a))",

@@ -11,6 +11,7 @@ To re-record it from some checkout of the package:
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 import sys
@@ -19,6 +20,7 @@ from itertools import combinations
 from math import gcd
 from pathlib import Path
 
+import coniclines
 from coniclines.algebraic import QQ, NumberField
 from coniclines.catalog import build_pencil4, catalog_get, catalog_list
 from coniclines.curves import Arrangement, PlaneCurve, ValidationError, validate_arrangement
@@ -185,6 +187,56 @@ def test_engine_builds_no_fraction(monkeypatch):
         x, y, z = (v[0] for v in p.vectors)
         assert gcd(x, y, z) == 1 and next(c for c in (z, y, x) if c) > 0
     assert [points(d) for d in derived] == expected
+
+
+
+def _scoped_nodes(path: Path) -> list[tuple[ast.AST, str]]:
+    """Every node of a module with the dotted name of the function or class
+    it lies in ("" at module level); a def lies in its own scope."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            out.append((child, inner))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def test_sympy_and_mpmath_stay_where_they_are():
+    # replacing sympy's one call stays a one-call swap: only algebraic.py
+    # imports sympy, which serves factor_list in root_orbits and the symbol
+    # _X of that call; mpmath is imported inside the two display methods
+    imports, sp_uses, x_uses, factor_lists = [], [], [], []
+    for path in sorted(Path(coniclines.__file__).parent.glob("*.py")):
+        for node, scope in _scoped_nodes(path):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            imports += [(name.split(".")[0], path.name, scope) for name in names
+                        if name.split(".")[0] in ("sympy", "mpmath")]
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id == "sp":
+                    sp_uses.append((path.name, scope, node.attr))
+                if node.attr == "factor_list":
+                    factor_lists.append((path.name, scope))
+            if isinstance(node, ast.Name) and node.id == "_X":
+                x_uses.append((path.name, scope, type(node.ctx).__name__))
+    assert sorted(imports) == [("mpmath", "algebraic.py", "NumberField.approx"),
+                               ("mpmath", "algebraic.py", "NumberField.roots"),
+                               ("sympy", "algebraic.py", "")]
+    assert sorted(sp_uses) == [("algebraic.py", "", "Symbol"),
+                               ("algebraic.py", "root_orbits", "Poly")]
+    assert factor_lists == [("algebraic.py", "root_orbits")]
+    assert sorted(x_uses) == [("algebraic.py", "", "Store"),
+                              ("algebraic.py", "root_orbits", "Load")]
 
 
 def test_differential_dump_on_the_catalog_builders():

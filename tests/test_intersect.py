@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import coniclines.intersect as intersect
 from coniclines.catalog import build_dbe_sharpness, build_pencil4, build_tangency_demo
-from coniclines.algebraic import root_orbits
+from coniclines.algebraic import NumberField, root_orbits
 from coniclines.cli import main
 from coniclines.curves import (
     Arrangement,
@@ -180,6 +180,39 @@ def test_point_at_infinity_needs_no_other_centre():
     assert [m for _p, m in points] == [1] * 4
 
 
+
+def test_root_at_infinity_needs_no_field(monkeypatch):
+    # the root (1 : 0) of a pair's binary form is read off the leading
+    # coefficients of its point's forms; intersect.py builds no field itself,
+    # every field comes from root_orbits
+    built, seen = [], []
+    points = intersect._points
+
+    def recording_field(witness):
+        built.append(tuple(witness))
+        return NumberField(witness)
+
+    def recording_points(form, coords):
+        seen.append((form, coords))
+        return points(form, coords)
+
+    monkeypatch.setattr(intersect, "NumberField", recording_field, raising=False)
+    monkeypatch.setattr(intersect, "_points", recording_points)
+    # the line x + 2y + 3z has P0 = (-2 : 1 : 0), on x^2 - 4y^2 + z^2
+    line_conic = intersect_pair(line(1, 2, 3), conic(1, -4, 1, 0, 0, 0))
+    # the conics meet at (1 : 1 : 0), the root (1 : 0) from C_0 = (1 : 0 : 0)
+    p, q = (1, 2, -1, -3, 1, -1), (2, -2, 1, 0, 0, 1)
+    conic_conic = intersect._intersect_conics_from(p, q, 0)
+    assert built == []
+    assert line_conic == [(ProjectivePoint.from_integers(-2, 1, 0), 1),
+                          (ProjectivePoint.from_integers(-8, -5, 6), 1)]
+    assert conic_conic[0] == (ProjectivePoint.from_integers(1, 1, 0), 1)
+    for (form, coords), result in zip(seen, (line_conic, conic_conic)):
+        assert form[-1] == 0 and form[-2] != 0
+        leading = ProjectivePoint.from_integers(*(c[-1] for c in coords))
+        assert result[0] == (leading, 1)
+
+
 def test_two_points_on_one_fiber_move_the_centre(monkeypatch):
     # both conics miss C_0 = (1 : 0 : 0), but lin1 = -2 y there vanishes at
     # the root (0 : 1) of the quartic: the two conjugate points of an orbit
@@ -232,6 +265,20 @@ def test_line_component_of_a_conic_rejected():
         intersect_pair(line(1, 0, 0), conic(1, 0, 0, 0, 0, 0))
     assert str(info.value) == ("line: 1 0 0 and conic: 1 0 0 0 0 0: "
                                "line is a component of the conic")
+
+
+
+@pytest.mark.parametrize("first, second", [
+    ((0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)),  # xy and xz
+    ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)),  # x^2 and y^2
+    ((1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)),  # x^2 and x^2 + y^2
+])
+def test_singular_conic_of_a_conic_pair_rejected(first, second):
+    # the bound on failing projection centres needs smooth conics; these
+    # pairs once raised "identical curves" or ran out of centres
+    with pytest.raises(ValidationError) as info:
+        intersect_pair(conic(*first), conic(*second))
+    assert str(info.value) == f"{conic(*first).name}: conic is a line pair or double line"
 
 
 def test_engine_builds_each_conjugate_point_once(monkeypatch):

@@ -103,10 +103,10 @@ def _quartic(p, q, t):
     """The binary quartic that ``_intersect_conics_from`` factors at the
     centre C_t, or None when it returns before factoring."""
     seen = []
-    binary_roots = intersect._binary_roots
+    points = intersect._points
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(intersect, "_binary_roots",
-                            lambda form: seen.append(form) or binary_roots(form))
+        monkeypatch.setattr(intersect, "_points",
+                            lambda form, coords: seen.append(form) or points(form, coords))
         try:
             _intersect_conics_from(p, q, t)
         except IntersectionError:  # identical curves
