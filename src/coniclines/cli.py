@@ -15,7 +15,6 @@ an intersection the engine could not complete).
 from __future__ import annotations
 
 import inspect
-import json
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -35,7 +34,7 @@ from .curves import (
 )
 from .intersect import IntersectionError, combinatorial_type, has_six_line_subarrangement
 from .invariants import analyze as analyze_ct
-from .invariants import log_chern, log_chern_slope, rational_with_decimal
+from .invariants import log_chern, log_chern_slope, non_ordinary_warnings, rational_with_decimal
 from .polynomials import parse_rational
 
 EXIT_PARSE = 2
@@ -74,8 +73,8 @@ def _load_input(path: Path) -> Arrangement | CombinatorialType:
 
 
 def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
-    """The AnalysisReport of a target, with the derived combinatorics of an
-    arrangement file (None for a combinatorial type).
+    """The AnalysisReport of a target, with its singular points when it is
+    an arrangement file.
 
     A str target is a catalog name, else a file; a Path is always a file.
     An arrangement's six-line hypothesis is decided by search; a type's is
@@ -88,25 +87,20 @@ def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
     else:
         _fail(EXIT_PARSE, f"Error: {target!r} is neither a catalog name nor a file")
     if isinstance(data, CombinatorialType):
-        return analyze_ct(data, source=str(target),
-                          six_lines_subarrangement=assume_six_lines), None
+        return analyze_ct(data, source=str(target), six_lines_subarrangement=assume_six_lines)
     try:
         derived = combinatorial_type(data)
     except ValidationError as exc:
         _fail(EXIT_VALIDATION, f"validation failed: {exc}")
     except IntersectionError as exc:
         _fail(EXIT_VALIDATION, f"intersection failed: {exc}")
-    warnings = [f"non-ordinary singularity at {p.location}: "
-                "outside the ordinary-arrangement hypotheses"
-                for p in derived.points if not p.ordinary]
     if strict and not derived.all_ordinary:
-        for w in warnings:
+        for w in non_ordinary_warnings(derived.points):
             click.echo(f"!! {w}", err=True)
         _fail(EXIT_VALIDATION, "strict mode: non-ordinary arrangement rejected")
-    report = analyze_ct(derived.ct, source=str(target),
-                        six_lines_subarrangement=has_six_line_subarrangement(data, derived),
-                        warnings=warnings)
-    return report, derived
+    return analyze_ct(derived.ct, source=str(target),
+                      six_lines_subarrangement=has_six_line_subarrangement(data, derived),
+                      points=derived.points)
 
 
 @main.command()
@@ -119,23 +113,8 @@ def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
                    "combinatorial inputs")
 def analyze(path: Path, as_json: bool, strict: bool, assume_six_lines: bool) -> None:
     """Full invariant report for an arrangement or combinatorial-type file."""
-    report, derived = _report(path, assume_six_lines, strict)
-    if as_json:
-        payload = report.as_dict()
-        if derived is not None:
-            payload["points"] = [{"location": repr(p.location),
-                                  "multiplicity": p.multiplicity,
-                                  "ordinary": p.ordinary}
-                                 for p in derived.points]
-            payload["all_ordinary"] = derived.all_ordinary
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(report.render_text(), nl=False)
-        if derived is not None:
-            click.echo("singular points:")
-            for p in derived.points:
-                flag = "" if p.ordinary else "  [non-ordinary]"
-                click.echo(f"  {p.location!r}  r={p.multiplicity}{flag}")
+    report = _report(path, assume_six_lines, strict)
+    click.echo(report.to_json() if as_json else report.render_text(), nl=as_json)
 
 
 @main.group()
@@ -284,7 +263,7 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
 def check(which: str, target: str, assume_six_lines: bool) -> None:
     """Run one named inequality on a catalog entry, a type file or an
     arrangement file."""
-    report, _derived = _report(target, assume_six_lines)
+    report = _report(target, assume_six_lines)
     name = "urzua-inequality" if which == "urzua" else which
     result = next(c for c in report.checks if c.name == name)
     holds = "holds" if result.conclusion_holds else "FAILS"

@@ -45,7 +45,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .algebraic import QQ, NumberField
 from .polynomials import coprime_integers, parse_integer, parse_rational
@@ -235,9 +235,9 @@ class ProjectivePoint:
         scaled to integers."""
         if not all(isinstance(v, (int, Fraction)) for v in (x, y, z)):
             raise TypeError("from_coords takes int or Fraction coordinates")
-        values = [Fraction(v) for v in (x, y, z)]
-        den = lcm(*(v.denominator for v in values))
-        return cls.from_integers(*(v.numerator * (den // v.denominator) for v in values))
+        if x == y == z == 0:
+            raise ValidationError("(0 : 0 : 0) is not a projective point")
+        return cls.from_integers(*coprime_integers((x, y, z)))
 
     @classmethod
     def in_field(cls, field: NumberField, vectors) -> "ProjectivePoint":

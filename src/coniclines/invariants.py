@@ -4,6 +4,8 @@ Everything here is a pure function of a CombinatorialType (d lines, k conics,
 t_r counts of r-fold ordinary points), plus a few standalone numeric helpers
 for freeness and cover computations.  All arithmetic is exact: integers and
 Fractions throughout, with decimal renderings only at the reporting surface.
+The report (``AnalysisReport``), in text and as JSON, is written here alone;
+for an arrangement it also lists the singular points the engine found.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .curves import CombinatorialType
+from .curves import CombinatorialType, SingularPoint
 
 
 def pair_total(d: int, k: int) -> int:
@@ -207,16 +209,18 @@ def rational_with_decimal(v: Fraction | None) -> str:
 
 @dataclass
 class AnalysisReport:
-    """The report on one combinatorial type.  Its inputs are the type, the
-    inequality verdicts and the warnings; the invariants are computed from
-    the type once, when the report is built, into ``invariants`` under the
-    names ``as_dict`` gives them.  A failed self-check of ``h_index`` or
+    """The report on one combinatorial type, in text and as JSON.  Its inputs
+    are the type, the verdicts, the warnings and an arrangement's singular
+    points (None for a bare type: no points section); the invariants are
+    computed from the type once, into ``invariants`` under the names
+    ``as_dict`` gives them.  A failed self-check of ``h_index`` or
     ``cover_chern`` raises there."""
 
     source: str
     ct: CombinatorialType
     checks: list[CheckResult] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    points: list[SingularPoint] | None = None
     invariants: dict[str, int | Fraction | None] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -233,7 +237,7 @@ class AnalysisReport:
         }
 
     def as_dict(self) -> dict:
-        return {
+        data = {
             "source": self.source,
             "d": self.ct.d,
             "k": self.ct.k,
@@ -243,15 +247,18 @@ class AnalysisReport:
             "checks": [asdict(c) for c in self.checks],
             "warnings": list(self.warnings),
         }
+        if self.points is not None:
+            data["points"] = [{"location": repr(p.location), "multiplicity": p.multiplicity,
+                               "ordinary": p.ordinary} for p in self.points]
+            data["all_ordinary"] = all(p.ordinary for p in self.points)
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
 
     def render_text(self) -> str:
         v = self.invariants
-        lines = []
-        for w in self.warnings:
-            lines.append(f"!! {w}")
+        lines = [f"!! {w}" for w in self.warnings]
         lines.append(f"source: {self.source}")
         tdesc = ", ".join(f"t_{r}={n}" for r, n in sorted(self.ct.t.items())) or "none"
         lines.append(f"type: d={self.ct.d} lines, k={self.ct.k} conics; {tdesc}")
@@ -269,15 +276,28 @@ class AnalysisReport:
                 ("holds" if c.conclusion_holds else "FAILS")
             hyp = "hypotheses ok" if c.hypotheses_satisfied else "hypotheses not met"
             lines.append(f"  {c.name}: {holds} ({hyp})")
+        if self.points is not None:
+            lines.append("singular points:")
+            for p in self.points:
+                flag = "" if p.ordinary else "  [non-ordinary]"
+                lines.append(f"  {p.location!r}  r={p.multiplicity}{flag}")
         return "\n".join(lines) + "\n"
+
+
+def non_ordinary_warnings(points: list[SingularPoint]) -> list[str]:
+    """One warning per non-ordinary point, in point order."""
+    return [f"non-ordinary singularity at {p.location}: "
+            "outside the ordinary-arrangement hypotheses"
+            for p in points if not p.ordinary]
 
 
 def analyze(ct: CombinatorialType, source: str = "ad hoc",
             six_lines_subarrangement: bool = False,
-            warnings: list[str] | None = None) -> AnalysisReport:
-    """Compute every check for one combinatorial type, and its report."""
+            points: list[SingularPoint] | None = None) -> AnalysisReport:
+    """Compute every check for one combinatorial type, and its report; an
+    arrangement's singular points, when given, are listed in it."""
     defect = bezout_defect(ct)
-    warns = list(warnings or [])
+    warns = non_ordinary_warnings(points or [])
     if defect != 0:
         warns.append(f"pairwise intersection count off by {defect}: "
                      "not the combinatorics of an ordinary arrangement")
@@ -298,4 +318,4 @@ def analyze(ct: CombinatorialType, source: str = "ad hoc",
     checks.append(CheckResult("slope-at-most-8/3", hyp, slope_ok))
     hyp, holds = check_c2_positive(ct)
     checks.append(CheckResult("c2-positive", hyp, holds))
-    return AnalysisReport(source=source, ct=ct, checks=checks, warnings=warns)
+    return AnalysisReport(source=source, ct=ct, checks=checks, warnings=warns, points=points)

@@ -162,6 +162,18 @@ MUTANTS = [
            'approx = "inf" if v > 0 else "-inf"',
            'approx = "inf"',
            "tests/test_invariants.py::test_rational_with_decimal_past_the_float_range"),
+    Mutant("report-points-need-a-point", "src/coniclines/invariants.py",
+           "        if self.points is not None:\n            lines.append(\"singular points:\")\n",
+           "        if self.points:\n            lines.append(\"singular points:\")\n",
+           "tests/test_cli_golden.py::test_analyze_output_matches_recording[point-free-text]"),
+    Mutant("analyze-drops-point-warnings", "src/coniclines/invariants.py",
+           "    warns = non_ordinary_warnings(points or [])\n",
+           "    warns = []\n",
+           "tests/test_cli_golden.py::test_analyze_output_matches_recording[tangency-demo-text]"),
+    Mutant("strict-echoes-no-warning", "src/coniclines/cli.py",
+           "            click.echo(f\"!! {w}\", err=True)\n",
+           "            pass\n",
+           "tests/test_cli_golden.py::test_command_output_matches_recording[tangency-demo.strict]"),
     Mutant("cli-keeps-the-digit-limit", "src/coniclines/cli.py",
            "        sys.set_int_max_str_digits(0)\n",
            "        pass\n",

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from coniclines.catalog import catalog_get, pencil4_type
-from coniclines.curves import CombinatorialType
+from coniclines.curves import CombinatorialType, ProjectivePoint, SingularPoint
 from coniclines.invariants import (
     analyze,
     bezout_defect,
@@ -228,6 +228,30 @@ def test_analyze_warns_on_shared_point():
     shared = CombinatorialType(d=3, k=0, t={3: 1})
     report = analyze(shared)
     assert any("share a point" in w for w in report.warnings)
+
+
+def test_analyze_warns_on_non_ordinary_points_first():
+    # the tangency of a line and a conic at (0 : 1 : 1)
+    tangency = SingularPoint(ProjectivePoint.from_integers(0, 1, 1), frozenset({0, 1}), False)
+    report = analyze(CombinatorialType(d=1, k=1, t={2: 1}), points=[tangency])
+    assert report.warnings[0] == ("non-ordinary singularity at (0 : 1 : 1): "
+                                  "outside the ordinary-arrangement hypotheses")
+    assert [w.split(":")[0] for w in report.warnings[1:]] == [
+        "pairwise intersection count off by 1", "t_{k+d} != 0"]
+    assert report.as_dict()["all_ordinary"] is False
+    assert report.render_text().endswith("  (0 : 1 : 1)  r=2  [non-ordinary]\n")
+
+
+def test_only_an_arrangement_report_has_a_points_section():
+    # a bare type has no points; an arrangement of one line has none to list
+    one_line = CombinatorialType(d=1, k=0, t={})
+    bare = analyze(one_line)
+    assert not {"points", "all_ordinary"} & bare.as_dict().keys()
+    assert "singular points:" not in bare.render_text()
+    point_free = analyze(one_line, points=[])
+    data = json.loads(point_free.to_json())
+    assert data["points"] == [] and data["all_ordinary"] is True
+    assert point_free.render_text().endswith("\nsingular points:\n")
 
 
 def test_source_has_no_assert_statements():
