@@ -39,8 +39,9 @@ numbers: its count of roots mod p, and the parity of the factor count,
 which the Legendre symbol (D/p) gives.  What is reducible, has a repeated
 factor or is not certified goes to sympy's ``factor_list`` over ZZ, the
 only sympy call.  Numeric values are for display only: mpmath
-``polyroots`` finds the roots of f, taken in a fixed order, and conjugate
-k evaluates its vector at b_k = c_n a_k.
+``polyroots`` finds the roots of f, each to a precision relative to its own
+modulus, taken in a fixed order, and conjugate k evaluates its vector at
+b_k = c_n a_k.
 """
 
 from __future__ import annotations
@@ -159,14 +160,57 @@ class NumberField:
     # -- display ----------------------------------------------------------------
 
     def roots(self, dps: int = 30) -> list:
-        """The roots of the witness as mpmath numbers accurate to ``dps``
-        digits, in the order fixed by the first call."""
+        """The roots of the witness as mpmath numbers, in the order fixed by
+        the first call, each accurate relative to its own modulus.
+
+        mpmath's ``polyroots`` starts near the unit circle and stops on an
+        absolute step below its working epsilon, so a root list is accepted
+        only when it converged and its error estimate times 10^(``_DIGITS``
+        + 5) is at most every root's modulus.  The first try is at ``dps``
+        digits, ``dps`` + 20 extra bits and 200 steps.  For f = c_n x^n +
+        ... + c_0 of degree n <= 4 and H = max |c_i|, Cauchy's bounds give
+        2^-lo <= |root| <= 2^hi, lo and hi one more than the bit lengths of
+        (|c_0| + H) // |c_0| and H // |c_n|.  The first retry works at
+        ``dps`` digits plus lo bits, so its error floor lies ``dps`` digits
+        below the smallest root, with that precision plus lo + hi + 20
+        extra bits and 200 + 2 (lo + hi) steps; each further one doubles
+        all three.
+
+        The retries end.  Two roots of the squarefree f lie at least 2^-S
+        apart, S = (n-1)(bits(H) + 2) + 6, by Mahler's bound sqrt(3)
+        n^(-(n+2)/2) ||f||^(1-n).  At a root, rounding moves a step by at
+        most 2^(6 + (n+1) hi + (n-1) S) working epsilons, below the stopping
+        test once the extra bits exceed that exponent by 20.  A list still
+        not accepted then raises ArithmeticError.  The witness a of ``QQ``
+        has the exact root 0."""
         if dps not in self._roots:
             import mpmath
 
-            coeffs = list(reversed(self.witness))
+            w = self.witness
+            coeffs = list(reversed(w))
             with mpmath.workdps(dps):
-                found = list(mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps + 20))
+                prec = mpmath.mp.prec
+            extra, steps, cap = dps + 20, 200, None
+            while True:
+                try:
+                    with mpmath.workprec(prec):
+                        found, error = mpmath.polyroots(coeffs, maxsteps=steps, extraprec=extra,
+                                                        error=True)
+                except mpmath.mp.NoConvergence:
+                    pass
+                else:
+                    if not w[0] or all(error * 10 ** (_DIGITS + 5) <= abs(r) for r in found):
+                        break
+                if cap is None:
+                    n, height = len(w) - 1, max(map(abs, w))
+                    lo = ((height + abs(w[0])) // abs(w[0])).bit_length() + 1
+                    hi = (height // w[-1]).bit_length() + 1
+                    cap = 26 + (n + 1) * hi + (n - 1) * ((n - 1) * (height.bit_length() + 2) + 6)
+                    prec, extra, steps = prec + lo, prec + 2 * lo + hi + 20, 200 + 2 * (lo + hi)
+                elif extra < cap:
+                    prec, extra, steps = 2 * prec, 2 * extra, 2 * steps
+                else:
+                    raise ArithmeticError(f"no accurate roots of the witness {w}")
             if self._roots:
                 base = self._roots[min(self._roots)]
                 found = [min(found, key=lambda r, b=b: abs(r - b)) for b in base]
@@ -178,7 +222,8 @@ class NumberField:
     def approx(self, vector, den: int = 1, conjugate: int = 0) -> complex:
         """(sum_i vector[i] b^i) / den at conjugate k, as a complex number
         with at least ``_DIGITS`` correct digits: evaluated from the roots
-        of the witness at rising precision until cancellation leaves enough
+        of the witness, each accurate relative to its own modulus
+        (``roots``), at rising precision until cancellation leaves enough
         of them.  A vector with no irrational part is evaluated exactly."""
         if not any(vector[1:]):
             return complex(vector[0] / den)

@@ -210,21 +210,23 @@ def rational_with_decimal(v: Fraction | None) -> str:
 @dataclass
 class AnalysisReport:
     """The report on one combinatorial type, in text and as JSON.  Its inputs
-    are the type, the verdicts, the warnings and an arrangement's singular
-    points (None for a bare type: no points section); the invariants are
-    computed from the type once, into ``invariants`` under the names
-    ``as_dict`` gives them.  A failed self-check of ``h_index`` or
-    ``cover_chern`` raises there."""
+    are the type, its source, the six-line sub-arrangement hypothesis and an
+    arrangement's singular points (None for a bare type: no points section).
+    Everything else is derived from them once, here: ``invariants`` under
+    the names ``as_dict`` gives them, then ``warnings`` (non-ordinary points,
+    the Bezout defect, a point on every curve) and the six ``checks``.  A
+    failed self-check of ``h_index`` or ``cover_chern`` raises here."""
 
-    source: str
     ct: CombinatorialType
-    checks: list[CheckResult] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    source: str = "ad hoc"
+    six_lines_subarrangement: bool = False
     points: list[SingularPoint] | None = None
     invariants: dict[str, int | Fraction | None] = field(init=False)
+    warnings: list[str] = field(init=False)
+    checks: list[CheckResult] = field(init=False)
 
     def __post_init__(self) -> None:
-        ct = self.ct
+        ct, six = self.ct, self.six_lines_subarrangement
         f0, f1 = incidence_sums(ct)
         c1sq, c2 = log_chern(ct)
         e_scaled, k2_scaled, bmy = cover_chern(ct)
@@ -235,6 +237,22 @@ class AnalysisReport:
             "slope": log_chern_slope(ct),
             "cover_e": e_scaled, "cover_k2": k2_scaled, "bmy_defect": bmy,
         }
+        self.warnings = non_ordinary_warnings(self.points or [])
+        if defect := self.invariants["bezout_defect"]:
+            self.warnings.append(f"pairwise intersection count off by {defect}: "
+                                 "not the combinatorics of an ordinary arrangement")
+        if ct.t_of(ct.d + ct.k) != 0:
+            self.warnings.append("t_{k+d} != 0: all curves share a point, outside the "
+                                 "standing assumption of the slope formulas")
+        urzua_hyp, urzua_holds, slope_ok = check_urzua(ct)
+        self.checks = [
+            CheckResult("hirzebruch", *check_hirzebruch(ct, False, six)),
+            CheckResult("hirzebruch-improved", *check_hirzebruch(ct, True, six)),
+            CheckResult("debruijn-erdos", *check_debruijn_erdos(ct)),
+            CheckResult("urzua-inequality", urzua_hyp, urzua_holds),
+            CheckResult("slope-at-most-8/3", urzua_hyp, slope_ok),
+            CheckResult("c2-positive", *check_c2_positive(ct)),
+        ]
 
     def as_dict(self) -> dict:
         data = {
@@ -294,28 +312,6 @@ def non_ordinary_warnings(points: list[SingularPoint]) -> list[str]:
 def analyze(ct: CombinatorialType, source: str = "ad hoc",
             six_lines_subarrangement: bool = False,
             points: list[SingularPoint] | None = None) -> AnalysisReport:
-    """Compute every check for one combinatorial type, and its report; an
+    """The report on one combinatorial type, with every check; an
     arrangement's singular points, when given, are listed in it."""
-    defect = bezout_defect(ct)
-    warns = non_ordinary_warnings(points or [])
-    if defect != 0:
-        warns.append(f"pairwise intersection count off by {defect}: "
-                     "not the combinatorics of an ordinary arrangement")
-    if ct.t_of(ct.d + ct.k) != 0:
-        warns.append("t_{k+d} != 0: all curves share a point, outside the "
-                     "standing assumption of the slope formulas")
-    checks = []
-    hyp, holds = check_hirzebruch(ct, improved=False,
-                                  six_lines_subarrangement=six_lines_subarrangement)
-    checks.append(CheckResult("hirzebruch", hyp, holds))
-    hyp, holds = check_hirzebruch(ct, improved=True,
-                                  six_lines_subarrangement=six_lines_subarrangement)
-    checks.append(CheckResult("hirzebruch-improved", hyp, holds))
-    hyp, holds = check_debruijn_erdos(ct)
-    checks.append(CheckResult("debruijn-erdos", hyp, holds))
-    hyp, holds, slope_ok = check_urzua(ct)
-    checks.append(CheckResult("urzua-inequality", hyp, holds))
-    checks.append(CheckResult("slope-at-most-8/3", hyp, slope_ok))
-    hyp, holds = check_c2_positive(ct)
-    checks.append(CheckResult("c2-positive", hyp, holds))
-    return AnalysisReport(source=source, ct=ct, checks=checks, warnings=warns, points=points)
+    return AnalysisReport(ct, source, six_lines_subarrangement, points)

@@ -141,6 +141,14 @@ MUTANTS = [
            "b = self.roots(dps)[conjugate] * self.lead",
            "b = self.roots(dps)[0] * self.lead",
            "tests/test_curves.py::test_conjugates_share_vectors"),
+    Mutant("roots-trusts-the-absolute-error", "src/coniclines/algebraic.py",
+           "if not w[0] or all(error * 10 ** (_DIGITS + 5) <= abs(r) for r in found):",
+           "if True:",
+           "tests/test_curves.py::test_display_of_coordinates_far_below_one"),
+    Mutant("roots-lets-no-convergence-escape", "src/coniclines/algebraic.py",
+           "                except mpmath.mp.NoConvergence:\n",
+           "                except ZeroDivisionError:\n",
+           "tests/test_cli_golden.py::test_command_output_matches_recording[huge-root.text]"),
     Mutant("tangent-line-truncated", "src/coniclines/intersect.py",
            "return tuple(tuple(g) for g in gradient)",
            "return tuple(tuple(g[:1]) for g in gradient)",
@@ -167,8 +175,8 @@ MUTANTS = [
            "        if self.points:\n            lines.append(\"singular points:\")\n",
            "tests/test_cli_golden.py::test_analyze_output_matches_recording[point-free-text]"),
     Mutant("analyze-drops-point-warnings", "src/coniclines/invariants.py",
-           "    warns = non_ordinary_warnings(points or [])\n",
-           "    warns = []\n",
+           "        self.warnings = non_ordinary_warnings(self.points or [])\n",
+           "        self.warnings = []\n",
            "tests/test_cli_golden.py::test_analyze_output_matches_recording[tangency-demo-text]"),
     Mutant("strict-echoes-no-warning", "src/coniclines/cli.py",
            "            click.echo(f\"!! {w}\", err=True)\n",

@@ -20,7 +20,7 @@ from coniclines.catalog import (
     catalog_list,
     pencil4_type,
 )
-from coniclines.curves import Arrangement, PlaneCurve, ValidationError
+from coniclines.curves import ValidationError
 from coniclines.intersect import combinatorial_type, intersect_pair
 from coniclines.invariants import (
     bezout_defect,
@@ -37,6 +37,7 @@ from coniclines.invariants import (
     tjurina_from_exponents,
 )
 from coniclines.search import enumerate_types, extremal_slopes, random_balanced_type, scan_conjecture
+from test_engine_golden import _criterion6_arrangement
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -122,34 +123,13 @@ def test_criterion_5_property_suite():
     report(5, "random combinatorial properties", ok)
 
 
-def _random_arrangement(rng: random.Random) -> Arrangement | None:
-    n_lines = rng.randint(0, 4)
-    n_conics = rng.randint(0, 3)
-    if n_lines + n_conics < 2:
-        return None
-    coeff = lambda: F(rng.randint(-4, 4), rng.randint(1, 3))
-    curves = []
-    for _ in range(n_lines):
-        vals = [coeff() for _ in range(3)]
-        if all(v == 0 for v in vals):
-            return None
-        curves.append(PlaneCurve("line", vals))
-    for _ in range(n_conics):
-        vals = [coeff() for _ in range(6)]
-        try:
-            curves.append(PlaneCurve("conic", vals))
-        except ValidationError:  # all six coefficients zero
-            return None
-    return Arrangement(tuple(curves))
-
-
 def test_criterion_6_random_geometric_arrangements():
     start = time.monotonic()
     rng = random.Random(99)
     ok = True
     accepted = 0
     while accepted < 20:
-        arr = _random_arrangement(rng)
+        arr = _criterion6_arrangement(rng)
         if arr is None:
             continue
         try:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -598,3 +599,38 @@ def test_analyze_exit_contract_on_random_records(tmp_path_factory, text):
     target.write_text(text)
     result = run("analyze", str(target), "--json")
     assert result.exit_code in (0, EXIT_PARSE, EXIT_VALIDATION), repr(result.exception)
+
+
+def large_coefficient_corpus(seed: int, count: int) -> list[str]:
+    """``count`` arrangement files of 1-2 lines and 1-2 conics, drawn from
+    ``random.Random(seed)``: each coefficient is zero with probability 1/3,
+    else uniform in [-10^e, 10^e], with e drawn from {0, 1, 5, 20, 40, 60}
+    for a line and from {0, 1, 10, 30, 50} for a conic.  Their points have
+    coordinates of very different sizes, which display must print."""
+    rng = random.Random(seed)
+
+    def record(kind: str, size: int, exponents: tuple[int, ...]) -> str:
+        coeffs = []
+        for _ in range(size):
+            e = rng.choice(exponents)
+            value = rng.randint(-10 ** e, 10 ** e)
+            coeffs.append(0 if rng.random() < 1 / 3 else value)
+        return f"{kind}: " + " ".join(map(str, coeffs))
+
+    files = []
+    for _ in range(count):
+        records = [record("line", 3, (0, 1, 5, 20, 40, 60)) for _ in range(rng.randint(1, 2))]
+        records += [record("conic", 6, (0, 1, 10, 30, 50)) for _ in range(rng.randint(1, 2))]
+        files.append("\n".join(records) + "\n")
+    return files
+
+
+def test_analyze_prints_the_points_of_large_coefficient_arrangements(tmp_path):
+    # the first 40 files take a few seconds; 12 of them, the first three
+    # included, ended in an mpmath NoConvergence traceback before roots
+    # were judged by their own modulus
+    for i, text in enumerate(large_coefficient_corpus(1, 40)):
+        target = tmp_path / f"corpus-{i}.txt"
+        target.write_text(text)
+        result = run("analyze", str(target))
+        assert result.exit_code in (0, EXIT_PARSE, EXIT_VALIDATION), (text, result.exception)

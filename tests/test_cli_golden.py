@@ -16,6 +16,8 @@ stderr in NAME.err, with their exit codes in ``COMMANDS``:
     check hirzebruch dbe-sharpness.txt
     check hirzebruch extended-chilean.txt
     analyze --strict tangency-demo.txt      (exit 3)
+    analyze huge-root.txt                   (roots of modulus about 1.4e25)
+    analyze tiny-root.txt                   (y = +-1.6e-40 +- 1.6e-40 i)
 
 Re-record every command (only when a change of output is intended) with
 
@@ -41,6 +43,8 @@ COMMANDS = {
     "dbe-sharpness.check-hirzebruch": (["check", "hirzebruch", "dbe-sharpness.txt"], 0),
     "extended-chilean.check-hirzebruch": (["check", "hirzebruch", "extended-chilean.txt"], 0),
     "tangency-demo.strict": (["analyze", "--strict", "tangency-demo.txt"], 3),
+    "huge-root.text": (["analyze", "huge-root.txt"], 0),
+    "tiny-root.text": (["analyze", "tiny-root.txt"], 0),
 }
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from coniclines.algebraic import NumberField, root_orbits
@@ -24,6 +25,7 @@ from coniclines.curves import (
     validate_arrangement,
     validate_curve,
 )
+from coniclines.intersect import combinatorial_type
 
 
 def line(a, b, c):
@@ -511,6 +513,33 @@ def test_conjugates_share_vectors(point):
         pivot = next(value for value in reversed(values) if value != 0)
         assert conj.approx() == pytest.approx([value / pivot for value in values],
                                               rel=1e-6, abs=1e-9)
+
+
+def test_display_of_coordinates_far_below_one():
+    # x^2 + y^2 - z^2, plus 10^-80 (x - z)^2 and a 10^-240-scaled conic, all
+    # times 10^240: the four points have y of modulus about 2.3e-40, far
+    # below the absolute stopping test of polyroots at 30 digits
+    big, mid = 10 ** 240, 10 ** 160
+    a, b, c, d, e, f = (big + mid + 3, big - 2, -big + mid + 5, 7, -2 * mid - 1, 2)
+    points = combinatorial_type(Arrangement((conic(1, 1, -1, 0, 0, 0),
+                                             conic(a, b, c, d, e, f)))).points
+    x, y = sp.symbols("x y")
+    unit = x ** 2 + y ** 2 - 1
+    other = a * x ** 2 + b * y ** 2 + c + d * x * y + e * x + f * y
+    expected = []
+    with mpmath.workdps(60):
+        for root in sp.Poly(sp.resultant(unit, other, x), y).nroots(n=60, maxsteps=500):
+            yk = mpmath.mpc(*map(str, root.as_real_imag()))
+            # other - a * unit is linear in x
+            xk = -((b - a) * yk ** 2 + f * yk + (c + a)) / (d * yk + e)
+            expected.append((complex(xk), complex(yk)))
+    assert len(points) == len(expected) == 4
+    for point in points:
+        xk, yk, zk = point.location.approx()
+        want = min(expected, key=lambda pair: abs(pair[1] - yk))
+        expected.remove(want)
+        assert zk == 1 and abs(yk) < 1e-39
+        assert (xk, yk) == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_projective_point_equality_is_projective():
