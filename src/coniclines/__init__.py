@@ -19,13 +19,15 @@ from .curves import (
     serialize_arrangement,
     serialize_combinatorial_type,
 )
-from .intersect import (
-    combinatorial_type,
-    check_ordinary,
-    intersect_pair,
-    tangent_line,
+from .intersect import combinatorial_type, intersect_pair
+from .invariants import (
+    AnalysisReport,
+    analyze,
+    general_log_chern,
+    hurwitz_genus,
+    poincare_from_exponents,
+    tjurina_from_exponents,
 )
-from .invariants import AnalysisReport, analyze
 from .search import enumerate_types, extremal_slopes, scan_conjecture
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ b_k = c_n a_k.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import inf, isqrt
 from typing import Sequence
 
 import sympy as sp
@@ -224,9 +224,14 @@ class NumberField:
         with at least ``_DIGITS`` correct digits: evaluated from the roots
         of the witness, each accurate relative to its own modulus
         (``roots``), at rising precision until cancellation leaves enough
-        of them.  A vector with no irrational part is evaluated exactly."""
+        of them.  A vector with no irrational part is evaluated exactly.
+        A part past the double range is +-inf by its sign, and one below it
+        0, on both paths."""
         if not any(vector[1:]):
-            return complex(vector[0] / den)
+            try:
+                return complex(vector[0] / den)
+            except OverflowError:  # +-inf, as complex() of an mpc gives
+                return complex(inf if (vector[0] > 0) == (den > 0) else -inf)
         import mpmath
 
         dps = 30

@@ -210,10 +210,18 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
         if max_mult is None:
             max_mult = d + k
         try:
-            types = list(searchmod.enumerate_types(d, k, max_mult))
+            types = searchmod.enumerate_types(d, k, max_mult)
         except ValueError as exc:
             _fail(EXIT_PARSE, f"Error: {exc}")
         labels = {}
+    # the types stream: each is dropped once scanned, and counted here
+    scanned = 0
+
+    def counted():
+        nonlocal scanned
+        for ct in types:
+            scanned += 1
+            yield ct
 
     def describe(ct) -> str:
         name = labels.get(id(ct))
@@ -222,8 +230,8 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
         return f"{name}: {base}" if name else base
 
     if conjecture:
-        violations = searchmod.scan_conjecture(types, conjecture)
-        click.echo(f"{len(types)} types scanned under {conjecture}: "
+        violations = searchmod.scan_conjecture(counted(), conjecture)
+        click.echo(f"{scanned} types scanned under {conjecture}: "
                    f"{len(violations)} violation(s)")
         for v in violations:
             click.echo(f"  {describe(v.ct)}  ({v.detail}; {v.note})")
@@ -247,11 +255,11 @@ def search(d, k, max_mult, extremal, conjecture, use_catalog, field) -> None:
         click.echo(f"  max slope {rational_with_decimal(result.maximum.slope)} "
                    f"at {describe(result.maximum.ct)}")
     else:
-        for ct in types:
+        for ct in counted():
             c1sq, c2 = log_chern(ct)
             slope = rational_with_decimal(log_chern_slope(ct))
             click.echo(f"{describe(ct)}  c1^2={c1sq} c2={c2} slope={slope}")
-        click.echo(f"{len(types)} type(s)")
+        click.echo(f"{scanned} type(s)")
 
 
 @main.command()

@@ -196,9 +196,9 @@ class ProjectivePoint:
     integral generator b, of length deg f each.  A rational point's
     1-vectors are primitive with their last nonzero entry positive, so they
     serve as its dict key.  An irrational point stands for itself and the
-    other deg f conjugate points of its orbit, which share its vectors.  The
-    engine builds every point from integers (``from_integers``,
-    ``in_field``) and never divides it.
+    other deg f conjugate points of its orbit, which share its vectors.
+    Every point is built from integers (``from_integers``, ``in_field``),
+    and the engine never divides it.
 
     Display (``repr``, ``approx``) shows the point with its last nonzero
     coordinate 1: the other coordinates are multiplied by the field inverse
@@ -228,16 +228,6 @@ class ProjectivePoint:
         if (z or y or x) < 0:
             common = -common
         return cls(QQ, 0, ((x // common,), (y // common,), (z // common,)))
-
-    @classmethod
-    def from_coords(cls, x, y, z) -> "ProjectivePoint":
-        """The rational point (x : y : z) of int or Fraction coordinates,
-        scaled to integers."""
-        if not all(isinstance(v, (int, Fraction)) for v in (x, y, z)):
-            raise TypeError("from_coords takes int or Fraction coordinates")
-        if x == y == z == 0:
-            raise ValidationError("(0 : 0 : 0) is not a projective point")
-        return cls.from_integers(*coprime_integers((x, y, z)))
 
     @classmethod
     def in_field(cls, field: NumberField, vectors) -> "ProjectivePoint":
@@ -277,6 +267,9 @@ class ProjectivePoint:
                 + [((1,), 1)] + [((0,), 1)] * (2 - pivot))
 
     def approx(self) -> tuple[complex, complex, complex]:
+        """The display coordinates as complex numbers (``NumberField.approx``):
+        a part past the double range is +-inf by its sign, one below it 0,
+        for a rational coordinate as for an irrational one."""
         return tuple(self.field.approx(v, den, self.conjugate)
                      for v, den in self._display_coords())
 

@@ -49,7 +49,8 @@ irrational orbit has degree at least 2 and a pair's degrees times
 multiplicities sum to at most 4, so all irrational orbits of one pair share
 one multiplicity: there is one such orbit, or two quadratic ones of
 multiplicity 1.  So every point is read from its pairs' multiplicities, and
-``check_ordinary`` decides the same from tangent lines, independently.
+no tangent is compared; the tests' oracle (``tests/oracles.py``) decides
+the same from tangent lines, independently.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .curves import (
     PlaneCurve,
     ProjectivePoint,
     SingularPoint,
-    ValidationError,
     validate_arrangement,
     validate_curve,
 )
@@ -264,33 +264,6 @@ def _poly_mul(u: list[int], v: list[int]) -> list[int]:
         for j, vj in enumerate(v):
             out[i + j] += ui * vj
     return out
-
-
-def tangent_line(curve: PlaneCurve, point: ProjectivePoint
-                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Tangent of the curve at a point of it, as the three integer vectors
-    of its line coefficients (a, b, c): the gradient of the curve's integer
-    form at the point's integer vectors, a nonzero multiple of the gradient
-    at the normalized point.  A line's vectors are its coefficients as
-    1-vectors; a conic's have the length of the point's vectors, in the
-    integral generator b of the point's field.  Raises ValidationError when
-    the point is not on the curve."""
-    gradient = _gradient(curve.coefficients, point.vectors)
-    if any(point.field.dot(point.vectors, gradient)):
-        raise ValidationError("point does not lie on the curve")
-    return tuple(tuple(g) for g in gradient)
-
-
-def check_ordinary(point: SingularPoint, arrangement: Arrangement) -> bool:
-    """Decide ordinarity from tangent lines: pairwise non-proportional.  The
-    engine reads it from pair multiplicities, so this is an independent
-    oracle for its flags.  Reduced vectors are unique, so a 2x2 minor
-    u_i v_j - u_j v_i of two tangents vanishes iff its reduced vector is 0."""
-    location = point.location
-    tangents = [tangent_line(arrangement.curves[k], location) for k in sorted(point.incident)]
-    return all(any(any(location.field.dot((u[i], u[j]), (v[j], [-c for c in v[i]])))
-                   for i, j in ((0, 1), (0, 2), (1, 2)))
-               for u, v in combinations(tangents, 2))
 
 
 @dataclass

@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .curves import CombinatorialType
-from .invariants import bezout_defect, check_urzua, log_chern_slope, pair_total
+from .invariants import check_urzua, log_chern_slope, pair_total
 
 NOT_REALIZABLE_NOTE = "combinatorial only - not necessarily realizable"
 
@@ -21,29 +21,40 @@ NOT_REALIZABLE_NOTE = "combinatorial only - not necessarily realizable"
 def enumerate_types(d: int, k: int, max_mult: int) -> Iterator[CombinatorialType]:
     """All t-vectors with sum C(r,2) t_r = 4*C(k,2) + C(d,2) + 2kd over
     2 <= r <= max_mult, in ascending lexicographic order of
-    (t_max_mult, ..., t_2)."""
+    (t_max_mult, ..., t_2), one at a time.  Bad arguments raise ValueError
+    here, before the first type."""
     if d < 0 or k < 0:
         raise ValueError("d and k must be nonnegative")
     if max_mult > k + d:
         raise ValueError("max_mult cannot exceed the number of curves")
-    total = pair_total(d, k)
+    return _types(d, k, max_mult)
 
-    def rec(r: int, remaining: int, acc: dict[int, int]) -> Iterator[CombinatorialType]:
-        if r == 2:
-            acc[2] = remaining  # C(2,2) = 1 absorbs the remainder exactly
-            yield CombinatorialType(d=d, k=k, t={m: n for m, n in acc.items() if n})
-            return
-        weight = comb(r, 2)
-        for count in range(remaining // weight + 1):
-            acc[r] = count
-            yield from rec(r - 1, remaining - count * weight, acc)
-        acc.pop(r, None)
 
+def _types(d: int, k: int, max_mult: int) -> Iterator[CombinatorialType]:
+    """``enumerate_types`` as an odometer over (t_max_mult, ..., t_3), the
+    last digit fastest; t_2, of weight C(2,2) = 1, takes the budget left."""
+    left = pair_total(d, k)
     if max_mult < 2:
-        if total == 0:
+        if left == 0:
             yield CombinatorialType(d=d, k=k, t={})
         return
-    yield from rec(max_mult, total, {})
+    mults = range(max_mult, 2, -1)
+    weights = [comb(r, 2) for r in mults]
+    counts = [0] * len(weights)
+    while True:
+        t = {r: n for r, n in zip(mults, counts) if n}
+        t[2] = left
+        yield CombinatorialType(d=d, k=k, t=t)
+        # the last digit that can grow; the digits after it drop to 0
+        i = len(counts) - 1
+        while i >= 0 and left < weights[i]:
+            left += counts[i] * weights[i]
+            counts[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        counts[i] += 1
+        left -= weights[i]
 
 
 @dataclass
@@ -122,34 +133,3 @@ def scan_conjecture(types: Iterable[CombinatorialType], which: str
             out.append(Violation(
                 ct, f"slope {slope} = {float(slope):.4f} exceeds {bound}"))
     return out
-
-
-def random_balanced_type(rng, d_max: int = 12, k_max: int = 12,
-                         max_mult: int = 8) -> CombinatorialType:
-    """A random (d, k, t) with zero pairwise defect, for property testing.
-
-    Draws t_r for high multiplicities within budget and closes the identity
-    exactly with double points (weight C(2,2) = 1)."""
-    while True:
-        d = rng.randint(0, d_max)
-        k = rng.randint(0, k_max)
-        if d + k >= 2:
-            break
-    remaining = pair_total(d, k)
-    t: dict[int, int] = {}
-    top = min(max_mult, d + k)
-    for r in range(top, 2, -1):
-        weight = comb(r, 2)
-        cap = remaining // weight
-        if cap == 0:
-            continue
-        count = rng.randint(0, cap)
-        if count:
-            t[r] = count
-            remaining -= count * weight
-    if remaining:
-        t[2] = remaining
-    ct = CombinatorialType(d=d, k=k, t=t)
-    if bezout_defect(ct) != 0:
-        raise RuntimeError(f"drew an unbalanced type {ct}")
-    return ct

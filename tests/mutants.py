@@ -149,10 +149,29 @@ MUTANTS = [
            "                except mpmath.mp.NoConvergence:\n",
            "                except ZeroDivisionError:\n",
            "tests/test_cli_golden.py::test_command_output_matches_recording[huge-root.text]"),
-    Mutant("tangent-line-truncated", "src/coniclines/intersect.py",
-           "return tuple(tuple(g) for g in gradient)",
-           "return tuple(tuple(g[:1]) for g in gradient)",
+    Mutant("approx-lets-overflow-escape", "src/coniclines/algebraic.py",
+           "            except OverflowError:  # +-inf, as complex() of an mpc gives\n",
+           "            except ZeroDivisionError:\n",
+           "tests/test_curves.py::test_approx_past_the_double_range"),
+    # the tests' tangent oracle
+    Mutant("tangent-line-truncated", "tests/oracles.py",
+           "for i in range(len(vectors[0])))",
+           "for i in range(1))",
            "tests/test_intersect.py::test_tangent_line_at_an_irrational_point"),
+    # the search and the package's reach
+    Mutant("search-lists-its-types", "src/coniclines/cli.py",
+           "types = searchmod.enumerate_types(d, k, max_mult)",
+           "types = list(searchmod.enumerate_types(d, k, max_mult))",
+           "tests/test_cli.py::test_search_streams_its_types"),
+    Mutant("odometer-skips-an-exact-fill", "src/coniclines/search.py",
+           "while i >= 0 and left < weights[i]:",
+           "while i >= 0 and left <= weights[i]:",
+           "tests/test_search.py::test_enumerate_matches_brute_force"),
+    Mutant("public-helper-nobody-calls", "src/coniclines/search.py",
+           "    return out\n",
+           "    return out\n\n\ndef count_types(d: int, k: int, max_mult: int) -> int:\n"
+           "    return sum(1 for _ct in enumerate_types(d, k, max_mult))\n",
+           "tests/test_structure.py::test_every_public_definition_is_reached"),
     # parsing, reports and the CLI
     Mutant("integer-grammar-check-deleted", "src/coniclines/polynomials.py",
            "    if not _INTEGER.fullmatch(text):\n",

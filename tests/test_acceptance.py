@@ -36,7 +36,8 @@ from coniclines.invariants import (
     poincare_from_exponents,
     tjurina_from_exponents,
 )
-from coniclines.search import enumerate_types, extremal_slopes, random_balanced_type, scan_conjecture
+from coniclines.search import enumerate_types, extremal_slopes, scan_conjecture
+from oracles import random_balanced_type
 from test_engine_golden import _criterion6_arrangement
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import coniclines.cli as cli
 import coniclines.intersect as intersect
 from coniclines.algebraic import root_orbits
 from coniclines.cli import EXIT_PARSE, EXIT_VALIDATION, main
+from coniclines.curves import CombinatorialType
 from coniclines.intersect import IntersectionError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -266,6 +268,27 @@ def test_search_extremal_without_dimensions_exits_with_parse_error():
                          ids=["negative-d", "max-mult-too-large"])
 def test_search_bad_dimensions_exit_with_parse_error(args):
     _assert_clean_exit(run("search", *args), EXIT_PARSE)
+
+
+@pytest.mark.parametrize("mode", [[], ["--extremal"], ["--conjecture", "urzua"]],
+                         ids=["list", "extremal", "conjecture"])
+def test_search_streams_its_types(monkeypatch, mode):
+    # a stand-in enumeration counts, before each type, the types it yielded
+    # that are still alive: the one in hand, and the extremal witnesses
+    alive = []
+
+    def stand_in(d, k, max_mult):
+        refs = []
+        for n in range(40):
+            alive.append(sum(ref() is not None for ref in refs))
+            ct = CombinatorialType(d=d, k=k, t={2: 5} if n % 2 else {2: 2, 3: 1})
+            refs.append(weakref.ref(ct))
+            yield ct
+
+    monkeypatch.setattr(cli.searchmod, "enumerate_types", stand_in)
+    result = run("search", "--d", "2", "--k", "1", *mode)
+    assert result.exit_code == 0 and "40 type" in result.output
+    assert max(alive) <= 3
 
 
 def test_search_catalog_slope_scan():

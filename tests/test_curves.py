@@ -25,7 +25,8 @@ from coniclines.curves import (
     validate_arrangement,
     validate_curve,
 )
-from coniclines.intersect import combinatorial_type
+from coniclines.intersect import combinatorial_type, intersect_pair
+from oracles import from_coords
 
 
 def line(a, b, c):
@@ -419,12 +420,12 @@ def test_parse_input_reads_the_format_from_the_first_record():
 
 
 def test_projective_point_normalization():
-    p = ProjectivePoint.from_coords(F(2), F(4), F(2))
+    p = from_coords(F(2), F(4), F(2))
     assert p.vectors == ((1,), (2,), (1,)) and repr(p) == "(1 : 2 : 1)"
-    q = ProjectivePoint.from_coords(F(-3, 2), F(-5, 2), F(0))
+    q = from_coords(F(-3, 2), F(-5, 2), F(0))
     assert q.vectors == ((3,), (5,), (0,)) and repr(q) == "(3/5 : 1 : 0)"
     with pytest.raises(ValidationError):
-        ProjectivePoint.from_coords(F(0), F(0), F(0))
+        from_coords(F(0), F(0), F(0))
 
 
 def test_from_coords_takes_only_ints_and_fractions():
@@ -432,7 +433,7 @@ def test_from_coords_takes_only_ints_and_fractions():
     # rational coordinate
     for coords in (((0, 1), F(0), F(1)), (F(1), F(2), 1j), (0.5, 1, 1)):
         with pytest.raises(TypeError):
-            ProjectivePoint.from_coords(*coords)
+            from_coords(*coords)
 
 
 @pytest.mark.parametrize("witness, vectors, text", [
@@ -457,7 +458,7 @@ _COORD = st.integers(-40, 40) | st.sampled_from([0, 0, 1, -1])
 def test_integer_points_agree_with_from_coords(xyz, den, sign):
     point = ProjectivePoint.from_integers(*xyz)
     # the same point given by Fractions over a common denominator
-    other = ProjectivePoint.from_coords(*(F(sign * v, den) for v in xyz))
+    other = from_coords(*(F(sign * v, den) for v in xyz))
     pivot = next(v for v in reversed(xyz) if v != 0)
     normalized = [F(v, pivot) for v in xyz]
     common = math.lcm(*(c.denominator for c in normalized))
@@ -542,9 +543,22 @@ def test_display_of_coordinates_far_below_one():
         assert (xk, yk) == pytest.approx(want, rel=1e-6, abs=0)
 
 
+def test_approx_past_the_double_range():
+    # a part past the double range is +-inf by its sign, and one below it 0,
+    # for a rational coordinate as for an irrational one; repr stays exact
+    huge = ProjectivePoint.from_integers(10**400, 1, 1)
+    assert huge.approx() == (math.inf, 1, 1)
+    assert repr(huge) == f"({10**400} : 1 : 1)"
+    assert ProjectivePoint.from_integers(-10**400, 1, 1).approx() == (-math.inf, 1, 1)
+    assert ProjectivePoint.from_integers(1, -1, 10**400).approx() == (0, 0, 1)
+    # x = z meets x^2 + y^2 = (1 + 2 10^800) z^2 at (1 : +-sqrt 2 10^400 : 1)
+    [(orbit, _)] = intersect_pair(line(1, 0, -1), conic(1, 1, -(1 + 2 * 10**800), 0, 0, 0))
+    assert sorted(p.approx()[1].real for p in orbit.conjugates()) == [-math.inf, math.inf]
+
+
 def test_projective_point_equality_is_projective():
-    p = ProjectivePoint.from_coords(F(2), F(4), F(2))
-    q = ProjectivePoint.from_coords(F(1), F(2), F(1))
+    p = from_coords(F(2), F(4), F(2))
+    q = from_coords(F(1), F(2), F(1))
     assert p == q
-    r = ProjectivePoint.from_coords(F(1), F(2), F(3))
+    r = from_coords(F(1), F(2), F(3))
     assert p != r

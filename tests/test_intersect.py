@@ -19,12 +19,11 @@ from coniclines.curves import (
 )
 from coniclines.intersect import (
     IntersectionError,
-    check_ordinary,
     combinatorial_type,
     has_six_line_subarrangement,
     intersect_pair,
-    tangent_line,
 )
+from oracles import check_ordinary, from_coords, tangent_line
 
 
 def line(a, b, c, label=""):
@@ -40,14 +39,14 @@ def test_two_lines_meet_once():
     assert len(pts) == 1
     pt, mult = pts[0]
     assert mult == 1
-    assert pt == ProjectivePoint.from_coords(F(1), F(1), F(1))
+    assert pt == from_coords(F(1), F(1), F(1))
 
 
 def test_parallel_lines_meet_at_infinity():
     pts = intersect_pair(line(1, 0, -1), line(1, 0, -2))
     pt, mult = pts[0]
     assert mult == 1
-    assert pt == ProjectivePoint.from_coords(F(0), F(1), F(0))
+    assert pt == from_coords(F(0), F(1), F(0))
 
 
 def test_line_conic_root_at_infinity_of_the_parameter():
@@ -89,7 +88,7 @@ def test_line_conic_tangent():
     assert len(pts) == 1
     pt, mult = pts[0]
     assert mult == 2
-    assert pt == ProjectivePoint.from_coords(F(0), F(1), F(1))
+    assert pt == from_coords(F(0), F(1), F(1))
 
 
 def test_line_conic_irrational_points():
@@ -326,13 +325,13 @@ def test_engine_intersects_through_the_public_pair_api(monkeypatch, arrangement)
 
 def test_tangent_line_of_a_line_is_itself():
     l = line(1, 2, -3)
-    pt = ProjectivePoint.from_coords(F(1), F(1), F(1))
+    pt = from_coords(F(1), F(1), F(1))
     assert tangent_line(l, pt) == ((1,), (2,), (-3,))
 
 
 def test_tangent_line_of_conic():
     c = conic(1, 1, -1, 0, 0, 0)
-    pt = ProjectivePoint.from_coords(F(0), F(1), F(1))
+    pt = from_coords(F(0), F(1), F(1))
     assert tangent_line(c, pt) == ((0,), (2,), (-2,))
 
 
@@ -350,7 +349,7 @@ def test_tangent_line_at_an_irrational_point():
 def test_tangent_line_needs_incidence():
     c = conic(1, 1, -1, 0, 0, 0)
     with pytest.raises(Exception, match="does not lie"):
-        tangent_line(c, ProjectivePoint.from_coords(F(2), F(0), F(1)))
+        tangent_line(c, from_coords(F(2), F(0), F(1)))
 
 
 def test_cluster_triangle():
@@ -435,21 +434,6 @@ def test_check_ordinary_agrees_with_cluster():
         through_three += bool(orbits)
         tangential += any(not p.ordinary for p in orbits)
     assert (through_three, tangential) == (80, 17)
-
-
-def test_engine_compares_no_tangents(monkeypatch):
-    # every flag is read from pair multiplicities, even at an irrational
-    # orbit through three or more curves; tangents are the oracle's
-    arrangements = [_BITANGENT, _IRRATIONAL_PENCIL, *_pencils()]
-    expected = [combinatorial_type(arr) for arr in arrangements]
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the engine compared tangents")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(intersect, "tangent_line", refuse)
-        derived = [combinatorial_type(arr) for arr in arrangements]
-    assert derived == expected
 
 
 def test_irrational_orbits_of_a_pair_share_one_multiplicity(monkeypatch):

@@ -22,7 +22,8 @@ from coniclines.invariants import (
     log_chern_slope,
     milnor_total,
 )
-from coniclines.search import enumerate_types, pair_total, random_balanced_type
+from coniclines.search import enumerate_types, pair_total
+from oracles import random_balanced_type
 
 balanced_types = st.integers(min_value=0).map(
     lambda seed: random_balanced_type(random.Random(seed)))

@@ -14,9 +14,9 @@ from coniclines.search import (
     enumerate_types,
     extremal_slopes,
     pair_total,
-    random_balanced_type,
     scan_conjecture,
 )
+from oracles import random_balanced_type
 
 
 def test_pair_total():
@@ -64,6 +64,17 @@ def test_enumerate_argument_checks():
         list(enumerate_types(d=-1, k=1, max_mult=2))
     with pytest.raises(ValueError):
         list(enumerate_types(d=1, k=1, max_mult=3))
+
+
+def test_enumerate_checks_its_arguments_before_the_first_type():
+    # not at the first next(): a caller can report them before any output
+    with pytest.raises(ValueError, match="max_mult"):
+        enumerate_types(d=1, k=1, max_mult=3)
+
+
+def test_enumerate_takes_no_stack_per_multiplicity():
+    # 998 multiplicities r >= 3: the first type is all double points
+    assert next(enumerate_types(1000, 0, 1000)).t == {2: 499500}
 
 
 def test_extremal_slopes_small_case():
