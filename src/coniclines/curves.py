@@ -15,7 +15,7 @@ integer vectors in the field's integral generator, shared by its
 conjugates.  A rational point lies in ``QQ`` = Q[a]/(a), as its primitive
 integer 1-vectors, which key it.  The engine builds both kinds from the
 fields of its roots, a rational root being a field of degree 1 whose
-1-vectors ``in_field`` turns into the point of ``QQ``.  Display reads those
+1-vectors give the point of ``QQ`` (``from_integers``).  Display reads those
 vectors as (vector, denominator) pairs, one coordinate type for every
 point; a Fraction appears in a point only when it is printed.
 
@@ -197,8 +197,9 @@ class ProjectivePoint:
     1-vectors are primitive with their last nonzero entry positive, so they
     serve as its dict key.  An irrational point stands for itself and the
     other deg f conjugate points of its orbit, which share its vectors.
-    Every point is built from integers (``from_integers``, ``in_field``),
-    and the engine never divides it.
+    Every point is built from integers, a rational one by
+    ``from_integers`` and an irrational one by the constructor, and the
+    engine never divides it.
 
     Display (``repr``, ``approx``) shows the point with its last nonzero
     coordinate 1: the other coordinates are multiplied by the field inverse
@@ -228,18 +229,6 @@ class ProjectivePoint:
         if (z or y or x) < 0:
             common = -common
         return cls(QQ, 0, ((x // common,), (y // common,), (z // common,)))
-
-    @classmethod
-    def in_field(cls, field: NumberField, vectors) -> "ProjectivePoint":
-        """The point at conjugate 0 whose coordinates are the three integer
-        vectors in b (length deg f each), not normalized, standing for its
-        orbit (``conjugates``); the point of ``QQ`` of their first entries
-        when no vector has a nonzero entry past its first, as for the
-        1-vectors of a field of degree 1."""
-        vectors = tuple(tuple(v) for v in vectors)
-        if not any(any(v[1:]) for v in vectors):
-            return cls.from_integers(*(v[0] for v in vectors))
-        return cls(field, 0, vectors)
 
     def conjugates(self) -> list["ProjectivePoint"]:
         """The points of this point's orbit, by conjugate index; this point

@@ -21,7 +21,8 @@ Each pair routine is a binary form, the restriction of the conic to the
 line (a quadratic in the line's parameter (s : t)) or the quartic in
 (Y : Z), and its point as three binary forms in the same variables;
 ``_points`` evaluates the point at each root of the form, (1 : 0) first.
-``intersect_pair`` certifies a pair: every point lies on both curves,
+``intersect_pair`` takes only smooth conics, in every pair, as the paper's
+arrangements do, and certifies a pair: every point lies on both curves,
 by exact evaluation of their integer forms, and the pair multiplicities,
 each orbit's times its degree, sum to the product of the curve degrees.
 The six-line search intersects nothing: it reads its line meets from the
@@ -86,11 +87,16 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     with its pair multiplicity, certified: each lies on both curves, and the
     multiplicities times the orbits' degrees sum to deg(c1) * deg(c2).
     ``point.conjugates()`` gives an orbit's deg f points, each of that
-    multiplicity.  A singular conic of a conic pair raises ValidationError."""
+    multiplicity.  A singular conic raises ValidationError in any pair: the
+    pair routines assume smooth conics, which contain no line, and two
+    distinct ones have a nonzero quartic and a generic centre among
+    ``_CENTRES``."""
     u, v = c1.coefficients, c2.coefficients
     # the coprime integer coefficients of one curve agree up to sign
     if u == v or u == tuple(-c for c in v):
         raise _pair_error(c1, c2, "identical curves")
+    validate_curve(c1)
+    validate_curve(c2)
     kinds = (c1.kind, c2.kind)
     try:
         if kinds == ("line", "line"):
@@ -100,8 +106,6 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
         elif kinds == ("conic", "line"):
             orbits = _intersect_line_conic(v, u)
         else:
-            validate_curve(c1)  # the centre bound of _CENTRES needs det != 0
-            validate_curve(c2)
             orbits = _intersect_conics(u, v)
         # exact evaluation of both integer forms at each orbit's vectors
         for point, _mult in orbits:
@@ -124,27 +128,21 @@ def _intersect_lines(l1: tuple[int, ...], l2: tuple[int, ...]) -> PairResult:
         b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2), 1)]
 
 
-def _gradient(coeffs: tuple[int, ...], point: list[list[int]]) -> list[list[int]]:
-    """The gradient of an integer line or conic at the integer vectors of a
-    point, as three integer vectors.  It is linear in the point, so nothing
-    needs reducing; by Euler's identity point . gradient is deg * value."""
-    if len(coeffs) == 3:
-        return [[c] for c in coeffs]
-    a, b, c, d, e, f = coeffs
-    xs, ys, zs = point
-    return [[2 * a * x + d * y + e * z for x, y, z in zip(xs, ys, zs)],
-            [d * x + 2 * b * y + f * z for x, y, z in zip(xs, ys, zs)],
-            [e * x + f * y + 2 * c * z for x, y, z in zip(xs, ys, zs)]]
-
-
 def _vanishes(coeffs: tuple[int, ...], field: NumberField, point) -> bool:
     """Does the integer curve pass through the point (integer vectors)?  A
     line's value is linear in the reduced vectors, so it is taken entrywise
-    and needs no reducing."""
+    and needs no reducing.  A conic's is read as point . gradient, twice the
+    value by Euler's identity: the gradient is linear in the point, three
+    integer vectors, and ``NumberField.dot`` reduces the sum once."""
     if len(coeffs) == 3:
         a, b, c = coeffs
         return not any(a * x + b * y + c * z for x, y, z in zip(*point))
-    return not any(field.dot(point, _gradient(coeffs, point)))
+    a, b, c, d, e, f = coeffs
+    xs, ys, zs = point
+    gradient = [[2 * a * x + d * y + e * z for x, y, z in zip(xs, ys, zs)],
+                [d * x + 2 * b * y + f * z for x, y, z in zip(xs, ys, zs)],
+                [e * x + f * y + 2 * c * z for x, y, z in zip(xs, ys, zs)]]
+    return not any(field.dot(point, gradient))
 
 
 def _line_basis(a: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -168,7 +166,9 @@ def _points(form: list[int], coords: list[list[int]]) -> PairResult:
     power of s first, at the root.  The root (1 : 0) comes first, with the
     multiplicity the form's degree in s lost, as the forms' leading
     coefficients; then each field of ``root_orbits`` at (b : c_n), b its
-    integral generator, reduced modulo the witness: at degree 1, (p : q)."""
+    integral generator, reduced modulo the witness.  A field of degree 1 is
+    the root (p : q), and its 1-vectors give the point of ``QQ``; any other
+    is the point at conjugate 0 of that field, standing for its orbit."""
     lost = len(form) - 1 - max(i for i, c in enumerate(form) if c)
     points = [(ProjectivePoint.from_integers(*(c[-1] for c in coords)), lost)] if lost else []
     m = len(coords[0]) - 1
@@ -181,7 +181,11 @@ def _points(form: list[int], coords: list[list[int]]) -> PairResult:
                 scale *= w
                 v[i] *= scale
             vectors.append(field.reduce(v))
-        points.append((ProjectivePoint.in_field(field, vectors), mult))
+        if field.degree == 1:
+            point = ProjectivePoint.from_integers(*(v[0] for v in vectors))
+        else:
+            point = ProjectivePoint(field, 0, tuple(map(tuple, vectors)))
+        points.append((point, mult))
     return points
 
 
@@ -191,8 +195,6 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
     quad_a = _conic_value(conic, *p0)
     quad_c = _conic_value(conic, *p1)
     quad_b = _conic_value(conic, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
-    if not (quad_a or quad_b or quad_c):
-        raise IntersectionError("line is a component of the conic")
     # the root (s : t) is the point s*P0 + t*P1
     return _points([quad_c, quad_b, quad_a], [[p1[i], p0[i]] for i in range(3)])
 
@@ -244,8 +246,6 @@ def _intersect_conics_from(p: tuple[int, ...], q: tuple[int, ...],
     quartic = [a2 * u - v + w for u, v, w in zip(
         _poly_mul(lin0, lin0), _poly_mul(a1, _poly_mul(lin0, lin1)),
         _poly_mul(a0, _poly_mul(lin1, lin1)))]
-    if not any(quartic):
-        raise IntersectionError("identical curves")
     # lin1 = u*Y + v*Z must not vanish at a root, else X is not determined
     # there: lin1 is not zero, and quartic(-v, u) != 0
     v, u = lin1

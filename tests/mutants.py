@@ -77,10 +77,10 @@ MUTANTS = [
            "    if u == v == 0 or not sum(",
            "    if u == v == 0 or False and not sum(",
            "tests/test_intersect.py::test_two_points_on_one_fiber_move_the_centre"),
-    Mutant("in-field-keeps-a-rational-1-vector", "src/coniclines/curves.py",
-           "        if not any(any(v[1:]) for v in vectors):\n",
-           "        if field.degree > 1 and not any(any(v[1:]) for v in vectors):\n",
-           "tests/test_intersect.py::test_cluster_dbe_sharpness"),
+    Mutant("degree-one-root-kept-in-its-field", "src/coniclines/intersect.py",
+           "        if field.degree == 1:\n",
+           "        if False:\n",
+           "tests/test_intersect.py::test_line_conic_transversal"),
     Mutant("binary-roots-drops-one-zero", "src/coniclines/intersect.py",
            "    points = [(ProjectivePoint.from_integers(*(c[-1] for c in coords)), lost)]"
            " if lost else []\n",
@@ -90,11 +90,14 @@ MUTANTS = [
            "from_integers(*(c[-1] for c in coords))",
            "from_integers(*(c[0] for c in coords))",
            "tests/test_intersect.py::test_root_at_infinity_needs_no_field"),
-    Mutant("conic-pair-validation-deleted", "src/coniclines/intersect.py",
-           "            validate_curve(c1)  # the centre bound of _CENTRES needs det != 0\n"
-           "            validate_curve(c2)\n",
-           "            pass\n",
+    Mutant("pair-validation-deleted", "src/coniclines/intersect.py",
+           "    validate_curve(c1)\n    validate_curve(c2)\n",
+           "",
            "tests/test_intersect.py::test_singular_conic_of_a_conic_pair_rejected"),
+    Mutant("pair-skips-conic-validation", "src/coniclines/intersect.py",
+           "    validate_curve(c1)\n",
+           "",
+           "tests/test_intersect.py::test_singular_conic_of_a_line_pair_rejected"),
     Mutant("degree-one-witness-with-the-wrong-sign", "src/coniclines/algebraic.py",
            "NumberField((b, 2 * a))",
            "NumberField((-b, 2 * a))",

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import coniclines.intersect as intersect
 from coniclines.catalog import build_dbe_sharpness, build_pencil4, build_tangency_demo
-from coniclines.algebraic import NumberField, root_orbits
+from coniclines.algebraic import QQ, NumberField, root_orbits
 from coniclines.cli import main
 from coniclines.curves import (
     Arrangement,
@@ -80,6 +80,10 @@ def test_line_conic_transversal():
     assert sum(m for _p, m in pts) == 2
     coords = sorted(p.approx()[1].real for p, _m in pts)
     assert coords == pytest.approx([-1.0, 1.0])
+    # two roots of degree 1, each a point of QQ with primitive 1-vectors,
+    # not a point of the root's own field
+    assert all(p.field is QQ for p, _m in pts)
+    assert sorted(p.vectors for p, _m in pts) == [((1,), (-1,), (1,)), ((1,), (1,), (1,))]
 
 
 def test_line_conic_tangent():
@@ -259,11 +263,28 @@ def test_pair_multiplicity_certificate_fires(monkeypatch, first, second, message
     assert str(info.value) == f"{first.name} and {second.name}: {message}"
 
 
-def test_line_component_of_a_conic_rejected():
-    with pytest.raises(IntersectionError) as info:
-        intersect_pair(line(1, 0, 0), conic(1, 0, 0, 0, 0, 0))
-    assert str(info.value) == ("line: 1 0 0 and conic: 1 0 0 0 0 0: "
-                               "line is a component of the conic")
+@pytest.mark.parametrize("first, second", [
+    (line(1, 0, 0), conic(1, 0, 0, 0, 0, 0)),  # x and x^2: a component
+    (line(1, 0, 0), conic(0, 0, 0, 1, 0, 0)),  # x and xy: a component
+    (line(1, 1, 1), conic(0, 0, 0, 1, 0, 0)),  # x + y + z and xy
+    (line(0, 1, -1), conic(1, -1, 0, 0, 0, 0)),  # y = z and x^2 - y^2
+])
+def test_singular_conic_of_a_line_pair_rejected(first, second):
+    # a smooth conic contains no line; a singular one is refused before any
+    # point is computed, in either order
+    for pair in ((first, second), (second, first)):
+        with pytest.raises(ValidationError) as info:
+            intersect_pair(*pair)
+        assert str(info.value) == f"{second.name}: conic is a line pair or double line"
+
+
+def test_conic_and_its_multiple_are_identical_curves():
+    # the coprime integers of -3 (x^2 + y^2 - 2 z^2) are its own negated
+    first, second = conic(1, 1, -2, 0, 0, 0), conic(-3, -3, 6, 0, 0, 0)
+    for pair in ((first, second), (second, first)):
+        with pytest.raises(IntersectionError) as info:
+            intersect_pair(*pair)
+        assert str(info.value) == f"{pair[0].name} and {pair[1].name}: identical curves"
 
 
 

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coniclines import intersect
 from coniclines.intersect import (
-    IntersectionError,
     _conic_value,
     _expansion,
     _intersect_conics,
@@ -75,15 +74,6 @@ def test_primitive_normalization():
     assert primitive([4, -6, -8]) == (-2, 3, 4)
 
 
-def test_resultant_self_vanishes():
-    p = (1, 1, -2, 0, 0, 0)
-    for q in (p, tuple(-3 * c for c in p)):
-        with pytest.raises(IntersectionError, match="identical curves"):
-            _intersect_conics_from(p, q, 0)
-    with pytest.raises(IntersectionError, match="identical curves"):
-        _intersect_conics(p, tuple(3 * c for c in p))
-
-
 def test_resultant_nothing_to_eliminate():
     # without an x^2 term the conic passes through the projection centre
     # (1:0:0), where the elimination would lose a point; the engine moves
@@ -107,10 +97,7 @@ def _quartic(p, q, t):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(intersect, "_points",
                             lambda form, coords: seen.append(form) or points(form, coords))
-        try:
-            _intersect_conics_from(p, q, t)
-        except IntersectionError:  # identical curves
-            return None
+        _intersect_conics_from(p, q, t)
     return seen[0] if seen else None
 
 

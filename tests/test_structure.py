@@ -2,8 +2,10 @@
 
 Every public top-level function, class and method of ``src/coniclines``
 must be reached: referenced somewhere in the package outside its own
-definition, as an AST name or attribute (a docstring does not count),
-exported by ``__init__``, or a click command registered on ``cli.main``.
+definition (a docstring does not count), exported by ``__init__``, or a
+click command registered on ``cli.main``.  A function or class is
+referenced as an AST name or attribute, a method only as an attribute
+(``obj.method``): a variable of the method's spelling does not reach it.
 Code that only the tests call belongs under ``tests/``; ``oracles.py``
 holds the independent oracles.
 """
@@ -14,8 +16,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coniclines"
 
 # reached from outside the package only: the benchmark's input generator,
-# perfbench/workloads.py, builds its curves with it (see its docstring)
-KEPT = {"TernaryForm"}
+# perfbench/workloads.py, builds its curves with them (see its docstring)
+KEPT = {"TernaryForm", "TernaryForm.line", "TernaryForm.conic"}
 
 # the definitions that left the package for tests/oracles.py
 MOVED = {"tangent_line", "check_ordinary", "from_coords", "random_balanced_type"}
@@ -39,10 +41,12 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(node: ast.AST, name: str) -> list[ast.AST]:
+def _references(node: ast.AST, name: str, method: bool) -> list[ast.AST]:
+    """The attributes ``name`` under ``node``, and for a function or class
+    (not a ``method``) also the bare names ``name``."""
     return [n for n in ast.walk(node)
-            if isinstance(n, ast.Name) and n.id == name
-            or isinstance(n, ast.Attribute) and n.attr == name]
+            if isinstance(n, ast.Attribute) and n.attr == name
+            or not method and isinstance(n, ast.Name) and n.id == name]
 
 
 def _exports(tree: ast.Module) -> set[str]:
@@ -75,11 +79,12 @@ def unreached(trees: dict[str, ast.Module]) -> list[str]:
     out = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
-            if node.name in reached:
+            method = "." in qualname
+            if not method and node.name in reached:
                 continue
-            inside = {id(n) for n in _references(node, node.name)}
+            inside = {id(n) for n in _references(node, node.name, method)}
             if all(id(ref) in inside for other in trees.values()
-                   for ref in _references(other, node.name)):
+                   for ref in _references(other, node.name, method)):
                 out.append(f"{module}:{node.lineno} {qualname}")
     return out
 
@@ -95,11 +100,14 @@ _TOY = {
     "a.py": "def exported(): pass\n"
             "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
             "def documented():\n    '''called by nobody: not even used()'''\n"
-            "def used(): pass\n"
+            "def used(size=0): return size\n"
             "class Box:\n    def get(self): pass\n    def put(self): pass\n"
+            "    def size(self): pass\n"
             "value = Box().get() or used()\n",
 }
-_TOY_UNREACHED = ["cli.py:9 loose", "a.py:2 recursive", "a.py:4 documented", "a.py:9 Box.put"]
+# Box.size is named only by used()'s parameter, which is not the method
+_TOY_UNREACHED = ["cli.py:9 loose", "a.py:2 recursive", "a.py:4 documented", "a.py:9 Box.put",
+                  "a.py:10 Box.size"]
 
 
 def test_every_public_definition_is_reached():
