@@ -220,18 +220,23 @@ class NumberField:
         return self._roots[dps]
 
     def approx(self, vector, den: int = 1, conjugate: int = 0) -> complex:
-        """(sum_i vector[i] b^i) / den at conjugate k, as a complex number
-        with at least ``_DIGITS`` correct digits: evaluated from the roots
-        of the witness, each accurate relative to its own modulus
-        (``roots``), at rising precision until cancellation leaves enough
-        of them.  A vector with no irrational part is evaluated exactly.
-        A part past the double range is +-inf by its sign, and one below it
-        0, on both paths."""
+        """(sum_i vector[i] b^i) / den at conjugate k, as a complex number:
+        ``value`` as a float pair.  A vector with no irrational part is
+        evaluated exactly.  A part past the double range is +-inf by its
+        sign, and one below it 0, on both paths."""
         if not any(vector[1:]):
             try:
                 return complex(vector[0] / den)
             except OverflowError:  # +-inf, as complex() of an mpc gives
                 return complex(inf if (vector[0] > 0) == (den > 0) else -inf)
+        return complex(self.value(vector, den, conjugate))
+
+    def value(self, vector, den: int = 1, conjugate: int = 0):
+        """(sum_i vector[i] b^i) / den at conjugate k, as an mpmath complex
+        number with at least ``_DIGITS`` correct digits and no bound on its
+        exponent: evaluated from the roots of the witness, each accurate
+        relative to its own modulus (``roots``), at rising precision until
+        cancellation leaves enough of them."""
         import mpmath
 
         dps = 30
@@ -245,7 +250,7 @@ class NumberField:
                     scale = max(scale, abs(term))
                 lost = mpmath.log10(scale / abs(total)) if total != 0 else dps
             if dps - lost >= _DIGITS + 5 or dps >= 2000:
-                return complex(total)
+                return total
             dps *= 2
 
 

@@ -10,10 +10,15 @@ catalog name, an export option the entry does not take, an export path
 that cannot be written and a bad ``search`` argument), 3 validation failure
 (reducible conic, duplicate curve, non-ordinary input under --strict, or
 an intersection the engine could not complete).
+
+``run`` is the process entry point, of the console script and of
+``python -m coniclines.cli``; ``main`` is the click group that in-process
+callers invoke.
 """
 
 from __future__ import annotations
 
+import gc
 import inspect
 import sys
 from pathlib import Path
@@ -48,6 +53,15 @@ def main() -> None:
     # Python 3.10.7+ limits int-str conversion to 4300 of them by default
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+
+
+def run() -> None:
+    """One ``coniclines`` process: ``main`` on a frozen import heap."""
+    # the package and sympy are imported by now; frozen, their objects are
+    # skipped by every later collection, the one at interpreter exit too.
+    # main leaves gc alone, so a long-lived host is never frozen
+    gc.freeze()
+    main()
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -280,4 +294,4 @@ def check(which: str, target: str, assume_six_lines: bool) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -45,7 +45,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isinf
 
 from .algebraic import QQ, NumberField
 from .polynomials import coprime_integers, parse_integer, parse_rational
@@ -206,7 +206,8 @@ class ProjectivePoint:
     of that coordinate's vector, an integer vector over one integer
     denominator, at every degree; no other code divides a point.  A quotient
     with no irrational part prints exactly, any other is evaluated at the
-    point's conjugate root by ``NumberField.approx``.  Points compare and
+    point's conjugate root by ``NumberField.approx``, and a part past the
+    double range prints from its exact value.  Points compare and
     hash by (field, conjugate, vectors), never changed after construction.
     Past Python's int-str limit (4300 digits by default) ``repr`` raises
     ValueError; the CLI lifts it, as can a caller: ``sys.set_int_max_str_digits(0)``.
@@ -269,8 +270,28 @@ class ProjectivePoint:
                 parts.append(str(Fraction(v[0], den)))
             else:
                 z = self.field.approx(v, den, self.conjugate)
-                parts.append(f"~{z.real:.4g}{z.imag:+.4g}j")
+                if isinf(z.real) or isinf(z.imag):  # past the double range
+                    z = self.field.value(v, den, self.conjugate)
+                parts.append(f"~{_format_part(z.real)}{_format_part(z.imag, '+')}j")
         return "(" + " : ".join(parts) + ")"
+
+
+def _format_part(x, sign: str = "") -> str:
+    """A real part as float's ``.4g`` prints it, ``sign`` "+" to sign a
+    nonnegative one.  Past the double range, where the float is +-inf, x is
+    an mpmath number (``NumberField.value``) and its exact value is printed
+    in the same style: 4 significant digits, trailing zeros stripped, a
+    signed exponent of at least two digits (``-1.414e+400``)."""
+    f = float(x)
+    if not isinf(f):
+        return f"{f:{sign}.4g}"
+    man, exp = x.man_exp  # |x| = man 2^exp
+    size = Fraction(man) * Fraction(2) ** exp
+    e = len(str(int(size))) - 1
+    digits = round(size / 10 ** (e - 3))  # ties to even, as float formatting
+    if digits == 10 ** 4:
+        digits, e = 10 ** 3, e + 1
+    return f"{'-' if x < 0 else sign}{digits / 1000:g}e{e:+03d}"
 
 
 @dataclass

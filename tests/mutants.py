@@ -152,6 +152,14 @@ MUTANTS = [
            "                except mpmath.mp.NoConvergence:\n",
            "                except ZeroDivisionError:\n",
            "tests/test_cli_golden.py::test_command_output_matches_recording[huge-root.text]"),
+    Mutant("repr-prints-inf-past-the-double-range", "src/coniclines/curves.py",
+           "    if not isinf(f):\n",
+           "    if True:\n",
+           "tests/test_curves.py::test_repr_past_the_double_range"),
+    Mutant("overflow-rounding-keeps-five-digits", "src/coniclines/curves.py",
+           "    if digits == 10 ** 4:\n",
+           "    if False:\n",
+           "tests/test_curves.py::test_repr_past_the_double_range"),
     Mutant("approx-lets-overflow-escape", "src/coniclines/algebraic.py",
            "            except OverflowError:  # +-inf, as complex() of an mpc gives\n",
            "            except ZeroDivisionError:\n",
@@ -204,6 +212,25 @@ MUTANTS = [
            "            click.echo(f\"!! {w}\", err=True)\n",
            "            pass\n",
            "tests/test_cli_golden.py::test_command_output_matches_recording[tangency-demo.strict]"),
+    # the process entry point freezes the import heap, and only it does
+    Mutant("entry-skips-the-freeze", "src/coniclines/cli.py",
+           "    gc.freeze()\n    main()\n",
+           "    main()\n",
+           "tests/test_cli.py::test_process_entry_freezes_its_import_heap"),
+    Mutant("main-freezes-its-host", "src/coniclines/cli.py",
+           "        sys.set_int_max_str_digits(0)\n"
+           "\n\n"
+           "def run() -> None:\n"
+           "    \"\"\"One ``coniclines`` process: ``main`` on a frozen import heap.\"\"\"\n"
+           "    # the package and sympy are imported by now; frozen, their objects are\n"
+           "    # skipped by every later collection, the one at interpreter exit too.\n"
+           "    # main leaves gc alone, so a long-lived host is never frozen\n"
+           "    gc.freeze()\n",
+           "        sys.set_int_max_str_digits(0)\n"
+           "    gc.freeze()\n"
+           "\n\n"
+           "def run() -> None:\n",
+           "tests/test_cli.py::test_main_leaves_its_host_heap_unfrozen"),
     Mutant("cli-keeps-the-digit-limit", "src/coniclines/cli.py",
            "        sys.set_int_max_str_digits(0)\n",
            "        pass\n",

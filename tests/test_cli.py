@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -425,6 +426,36 @@ def test_analyze_coordinates_past_the_int_str_digit_limit_in_a_subprocess(tmp_pa
     assert (data["d"], data["k"], data["t"]) == (2, 0, {"2": 1})
     assert data["points"] == [{"location": "(1/1" + "0" * 4400 + " : 1/" + big + " : 1)",
                                "multiplicity": 2, "ordinary": True}]
+
+
+def test_process_entry_freezes_its_import_heap():
+    # run, the console script and python -m, freezes what the imports made
+    # before main runs, so the collection at interpreter exit skips it
+    script = ("import gc, sys\n"
+              "import coniclines.cli as c\n"
+              "sys.argv = ['coniclines', 'catalog', 'list']\n"
+              "try:\n"
+              "    c.run()\n"
+              "except SystemExit as exc:\n"
+              "    print(exc.code, gc.get_freeze_count())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *names, last = proc.stdout.splitlines()
+    code, frozen = last.split()
+    assert "pencil4" in names
+    assert code == "0"
+    assert int(frozen) > 0
+
+
+def test_main_leaves_its_host_heap_unfrozen():
+    # in-process callers (tests, a traced benchmark run, a library host)
+    # call main, which must not freeze the heap of a long-lived process
+    before = gc.get_freeze_count()
+    assert run("catalog", "list").exit_code == 0
+    assert gc.get_freeze_count() == before
 
 
 def _assert_clean_exit(result, code):

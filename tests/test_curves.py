@@ -550,6 +550,19 @@ def test_approx_past_the_double_range():
     assert sorted(p.approx()[1].real for p in orbit.conjugates()) == [-math.inf, math.inf]
 
 
+def test_repr_past_the_double_range():
+    # a part whose float is +-inf prints from its exact value, in .4g style
+    reprs = []
+    for c in [(1, 1, -(1 + 2 * 10**800), 0, 0, 0),  # y = +-sqrt 2 10^400
+              (1, 1, 2 * 10**800 - 1, 0, 0, 0),     # y = +-i sqrt 2 10^400
+              (1, 1, -10**802, 0, 0, 0)]:           # y = +-(10^401 - 5e-402)
+        [(orbit, _)] = intersect_pair(line(1, 0, -1), conic(*c))
+        reprs += sorted(repr(p) for p in orbit.conjugates())
+    assert reprs == ["(1 : ~-1.414e+400+0j : 1)", "(1 : ~1.414e+400+0j : 1)",
+                     "(1 : ~0+1.414e+400j : 1)", "(1 : ~0-1.414e+400j : 1)",
+                     "(1 : ~-1e+401+0j : 1)", "(1 : ~1e+401+0j : 1)"]
+
+
 def test_projective_point_equality_is_projective():
     p = from_coords(F(2), F(4), F(2))
     q = from_coords(F(1), F(2), F(1))

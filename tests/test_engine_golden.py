@@ -210,7 +210,8 @@ def _scoped_nodes(path: Path) -> list[tuple[ast.AST, str]]:
 def test_sympy_and_mpmath_stay_where_they_are():
     # replacing sympy's one call stays a one-call swap: only algebraic.py
     # imports sympy, which serves factor_list in root_orbits and the symbol
-    # _X of that call; mpmath is imported inside the two display methods
+    # _X of that call; mpmath is imported inside two display methods, the
+    # root finder and the evaluation at a root
     imports, sp_uses, x_uses, factor_lists = [], [], [], []
     for path in sorted(Path(coniclines.__file__).parent.glob("*.py")):
         for node, scope in _scoped_nodes(path):
@@ -229,8 +230,8 @@ def test_sympy_and_mpmath_stay_where_they_are():
                     factor_lists.append((path.name, scope))
             if isinstance(node, ast.Name) and node.id == "_X":
                 x_uses.append((path.name, scope, type(node.ctx).__name__))
-    assert sorted(imports) == [("mpmath", "algebraic.py", "NumberField.approx"),
-                               ("mpmath", "algebraic.py", "NumberField.roots"),
+    assert sorted(imports) == [("mpmath", "algebraic.py", "NumberField.roots"),
+                               ("mpmath", "algebraic.py", "NumberField.value"),
                                ("sympy", "algebraic.py", "")]
     assert sorted(sp_uses) == [("algebraic.py", "", "Symbol"),
                                ("algebraic.py", "root_orbits", "Poly")]
