@@ -23,8 +23,9 @@ line (a quadratic in the line's parameter (s : t)) or the quartic in
 ``_points`` evaluates the point at each root of the form, (1 : 0) first.
 ``intersect_pair`` takes only smooth conics, in every pair, as the paper's
 arrangements do, and certifies a pair: every point lies on both curves,
-by exact evaluation of their integer forms, and the pair multiplicities,
-each orbit's times its degree, sum to the product of the curve degrees.
+by exact evaluation of their integer forms, the irrational orbits share
+one multiplicity (below), and the pair multiplicities, each orbit's times
+its degree, sum to the product of the curve degrees.
 The six-line search intersects nothing: it reads its line meets from the
 singular points of ``combinatorial_type``.
 
@@ -39,9 +40,9 @@ evaluated at its vectors, a line entrywise and a conic by
 ``NumberField.dot``, integer arithmetic modulo the monic witness of b.
 Every point has a field: a rational point lies in ``QQ``, as its primitive
 integer 1-vectors (last nonzero entry positive).  No point is divided and
-no Fraction is built on the way.  Rational points are grouped by their
-vectors; an irrational orbit is evaluated against the other curves and
-counted at the pair of its two lowest-index curves.
+no Fraction is built on the way.  Once every pair is certified, rational
+points are grouped by their vectors; an irrational orbit is evaluated
+against the other curves and counted at its two lowest-index curves.
 
 A point is ordinary iff each pair of its curves meets transversally there,
 which for lines and smooth conics is a pair multiplicity of 1 (Fulton,
@@ -49,9 +50,10 @@ which for lines and smooth conics is a pair multiplicity of 1 (Fulton,
 irrational orbit has degree at least 2 and a pair's degrees times
 multiplicities sum to at most 4, so all irrational orbits of one pair share
 one multiplicity: there is one such orbit, or two quadratic ones of
-multiplicity 1.  So every point is read from its pairs' multiplicities, and
-no tangent is compared; the tests' oracle (``tests/oracles.py``) decides
-the same from tangent lines, independently.
+multiplicity 1, as ``intersect_pair`` certifies.  So every point is read
+from its pairs' multiplicities, and no tangent is compared; the tests'
+oracle (``tests/oracles.py``) decides the same from tangent lines,
+independently.
 """
 
 from __future__ import annotations
@@ -78,13 +80,10 @@ class IntersectionError(RuntimeError):
     """The engine could not complete an exact intersection computation."""
 
 
-def _pair_error(c1: PlaneCurve, c2: PlaneCurve, message) -> IntersectionError:
-    return IntersectionError(f"{c1.name} and {c2.name}: {message}")
-
-
 def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     """The intersection of two distinct curves, one point per Galois orbit
-    with its pair multiplicity, certified: each lies on both curves, and the
+    with its pair multiplicity, certified (or IntersectionError): each lies
+    on both curves, the irrational orbits share one multiplicity, and the
     multiplicities times the orbits' degrees sum to deg(c1) * deg(c2).
     ``point.conjugates()`` gives an orbit's deg f points, each of that
     multiplicity.  A singular conic raises ValidationError in any pair: the
@@ -92,13 +91,13 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     distinct ones have a nonzero quartic and a generic centre among
     ``_CENTRES``."""
     u, v = c1.coefficients, c2.coefficients
-    # the coprime integer coefficients of one curve agree up to sign
-    if u == v or u == tuple(-c for c in v):
-        raise _pair_error(c1, c2, "identical curves")
-    validate_curve(c1)
-    validate_curve(c2)
     kinds = (c1.kind, c2.kind)
     try:
+        # the coprime integer coefficients of one curve agree up to sign
+        if u == v or u == tuple(-c for c in v):
+            raise IntersectionError("identical curves")
+        validate_curve(c1)
+        validate_curve(c2)
         if kinds == ("line", "line"):
             orbits = _intersect_lines(u, v)
         elif kinds == ("line", "conic"):
@@ -112,12 +111,15 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
             if not (_vanishes(u, point.field, point.vectors)
                     and _vanishes(v, point.field, point.vectors)):
                 raise IntersectionError("back-substitution verification failed")
+        shared = sorted({m for p, m in orbits if p.field.degree > 1})
+        if len(shared) > 1:
+            raise IntersectionError(f"irrational orbits of multiplicities {shared}")
+        total = sum(m * p.field.degree for p, m in orbits)
+        if total != c1.degree * c2.degree:
+            raise IntersectionError(f"pair multiplicities sum to {total}, "
+                                    f"not {c1.degree * c2.degree}")
     except IntersectionError as exc:
-        raise _pair_error(c1, c2, exc) from None
-    total = sum(m * p.field.degree for p, m in orbits)
-    if total != c1.degree * c2.degree:
-        raise _pair_error(c1, c2, f"pair multiplicities sum to {total}, "
-                                  f"not {c1.degree * c2.degree}")
+        raise IntersectionError(f"{c1.name} and {c2.name}: {exc}") from None
     return orbits
 
 
@@ -324,15 +326,15 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     """Intersect all curve pairs, decide incidence exactly, and count
     r-fold points.
 
-    Every point turns up at each pair of its curves; it is collected at the
-    pair of its two lowest-index curves, which the pairs reach first.  A
-    rational point's curves are the union of the pairs it turns up at; an
-    irrational orbit's curves are found by evaluating the other curves in
-    its field, once for all its conjugates.  A point is ordinary iff each
-    pair of its curves has multiplicity 1 there: for an orbit, the one
-    multiplicity of that pair's irrational orbits (the module docstring's
-    lemma, checked here).  An ``IntersectionError`` names the indices and
-    labels of the pair's curves.
+    Every pair is certified by ``intersect_pair`` first, and an
+    ``IntersectionError`` names the indices and labels of its curves.  A
+    point turns up at each pair of its curves and is collected at the
+    first, that of its two lowest-index curves.  A rational point's curves
+    are the union of the pairs it turns up at; an irrational orbit's are
+    found by evaluating the other curves in its field, once for all its
+    conjugates.  A point is ordinary iff each pair of its curves has
+    multiplicity 1 there: for an orbit, the one multiplicity of that pair's
+    irrational orbits (the module docstring's lemma).
 
     Non-ordinary points are flagged, never rejected; the combinatorics are
     still returned so the invariant formulas can be evaluated (with a
@@ -341,22 +343,20 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     validate_arrangement(arrangement)
     curves = arrangement.curves
     forms = [c.coefficients for c in curves]
-    # [one point of an orbit, incident curve indices, ordinary], by first
-    # pair; an orbit's flag is None until every pair has been read
+    pairs = {}
+    for i, j in combinations(range(len(curves)), 2):
+        try:
+            pairs[i, j] = intersect_pair(curves[i], curves[j])
+        except IntersectionError as exc:
+            raise IntersectionError(f"curves {i} and {j}, {exc}") from None
+    # the one multiplicity of each pair's irrational orbits, by pair
+    shared = {pair: m for pair, orbits in pairs.items()
+              for p, m in orbits if p.field.degree > 1}
+    # [one point of an orbit, incident curve indices, ordinary], by first pair
     found: list[list] = []
     # the entries of the rational points, by their primitive integer vectors
     rational: dict[tuple[tuple[int], ...], list] = {}
-    # the multiplicities of each pair's irrational orbits, by pair
-    shared: dict[tuple[int, int], set[int]] = {}
-    for i, j in combinations(range(len(curves)), 2):
-        try:
-            orbits = intersect_pair(curves[i], curves[j])
-            shared[i, j] = {m for p, m in orbits if p.field.degree > 1}
-            if len(shared[i, j]) > 1:
-                raise _pair_error(curves[i], curves[j], "irrational orbits of "
-                                  f"multiplicities {sorted(shared[i, j])}")
-        except IntersectionError as exc:
-            raise IntersectionError(f"curves {i} and {j}, {exc}") from None
+    for (i, j), orbits in pairs.items():
         for point, mult in orbits:
             # by vector: O(n^2) for n lines, where _orbit_incidence is O(n^3)
             if point.field.degree == 1:
@@ -369,10 +369,8 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
             else:
                 incident = _orbit_incidence(forms, point, i, j)
                 if incident is not None:
-                    found.append([point, incident, None])
-    for entry in found:
-        if entry[2] is None:
-            entry[2] = all(shared[pair] == {1} for pair in combinations(sorted(entry[1]), 2))
+                    found.append([point, incident, all(
+                        shared[pair] == 1 for pair in combinations(sorted(incident), 2))])
     points = [SingularPoint(location=p, incident=frozenset(incident), ordinary=ordinary)
               for point, incident, ordinary in found for p in point.conjugates()]
     t = Counter(p.multiplicity for p in points)

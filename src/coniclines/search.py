@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .curves import CombinatorialType
 from .invariants import check_urzua, log_chern_slope, pair_total
@@ -69,7 +69,7 @@ class ExtremalResult:
     maximum: SlopeWitness
     considered: int
     skipped_zero_c2: int
-    note: str = NOT_REALIZABLE_NOTE
+    note: ClassVar[str] = NOT_REALIZABLE_NOTE
 
 
 def extremal_slopes(types: Iterable[CombinatorialType]) -> ExtremalResult:
@@ -104,7 +104,7 @@ CONJECTURES = ("urzua", "slope_8_3", "slope_5_2")
 class Violation:
     ct: CombinatorialType
     detail: str
-    note: str = NOT_REALIZABLE_NOTE
+    note: ClassVar[str] = NOT_REALIZABLE_NOTE
 
 
 def scan_conjecture(types: Iterable[CombinatorialType], which: str

@@ -49,8 +49,8 @@ class Mutant(NamedTuple):
 MUTANTS = [
     # the pair certificate and the points over a binary form's roots
     Mutant("pair-sum-check-deleted", "src/coniclines/intersect.py",
-           "    if total != c1.degree * c2.degree:\n",
-           "    if False:\n",
+           "        if total != c1.degree * c2.degree:\n",
+           "        if False:\n",
            "tests/test_intersect.py::test_pair_multiplicity_certificate_fires"),
     Mutant("pair-sum-counts-each-orbit-once", "src/coniclines/intersect.py",
            "total = sum(m * p.field.degree for p, m in orbits)",
@@ -73,6 +73,10 @@ MUTANTS = [
            "[t * xi + zi for xi, zi in zip(x, [*lin1, 0])]",
            "tests/test_intersect.py::"
            "test_conics_through_the_first_centres_are_decided_at_t4"),
+    Mutant("centre-search-stops-one-short", "src/coniclines/intersect.py",
+           "    for t in range(_CENTRES):\n",
+           "    for t in range(_CENTRES - 1):\n",
+           "tests/test_intersect.py::test_no_generic_centre_names_the_pair"),
     Mutant("fiber-test-deleted", "src/coniclines/intersect.py",
            "    if u == v == 0 or not sum(",
            "    if u == v == 0 or False and not sum(",
@@ -91,11 +95,11 @@ MUTANTS = [
            "from_integers(*(c[0] for c in coords))",
            "tests/test_intersect.py::test_root_at_infinity_needs_no_field"),
     Mutant("pair-validation-deleted", "src/coniclines/intersect.py",
-           "    validate_curve(c1)\n    validate_curve(c2)\n",
+           "        validate_curve(c1)\n        validate_curve(c2)\n",
            "",
            "tests/test_intersect.py::test_singular_conic_of_a_conic_pair_rejected"),
     Mutant("pair-skips-conic-validation", "src/coniclines/intersect.py",
-           "    validate_curve(c1)\n",
+           "        validate_curve(c1)\n",
            "",
            "tests/test_intersect.py::test_singular_conic_of_a_line_pair_rejected"),
     Mutant("degree-one-witness-with-the-wrong-sign", "src/coniclines/algebraic.py",
@@ -108,12 +112,12 @@ MUTANTS = [
            "tests/test_intersect.py::test_engine_builds_each_conjugate_point_once"),
     # ordinarity from pair multiplicities
     Mutant("orbit-ordinary-reads-its-first-pair-only", "src/coniclines/intersect.py",
-           "entry[2] = all(shared[pair] == {1} for pair in combinations(sorted(entry[1]), 2))",
-           "entry[2] = shared[tuple(sorted(entry[1])[:2])] == {1}",
+           "shared[pair] == 1 for pair in combinations(sorted(incident), 2))])",
+           "shared[pair] == 1 for pair in [(i, j)])])",
            "tests/test_intersect.py::test_check_ordinary_agrees_with_cluster"),
     Mutant("shared-multiplicity-check-deleted", "src/coniclines/intersect.py",
-           "            if len(shared[i, j]) > 1:\n",
-           "            if False:\n",
+           "        if len(shared) > 1:\n",
+           "        if False:\n",
            "tests/test_intersect.py::"
            "test_irrational_orbits_of_a_pair_share_one_multiplicity"),
     Mutant("rational-point-keeps-its-first-multiplicity", "src/coniclines/intersect.py",
@@ -148,6 +152,10 @@ MUTANTS = [
            "if not w[0] or all(error * 10 ** (_DIGITS + 5) <= abs(r) for r in found):",
            "if True:",
            "tests/test_curves.py::test_display_of_coordinates_far_below_one"),
+    Mutant("roots-never-doubles", "src/coniclines/algebraic.py",
+           "                elif extra < cap:\n",
+           "                elif False:\n",
+           "tests/test_curves.py::test_roots_give_up_after_doubling_to_their_cap"),
     Mutant("roots-lets-no-convergence-escape", "src/coniclines/algebraic.py",
            "                except mpmath.mp.NoConvergence:\n",
            "                except ZeroDivisionError:\n",

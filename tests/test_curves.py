@@ -537,6 +537,26 @@ def test_display_of_coordinates_far_below_one():
         assert (xk, yk) == pytest.approx(want, rel=1e-6, abs=0)
 
 
+def test_roots_give_up_after_doubling_to_their_cap(monkeypatch):
+    # every try fails.  For y^2 - 2 10^100, Cauchy's bounds put the first
+    # retry below the cap from Mahler's bound, so the tries double, all
+    # three settings at once, before roots raises naming the witness
+    tries = []
+
+    def failing(coeffs, maxsteps, extraprec, error):
+        tries.append((mpmath.mp.prec, extraprec, maxsteps))
+        raise mpmath.mp.NoConvergence
+
+    monkeypatch.setattr(mpmath, "polyroots", failing)
+    field = NumberField((-2 * 10 ** 100, 0, 1))
+    with pytest.raises(ArithmeticError) as info:
+        field.roots()
+    assert str(info.value) == f"no accurate roots of the witness {field.witness}"
+    assert len(tries) >= 3
+    for before, after in zip(tries[1:], tries[2:]):
+        assert after == tuple(2 * x for x in before)
+
+
 def test_approx_past_the_double_range():
     # a part past the double range is +-inf by its sign, and one below it 0,
     # for a rational coordinate as for an irrational one; repr stays exact
