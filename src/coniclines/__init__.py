@@ -22,7 +22,6 @@ from .curves import (
 from .intersect import combinatorial_type, intersect_pair
 from .invariants import (
     AnalysisReport,
-    analyze,
     general_log_chern,
     hurwitz_genus,
     poincare_from_exponents,

@@ -20,8 +20,8 @@ Only display divides: ``NumberField.inverse`` writes the inverse of an
 element as an integer vector over one positive integer, from the
 cofactors of the first row of its multiplication matrix (Cramer's rule,
 with no integer division), so that a point can be shown with its last
-nonzero coordinate 1.  ``NumberField.approx`` evaluates such a vector over
-its denominator at one conjugate root, as a complex number.  No value type
+nonzero coordinate 1.  ``NumberField.value`` evaluates such a vector over
+its denominator at one conjugate root, as an mpmath number.  No value type
 wraps an element: a point's coordinates are its integer vectors.
 
 Roots come in orbits (``root_orbits``), one NumberField per irreducible
@@ -46,7 +46,7 @@ b_k = c_n a_k.
 
 from __future__ import annotations
 
-from math import inf, isqrt
+from math import isqrt
 from typing import Sequence
 
 import sympy as sp
@@ -55,7 +55,7 @@ from .polynomials import primitive
 
 _X = sp.Symbol("x")
 
-# The correct digits of a value from ``NumberField.approx``; repr prints 4.
+# The correct digits of a value from ``NumberField.value``; repr prints 4.
 _DIGITS = 6
 
 
@@ -218,18 +218,6 @@ class NumberField:
                 found.sort(key=lambda r: (round(float(r.real), 9), float(r.imag)))
             self._roots[dps] = found
         return self._roots[dps]
-
-    def approx(self, vector, den: int = 1, conjugate: int = 0) -> complex:
-        """(sum_i vector[i] b^i) / den at conjugate k, as a complex number:
-        ``value`` as a float pair.  A vector with no irrational part is
-        evaluated exactly.  A part past the double range is +-inf by its
-        sign, and one below it 0, on both paths."""
-        if not any(vector[1:]):
-            try:
-                return complex(vector[0] / den)
-            except OverflowError:  # +-inf, as complex() of an mpc gives
-                return complex(inf if (vector[0] > 0) == (den > 0) else -inf)
-        return complex(self.value(vector, den, conjugate))
 
     def value(self, vector, den: int = 1, conjugate: int = 0):
         """(sum_i vector[i] b^i) / den at conjugate k, as an mpmath complex

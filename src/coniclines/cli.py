@@ -38,8 +38,8 @@ from .curves import (
     serialize_combinatorial_type,
 )
 from .intersect import IntersectionError, combinatorial_type, has_six_line_subarrangement
-from .invariants import analyze as analyze_ct
-from .invariants import log_chern, log_chern_slope, non_ordinary_warnings, rational_with_decimal
+from .invariants import AnalysisReport, log_chern, log_chern_slope
+from .invariants import non_ordinary_warnings, rational_with_decimal
 from .polynomials import parse_rational
 
 EXIT_PARSE = 2
@@ -101,7 +101,8 @@ def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
     else:
         _fail(EXIT_PARSE, f"Error: {target!r} is neither a catalog name nor a file")
     if isinstance(data, CombinatorialType):
-        return analyze_ct(data, source=str(target), six_lines_subarrangement=assume_six_lines)
+        return AnalysisReport(data, source=str(target),
+                              six_lines_subarrangement=assume_six_lines)
     try:
         derived = combinatorial_type(data)
     except ValidationError as exc:
@@ -112,9 +113,9 @@ def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
         for w in non_ordinary_warnings(derived.points):
             click.echo(f"!! {w}", err=True)
         _fail(EXIT_VALIDATION, "strict mode: non-ordinary arrangement rejected")
-    return analyze_ct(derived.ct, source=str(target),
-                      six_lines_subarrangement=has_six_line_subarrangement(data, derived),
-                      points=derived.points)
+    return AnalysisReport(derived.ct, source=str(target),
+                          six_lines_subarrangement=has_six_line_subarrangement(data, derived),
+                          points=derived.points)
 
 
 @main.command()
@@ -159,7 +160,7 @@ def catalog_show(name: str) -> None:
         click.echo(f"  parameters: {entry.parameters}")
     if entry.flags:
         click.echo(f"  flags: {', '.join(sorted(entry.flags))}")
-    report = analyze_ct(entry.ct, source=entry.name)
+    report = AnalysisReport(entry.ct, source=entry.name)
     click.echo(report.render_text(), nl=False)
 
 

@@ -201,13 +201,12 @@ class ProjectivePoint:
     ``from_integers`` and an irrational one by the constructor, and the
     engine never divides it.
 
-    Display (``repr``, ``approx``) shows the point with its last nonzero
-    coordinate 1: the other coordinates are multiplied by the field inverse
-    of that coordinate's vector, an integer vector over one integer
-    denominator, at every degree; no other code divides a point.  A quotient
-    with no irrational part prints exactly, any other is evaluated at the
-    point's conjugate root by ``NumberField.approx``, and a part past the
-    double range prints from its exact value.  Points compare and
+    Display (``repr``) shows the point with its last nonzero coordinate 1:
+    the other coordinates are multiplied by the field inverse of that
+    coordinate's vector, an integer vector over one integer denominator, at
+    every degree; no other code divides a point.  A quotient with no
+    irrational part prints exactly, any other is evaluated once at the
+    point's conjugate root by ``NumberField.value``.  Points compare and
     hash by (field, conjugate, vectors), never changed after construction.
     Past Python's int-str limit (4300 digits by default) ``repr`` raises
     ValueError; the CLI lifts it, as can a caller: ``sys.set_int_max_str_digits(0)``.
@@ -256,32 +255,23 @@ class ProjectivePoint:
         return ([(tuple(field.dot((v,), (inverse,))), den) for v in self.vectors[:pivot]]
                 + [((1,), 1)] + [((0,), 1)] * (2 - pivot))
 
-    def approx(self) -> tuple[complex, complex, complex]:
-        """The display coordinates as complex numbers (``NumberField.approx``):
-        a part past the double range is +-inf by its sign, one below it 0,
-        for a rational coordinate as for an irrational one."""
-        return tuple(self.field.approx(v, den, self.conjugate)
-                     for v, den in self._display_coords())
-
     def __repr__(self) -> str:
         parts = []
         for v, den in self._display_coords():
             if not any(v[1:]):
                 parts.append(str(Fraction(v[0], den)))
             else:
-                z = self.field.approx(v, den, self.conjugate)
-                if isinf(z.real) or isinf(z.imag):  # past the double range
-                    z = self.field.value(v, den, self.conjugate)
+                z = self.field.value(v, den, self.conjugate)
                 parts.append(f"~{_format_part(z.real)}{_format_part(z.imag, '+')}j")
         return "(" + " : ".join(parts) + ")"
 
 
 def _format_part(x, sign: str = "") -> str:
-    """A real part as float's ``.4g`` prints it, ``sign`` "+" to sign a
-    nonnegative one.  Past the double range, where the float is +-inf, x is
-    an mpmath number (``NumberField.value``) and its exact value is printed
-    in the same style: 4 significant digits, trailing zeros stripped, a
-    signed exponent of at least two digits (``-1.414e+400``)."""
+    """A real part x, an mpmath number (``NumberField.value``), as its
+    float's ``.4g`` prints it, ``sign`` "+" to sign a nonnegative one.  Past
+    the double range, where the float is +-inf, the exact value of x is
+    printed in the same style: 4 significant digits, trailing zeros
+    stripped, a signed exponent of at least two digits (``-1.414e+400``)."""
     f = float(x)
     if not isinf(f):
         return f"{f:{sign}.4g}"

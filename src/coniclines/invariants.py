@@ -307,11 +307,3 @@ def non_ordinary_warnings(points: list[SingularPoint]) -> list[str]:
     return [f"non-ordinary singularity at {p.location}: "
             "outside the ordinary-arrangement hypotheses"
             for p in points if not p.ordinary]
-
-
-def analyze(ct: CombinatorialType, source: str = "ad hoc",
-            six_lines_subarrangement: bool = False,
-            points: list[SingularPoint] | None = None) -> AnalysisReport:
-    """The report on one combinatorial type, with every check; an
-    arrangement's singular points, when given, are listed in it."""
-    return AnalysisReport(ct, source, six_lines_subarrangement, points)

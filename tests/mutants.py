@@ -125,9 +125,9 @@ MUTANTS = [
            "entry[2] = entry[2] and (mult == 1 or len(entry[1]) > 2)",
            "tests/test_intersect.py::test_rational_point_reads_every_pair_of_its_curves"),
     # display and the field kernel
-    Mutant("engine-calls-approx", "src/coniclines/intersect.py",
+    Mutant("engine-calls-value", "src/coniclines/intersect.py",
            "                incident = _orbit_incidence(forms, point, i, j)\n",
-           "                point.approx()\n"
+           "                point.field.value(point.vectors[0], 1, point.conjugate)\n"
            "                incident = _orbit_incidence(forms, point, i, j)\n",
            "tests/test_engine_golden.py::test_engine_computes_no_numeric_value"),
     Mutant("repr-prints-every-coordinate-numerically", "src/coniclines/curves.py",
@@ -144,7 +144,7 @@ MUTANTS = [
            "        if len(self.monic) == 1:\n",
            "        if len(self.monic) <= 2:\n",
            "tests/test_algebraic.py::test_arithmetic_and_zero_detection"),
-    Mutant("approx-ignores-the-conjugate", "src/coniclines/algebraic.py",
+    Mutant("value-ignores-the-conjugate", "src/coniclines/algebraic.py",
            "b = self.roots(dps)[conjugate] * self.lead",
            "b = self.roots(dps)[0] * self.lead",
            "tests/test_curves.py::test_conjugates_share_vectors"),
@@ -168,9 +168,9 @@ MUTANTS = [
            "    if digits == 10 ** 4:\n",
            "    if False:\n",
            "tests/test_curves.py::test_repr_past_the_double_range"),
-    Mutant("approx-lets-overflow-escape", "src/coniclines/algebraic.py",
-           "            except OverflowError:  # +-inf, as complex() of an mpc gives\n",
-           "            except ZeroDivisionError:\n",
+    Mutant("approx-lets-overflow-escape", "tests/oracles.py",
+           "        except OverflowError:  # +-inf, as complex() of an mpc gives\n",
+           "        except ZeroDivisionError:\n",
            "tests/test_curves.py::test_approx_past_the_double_range"),
     # the tests' tangent oracle
     Mutant("tangent-line-truncated", "tests/oracles.py",
@@ -191,6 +191,14 @@ MUTANTS = [
            "    return out\n\n\ndef count_types(d: int, k: int, max_mult: int) -> int:\n"
            "    return sum(1 for _ct in enumerate_types(d, k, max_mult))\n",
            "tests/test_structure.py::test_every_public_definition_is_reached"),
+    Mutant("guard-ignores-receiver-types", "tests/test_structure.py",
+           "out.append((module, child, receiver(child.value, scope)))",
+           "out.append((module, child, None))",
+           "tests/test_structure.py::test_the_guard_reads_receivers"),
+    Mutant("guard-ignores-parameter-annotations", "tests/test_structure.py",
+           "inner = {**scope, **{a.arg: _class_named(a.annotation, classes)\n",
+           "inner = {**scope, **{a.arg: None\n",
+           "tests/test_structure.py::test_the_guard_reads_receivers"),
     # parsing, reports and the CLI
     Mutant("integer-grammar-check-deleted", "src/coniclines/polynomials.py",
            "    if not _INTEGER.fullmatch(text):\n",

@@ -5,15 +5,18 @@ lines.  The engine reads it from pair multiplicities, so the two methods
 check each other; they share no code but the field arithmetic
 (``NumberField.dot``).  ``from_coords`` builds a rational point from int or
 Fraction coordinates, and ``random_balanced_type`` draws a combinatorial
-type with zero pairwise defect for property tests.
+type with zero pairwise defect for property tests.  ``approx`` and
+``field_approx`` give a point's display coordinates and a field element as
+complex numbers, for comparison with values computed independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
+from coniclines.algebraic import NumberField
 from coniclines.curves import (
     Arrangement,
     CombinatorialType,
@@ -69,6 +72,26 @@ def from_coords(x, y, z) -> ProjectivePoint:
     if x == y == z == 0:
         raise ValidationError("(0 : 0 : 0) is not a projective point")
     return ProjectivePoint.from_integers(*coprime_integers((x, y, z)))
+
+
+def field_approx(field: NumberField, vector, den: int = 1, conjugate: int = 0) -> complex:
+    """(sum_i vector[i] b^i) / den at conjugate k, as a complex number:
+    ``NumberField.value`` as a float pair.  A vector with no irrational part
+    is evaluated exactly.  A part past the double range is +-inf by its
+    sign, and one below it 0, on both paths."""
+    if not any(vector[1:]):
+        try:
+            return complex(vector[0] / den)
+        except OverflowError:  # +-inf, as complex() of an mpc gives
+            return complex(inf if (vector[0] > 0) == (den > 0) else -inf)
+    return complex(field.value(vector, den, conjugate))
+
+
+def approx(point: ProjectivePoint) -> tuple[complex, complex, complex]:
+    """The display coordinates of a point, its last nonzero one 1, as
+    complex numbers (``field_approx``)."""
+    return tuple(field_approx(point.field, v, den, point.conjugate)
+                 for v, den in point._display_coords())
 
 
 def random_balanced_type(rng, d_max: int = 12, k_max: int = 12,

@@ -26,7 +26,7 @@ from coniclines.curves import (
     validate_curve,
 )
 from coniclines.intersect import combinatorial_type, intersect_pair
-from oracles import from_coords
+from oracles import approx, from_coords
 
 
 def line(a, b, c):
@@ -464,7 +464,7 @@ def test_integer_points_agree_with_from_coords(xyz, den, sign):
     common = math.lcm(*(c.denominator for c in normalized))
     vectors = tuple((c.numerator * (common // c.denominator),) for c in normalized)
     for p in (point, other):
-        assert p.approx() == tuple(complex(c) for c in normalized)
+        assert approx(p) == tuple(complex(c) for c in normalized)
         assert p.vectors == vectors
         assert p.field.degree == 1 and p.conjugate == 0
         assert repr(p) == repr(point)
@@ -506,7 +506,7 @@ def test_conjugates_share_vectors(point):
             b = point.field.roots()[k] * point.field.lead
             values = [complex(mpmath.polyval(list(reversed(v)), b)) for v in point.vectors]
         pivot = next(value for value in reversed(values) if value != 0)
-        assert conj.approx() == pytest.approx([value / pivot for value in values],
+        assert approx(conj) == pytest.approx([value / pivot for value in values],
                                               rel=1e-6, abs=1e-9)
 
 
@@ -530,7 +530,7 @@ def test_display_of_coordinates_far_below_one():
             expected.append((complex(xk), complex(yk)))
     assert len(points) == len(expected) == 4
     for point in points:
-        xk, yk, zk = point.location.approx()
+        xk, yk, zk = approx(point.location)
         want = min(expected, key=lambda pair: abs(pair[1] - yk))
         expected.remove(want)
         assert zk == 1 and abs(yk) < 1e-39
@@ -558,16 +558,17 @@ def test_roots_give_up_after_doubling_to_their_cap(monkeypatch):
 
 
 def test_approx_past_the_double_range():
-    # a part past the double range is +-inf by its sign, and one below it 0,
-    # for a rational coordinate as for an irrational one; repr stays exact
+    # the tests' float view: a part past the double range is +-inf by its
+    # sign, and one below it 0, for a rational coordinate as for an
+    # irrational one; repr stays exact
     huge = ProjectivePoint.from_integers(10**400, 1, 1)
-    assert huge.approx() == (math.inf, 1, 1)
+    assert approx(huge) == (math.inf, 1, 1)
     assert repr(huge) == f"({10**400} : 1 : 1)"
-    assert ProjectivePoint.from_integers(-10**400, 1, 1).approx() == (-math.inf, 1, 1)
-    assert ProjectivePoint.from_integers(1, -1, 10**400).approx() == (0, 0, 1)
+    assert approx(ProjectivePoint.from_integers(-10**400, 1, 1)) == (-math.inf, 1, 1)
+    assert approx(ProjectivePoint.from_integers(1, -1, 10**400)) == (0, 0, 1)
     # x = z meets x^2 + y^2 = (1 + 2 10^800) z^2 at (1 : +-sqrt 2 10^400 : 1)
     [(orbit, _)] = intersect_pair(line(1, 0, -1), conic(1, 1, -(1 + 2 * 10**800), 0, 0, 0))
-    assert sorted(p.approx()[1].real for p in orbit.conjugates()) == [-math.inf, math.inf]
+    assert sorted(approx(p)[1].real for p in orbit.conjugates()) == [-math.inf, math.inf]
 
 
 def test_repr_past_the_double_range():

@@ -151,7 +151,7 @@ def test_engine_computes_no_numeric_value(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(NumberField, "roots", refuse)
-        patch.setattr(NumberField, "approx", refuse)
+        patch.setattr(NumberField, "value", refuse)
         derived = [combinatorial_type(arr) for arr in arrangements]
     assert any(p.location.field.degree > 1 for d in derived for p in d.points)
     assert [[repr(p.location) for p in d.points] for d in derived] == expected

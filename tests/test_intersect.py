@@ -23,7 +23,7 @@ from coniclines.intersect import (
     has_six_line_subarrangement,
     intersect_pair,
 )
-from oracles import check_ordinary, from_coords, tangent_line
+from oracles import approx, check_ordinary, from_coords, tangent_line
 
 
 def line(a, b, c, label=""):
@@ -78,7 +78,7 @@ def test_line_conic_transversal():
     # x = z meets x^2 + y^2 - 2 z^2 at (1 : +-1 : 1)
     pts = intersect_pair(line(1, 0, -1), conic(1, 1, -2, 0, 0, 0))
     assert sum(m for _p, m in pts) == 2
-    coords = sorted(p.approx()[1].real for p, _m in pts)
+    coords = sorted(approx(p)[1].real for p, _m in pts)
     assert coords == pytest.approx([-1.0, 1.0])
     # two roots of degree 1, each a point of QQ with primitive 1-vectors,
     # not a point of the root's own field
@@ -105,7 +105,7 @@ def test_line_conic_irrational_points():
     assert orbit.field.dot([y, z], [y, [-2 * c for c in z]]) == [0, 0]
     points = orbit.conjugates()
     assert [p.conjugate for p in points] == [0, 1] and orbit in points
-    assert sorted(p.approx()[1].real for p in points) == pytest.approx(
+    assert sorted(approx(p)[1].real for p in points) == pytest.approx(
         [-2 ** 0.5, 2 ** 0.5])
 
 
@@ -117,7 +117,7 @@ def test_conic_conic_pencil_base_points():
     got = set()
     for p, m in pts:
         assert m == 1
-        x, y, _z = p.approx()
+        x, y, _z = approx(p)
         got.add((round(x.real), round(y.real)))
     assert got == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 

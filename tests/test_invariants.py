@@ -6,7 +6,7 @@ import pytest
 from coniclines.catalog import catalog_get, pencil4_type
 from coniclines.curves import CombinatorialType, ProjectivePoint, SingularPoint
 from coniclines.invariants import (
-    analyze,
+    AnalysisReport,
     bezout_defect,
     check_c2_positive,
     check_debruijn_erdos,
@@ -196,8 +196,8 @@ def test_general_log_chern_mixed_degrees():
 
 
 def test_analyze_report_fields():
-    report = analyze(EXTENDED, source="extended-chilean",
-                     six_lines_subarrangement=True)
+    report = AnalysisReport(EXTENDED, source="extended-chilean",
+                            six_lines_subarrangement=True)
     data = json.loads(report.to_json())
     assert data["d"] == 9 and data["k"] == 12
     assert data["h_index"] == "-76/31"
@@ -220,20 +220,20 @@ def test_rational_with_decimal_past_the_float_range():
 
 
 def test_analyze_warns_on_defect():
-    report = analyze(PAPPUS, source="pappus-cl")
+    report = AnalysisReport(PAPPUS, source="pappus-cl")
     assert any("off by 2" in w for w in report.warnings)
 
 
 def test_analyze_warns_on_shared_point():
     shared = CombinatorialType(d=3, k=0, t={3: 1})
-    report = analyze(shared)
+    report = AnalysisReport(shared)
     assert any("share a point" in w for w in report.warnings)
 
 
 def test_analyze_warns_on_non_ordinary_points_first():
     # the tangency of a line and a conic at (0 : 1 : 1)
     tangency = SingularPoint(ProjectivePoint.from_integers(0, 1, 1), frozenset({0, 1}), False)
-    report = analyze(CombinatorialType(d=1, k=1, t={2: 1}), points=[tangency])
+    report = AnalysisReport(CombinatorialType(d=1, k=1, t={2: 1}), points=[tangency])
     assert report.warnings[0] == ("non-ordinary singularity at (0 : 1 : 1): "
                                   "outside the ordinary-arrangement hypotheses")
     assert [w.split(":")[0] for w in report.warnings[1:]] == [
@@ -245,10 +245,10 @@ def test_analyze_warns_on_non_ordinary_points_first():
 def test_only_an_arrangement_report_has_a_points_section():
     # a bare type has no points; an arrangement of one line has none to list
     one_line = CombinatorialType(d=1, k=0, t={})
-    bare = analyze(one_line)
+    bare = AnalysisReport(one_line)
     assert not {"points", "all_ordinary"} & bare.as_dict().keys()
     assert "singular points:" not in bare.render_text()
-    point_free = analyze(one_line, points=[])
+    point_free = AnalysisReport(one_line, points=[])
     data = json.loads(point_free.to_json())
     assert data["points"] == [] and data["all_ordinary"] is True
     assert point_free.render_text().endswith("\nsingular points:\n")

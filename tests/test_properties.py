@@ -11,7 +11,7 @@ from coniclines.curves import (
     serialize_combinatorial_type,
 )
 from coniclines.invariants import (
-    analyze,
+    AnalysisReport,
     bezout_defect,
     check_hirzebruch,
     cover_chern,
@@ -118,7 +118,7 @@ def test_general_log_chern_difference(degrees, f0, f1):
 
 
 def _assert_report_is_the_standalone_functions(ct):
-    data = analyze(ct).as_dict()
+    data = AnalysisReport(ct).as_dict()
     f0, f1 = incidence_sums(ct)
     c1sq, c2 = log_chern(ct)
     slope = log_chern_slope(ct)
