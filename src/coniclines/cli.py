@@ -38,8 +38,7 @@ from .curves import (
     serialize_combinatorial_type,
 )
 from .intersect import IntersectionError, combinatorial_type, has_six_line_subarrangement
-from .invariants import AnalysisReport, log_chern, log_chern_slope
-from .invariants import non_ordinary_warnings, rational_with_decimal
+from .invariants import AnalysisReport, log_chern, log_chern_slope, rational_with_decimal
 from .polynomials import parse_rational
 
 EXIT_PARSE = 2
@@ -109,13 +108,14 @@ def _report(target: str | Path, assume_six_lines: bool, strict: bool = False):
         _fail(EXIT_VALIDATION, f"validation failed: {exc}")
     except IntersectionError as exc:
         _fail(EXIT_VALIDATION, f"intersection failed: {exc}")
+    report = AnalysisReport(derived.ct, source=str(target),
+                            six_lines_subarrangement=has_six_line_subarrangement(data, derived),
+                            points=derived.points)
     if strict and not derived.all_ordinary:
-        for w in non_ordinary_warnings(derived.points):
+        for w in report.warnings:
             click.echo(f"!! {w}", err=True)
         _fail(EXIT_VALIDATION, "strict mode: non-ordinary arrangement rejected")
-    return AnalysisReport(derived.ct, source=str(target),
-                          six_lines_subarrangement=has_six_line_subarrangement(data, derived),
-                          points=derived.points)
+    return report
 
 
 @main.command()

@@ -45,7 +45,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isinf
+from math import comb, gcd, isinf
 
 from .algebraic import QQ, NumberField
 from .polynomials import coprime_integers, parse_integer, parse_rational
@@ -287,20 +287,33 @@ def _format_part(x, sign: str = "") -> str:
 @dataclass
 class SingularPoint:
     """A point where two or more curves meet: its location, the indices of
-    the curves through it, and whether it is ordinary.  Its multiplicity is
-    the number of those curves."""
+    the curves through it, and delta, the sum of their pair multiplicities
+    there: its delta invariant, as each branch of a line or smooth conic is
+    smooth.  With r the number of curves, it is ordinary iff delta = C(r, 2),
+    and mu = 2 delta - r + 1 (Milnor, *Singular Points of Complex
+    Hypersurfaces*, Thm. 10.5)."""
 
     location: ProjectivePoint
     incident: frozenset[int]
-    ordinary: bool
+    delta: int
 
     @property
     def multiplicity(self) -> int:
         return len(self.incident)
 
+    @property
+    def ordinary(self) -> bool:
+        return self.delta == comb(self.multiplicity, 2)
+
+    @property
+    def mu(self) -> int:
+        return 2 * self.delta - self.multiplicity + 1
+
     def __post_init__(self):
         if self.multiplicity < 2:
             raise ValidationError("singular points have multiplicity >= 2")
+        if self.delta < comb(self.multiplicity, 2):  # each pair meets here
+            raise ValidationError(f"delta {self.delta} < C({self.multiplicity}, 2)")
 
 
 # --------------------------------------------------------------------------

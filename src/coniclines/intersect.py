@@ -44,16 +44,16 @@ no Fraction is built on the way.  Once every pair is certified, rational
 points are grouped by their vectors; an irrational orbit is evaluated
 against the other curves and counted at its two lowest-index curves.
 
-A point is ordinary iff each pair of its curves meets transversally there,
-which for lines and smooth conics is a pair multiplicity of 1 (Fulton,
-*Algebraic Curves*, ch. 3), a root multiplicity of the pair layer.  An
+A point's delta is the sum of the pair multiplicities of its curves there,
+each a root multiplicity of the pair layer, and it is ordinary iff each of
+them is 1, a transversal meet (Fulton, *Algebraic Curves*, ch. 3).  An
 irrational orbit has degree at least 2 and a pair's degrees times
 multiplicities sum to at most 4, so all irrational orbits of one pair share
 one multiplicity: there is one such orbit, or two quadratic ones of
 multiplicity 1, as ``intersect_pair`` certifies.  So every point is read
 from its pairs' multiplicities, and no tangent is compared; the tests'
-oracle (``tests/oracles.py``) decides the same from tangent lines,
-independently.
+oracle (``tests/oracles.py``) decides ordinarity from tangent lines,
+independently.  By Bezout, the points' deltas sum to ``pair_total(d, k)``.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .curves import (
     validate_arrangement,
     validate_curve,
 )
+from .invariants import pair_total
 
 PairResult = list[tuple[ProjectivePoint, int]]
 
@@ -332,11 +333,12 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     first, that of its two lowest-index curves.  A rational point's curves
     are the union of the pairs it turns up at; an irrational orbit's are
     found by evaluating the other curves in its field, once for all its
-    conjugates.  A point is ordinary iff each pair of its curves has
-    multiplicity 1 there: for an orbit, the one multiplicity of that pair's
-    irrational orbits (the module docstring's lemma).
+    conjugates.  A point's delta sums its pair multiplicities: a rational
+    point's at each pair it turns up at, an orbit's the one multiplicity of
+    each pair's irrational orbits (the module docstring's lemma).  The
+    deltas sum to ``pair_total(d, k)``, for any arrangement, or raise.
 
-    Non-ordinary points are flagged, never rejected; the combinatorics are
+    Non-ordinary points are kept, never rejected; the combinatorics are
     still returned so the invariant formulas can be evaluated (with a
     hypothesis warning downstream).
     """
@@ -352,7 +354,7 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     # the one multiplicity of each pair's irrational orbits, by pair
     shared = {pair: m for pair, orbits in pairs.items()
               for p, m in orbits if p.field.degree > 1}
-    # [one point of an orbit, incident curve indices, ordinary], by first pair
+    # [one point of an orbit, incident curve indices, delta], by first pair
     found: list[list] = []
     # the entries of the rational points, by their primitive integer vectors
     rational: dict[tuple[tuple[int], ...], list] = {}
@@ -362,17 +364,20 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
             if point.field.degree == 1:
                 entry = rational.get(point.vectors)
                 if entry is None:
-                    entry = rational[point.vectors] = [point, set(), True]
+                    entry = rational[point.vectors] = [point, set(), 0]
                     found.append(entry)
                 entry[1].update((i, j))
-                entry[2] = entry[2] and mult == 1
+                entry[2] += mult
             else:
                 incident = _orbit_incidence(forms, point, i, j)
                 if incident is not None:
-                    found.append([point, incident, all(
-                        shared[pair] == 1 for pair in combinations(sorted(incident), 2))])
-    points = [SingularPoint(location=p, incident=frozenset(incident), ordinary=ordinary)
-              for point, incident, ordinary in found for p in point.conjugates()]
+                    found.append([point, incident, sum(
+                        shared[pair] for pair in combinations(sorted(incident), 2))])
+    points = [SingularPoint(location=p, incident=frozenset(incident), delta=delta)
+              for point, incident, delta in found for p in point.conjugates()]
+    total, expected = sum(p.delta for p in points), pair_total(arrangement.d, arrangement.k)
+    if total != expected:
+        raise IntersectionError(f"the points' deltas sum to {total}, not {expected}")
     t = Counter(p.multiplicity for p in points)
     ct = CombinatorialType(d=arrangement.d, k=arrangement.k, t=t)
     return DerivedCombinatorics(ct=ct, points=points)

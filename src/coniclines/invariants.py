@@ -1,11 +1,11 @@
 """Closed-form invariants and inequality checks for conic-line combinatorics.
 
-Everything here is a pure function of a CombinatorialType (d lines, k conics,
-t_r counts of r-fold ordinary points), plus a few standalone numeric helpers
-for freeness and cover computations.  All arithmetic is exact: integers and
-Fractions throughout, with decimal renderings only at the reporting surface.
-The report (``AnalysisReport``), in text and as JSON, is written here alone;
-for an arrangement it also lists the singular points the engine found.
+The formulas are pure functions of a CombinatorialType (d lines, k conics,
+t_r counts of r-fold points, ordinary by hypothesis), plus a few numeric
+helpers for freeness and covers.  All arithmetic is exact: integers and
+Fractions, with decimals only at the reporting surface.  The report
+(``AnalysisReport``) is written here alone; for an arrangement it lists the
+engine's singular points, and reads its Milnor total and warnings from them.
 """
 
 from __future__ import annotations
@@ -214,7 +214,8 @@ class AnalysisReport:
     arrangement's singular points (None for a bare type: no points section).
     Everything else is derived from them once, here: ``invariants`` under
     the names ``as_dict`` gives them, then ``warnings`` (non-ordinary points,
-    the Bezout defect, a point on every curve) and the six ``checks``.  A
+    the Bezout defect, a point on every curve) and the six ``checks``;
+    "milnor" sums the points' mu (a bare type's is ``milnor_total``).  A
     failed self-check of ``h_index`` or ``cover_chern`` raises here."""
 
     ct: CombinatorialType
@@ -233,11 +234,14 @@ class AnalysisReport:
         self.invariants = {
             "bezout_defect": bezout_defect(ct), "f0": f0, "f1": f1,
             "h_index": h_index(ct) if f0 > 0 else None,
-            "milnor": milnor_total(ct), "c1sq": c1sq, "c2": c2,
+            "milnor": milnor_total(ct) if self.points is None
+            else sum(p.mu for p in self.points), "c1sq": c1sq, "c2": c2,
             "slope": log_chern_slope(ct),
             "cover_e": e_scaled, "cover_k2": k2_scaled, "bmy_defect": bmy,
         }
-        self.warnings = non_ordinary_warnings(self.points or [])
+        self.warnings = [f"non-ordinary singularity at {p.location}: outside the "
+                         "ordinary-arrangement hypotheses"
+                         for p in self.points or [] if not p.ordinary]
         if defect := self.invariants["bezout_defect"]:
             self.warnings.append(f"pairwise intersection count off by {defect}: "
                                  "not the combinatorics of an ordinary arrangement")
@@ -300,10 +304,3 @@ class AnalysisReport:
                 flag = "" if p.ordinary else "  [non-ordinary]"
                 lines.append(f"  {p.location!r}  r={p.multiplicity}{flag}")
         return "\n".join(lines) + "\n"
-
-
-def non_ordinary_warnings(points: list[SingularPoint]) -> list[str]:
-    """One warning per non-ordinary point, in point order."""
-    return [f"non-ordinary singularity at {p.location}: "
-            "outside the ordinary-arrangement hypotheses"
-            for p in points if not p.ordinary]

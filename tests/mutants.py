@@ -107,22 +107,36 @@ MUTANTS = [
            "NumberField((-b, 2 * a))",
            "tests/test_algebraic.py::test_isolate_repeated_root"),
     Mutant("engine-keeps-one-point-per-orbit", "src/coniclines/intersect.py",
-           "for point, incident, ordinary in found for p in point.conjugates()]",
-           "for point, incident, ordinary in found for p in [point]]",
+           "for point, incident, delta in found for p in point.conjugates()]",
+           "for point, incident, delta in found for p in [point]]",
            "tests/test_intersect.py::test_engine_builds_each_conjugate_point_once"),
-    # ordinarity from pair multiplicities
+    # delta, and ordinarity, from pair multiplicities
     Mutant("orbit-ordinary-reads-its-first-pair-only", "src/coniclines/intersect.py",
-           "shared[pair] == 1 for pair in combinations(sorted(incident), 2))])",
-           "shared[pair] == 1 for pair in [(i, j)])])",
+           "shared[pair] for pair in combinations(sorted(incident), 2))])",
+           "shared[i, j] for pair in combinations(sorted(incident), 2))])",
            "tests/test_intersect.py::test_check_ordinary_agrees_with_cluster"),
+    Mutant("orbit-delta-reads-its-first-pair-only", "src/coniclines/intersect.py",
+           "shared[pair] for pair in combinations(sorted(incident), 2))])",
+           "shared[pair] for pair in [(i, j)])])",
+           "tests/test_intersect.py::"
+           "test_an_orbit_sums_the_shared_multiplicity_of_each_pair"),
+    Mutant("rational-point-adds-its-multiplicity-once", "src/coniclines/intersect.py",
+           "                entry[2] += mult\n",
+           "                entry[2] = entry[2] or mult\n",
+           "tests/test_intersect.py::test_pairwise_contact_four_sums_to_delta_twelve"),
+    Mutant("delta-certificate-deleted", "src/coniclines/intersect.py",
+           "    if total != expected:\n",
+           "    if False:\n",
+           "tests/test_intersect.py::"
+           "test_delta_certificate_fires_when_a_pair_loses_an_orbit"),
     Mutant("shared-multiplicity-check-deleted", "src/coniclines/intersect.py",
            "        if len(shared) > 1:\n",
            "        if False:\n",
            "tests/test_intersect.py::"
            "test_irrational_orbits_of_a_pair_share_one_multiplicity"),
     Mutant("rational-point-keeps-its-first-multiplicity", "src/coniclines/intersect.py",
-           "entry[2] = entry[2] and mult == 1",
-           "entry[2] = entry[2] and (mult == 1 or len(entry[1]) > 2)",
+           "                entry[2] += mult\n",
+           "                entry[2] += mult if len(entry[1]) <= 2 else 1\n",
            "tests/test_intersect.py::test_rational_point_reads_every_pair_of_its_curves"),
     # display and the field kernel
     Mutant("engine-calls-value", "src/coniclines/intersect.py",
@@ -221,8 +235,8 @@ MUTANTS = [
            "        if self.points:\n            lines.append(\"singular points:\")\n",
            "tests/test_cli_golden.py::test_analyze_output_matches_recording[point-free-text]"),
     Mutant("analyze-drops-point-warnings", "src/coniclines/invariants.py",
-           "        self.warnings = non_ordinary_warnings(self.points or [])\n",
-           "        self.warnings = []\n",
+           "for p in self.points or [] if not p.ordinary]",
+           "for p in [] if not p.ordinary]",
            "tests/test_cli_golden.py::test_analyze_output_matches_recording[tangency-demo-text]"),
     Mutant("strict-echoes-no-warning", "src/coniclines/cli.py",
            "            click.echo(f\"!! {w}\", err=True)\n",

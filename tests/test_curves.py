@@ -335,9 +335,12 @@ def test_arrangement_without_records_rejected():
 def test_singular_point_needs_two_curves():
     point = ProjectivePoint.from_integers(0, 0, 1)
     with pytest.raises(ValidationError, match="multiplicity >= 2"):
-        SingularPoint(location=point, incident=frozenset({0}), ordinary=True)
+        SingularPoint(location=point, incident=frozenset({0}), delta=0)
+    # every pair of a point's three curves meets there at least once
+    with pytest.raises(ValidationError, match=r"^delta 2 < C\(3, 2\)$"):
+        SingularPoint(location=point, incident=frozenset({0, 1, 2}), delta=2)
     assert SingularPoint(location=point, incident=frozenset({0, 1}),
-                         ordinary=True).multiplicity == 2
+                         delta=1).multiplicity == 2
 
 
 def test_combinatorial_types_hash_by_value():

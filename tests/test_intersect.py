@@ -23,6 +23,7 @@ from coniclines.intersect import (
     has_six_line_subarrangement,
     intersect_pair,
 )
+from coniclines.invariants import AnalysisReport, milnor_total
 from oracles import approx, check_ordinary, from_coords, tangent_line
 
 
@@ -430,6 +431,54 @@ def test_rational_point_reads_every_pair_of_its_curves():
     [triple] = [p for p in combinatorial_type(arr).points if p.multiplicity == 3]
     assert triple.location == ProjectivePoint.from_integers(0, 0, 1)
     assert not triple.ordinary and not check_ordinary(triple, arr)
+
+
+def test_tangency_has_delta_two_and_milnor_number_three():
+    # a line tangent to a conic: an A3 point, where (r - 1)^2 would give 1
+    derived = combinatorial_type(build_tangency_demo())
+    [point] = derived.points
+    assert (point.multiplicity, point.delta, point.mu, point.ordinary) == (2, 2, 3, False)
+    report = AnalysisReport(derived.ct, points=derived.points)
+    assert (report.invariants["milnor"], milnor_total(derived.ct)) == (3, 1)
+    assert "\ntotal Milnor number: 3\n" in report.render_text()
+
+
+def test_pairwise_contact_four_sums_to_delta_twelve():
+    # x^2 + y^2 - z^2 + s (y - z)^2 for s = 0, 1, 2: each pair meets only at
+    # (0 : 1 : 1), with multiplicity 4
+    arr = Arrangement(tuple(conic(1, 1 + s, s - 1, 0, 0, -2 * s) for s in range(3)))
+    derived = combinatorial_type(arr)
+    [point] = derived.points
+    assert point.location == ProjectivePoint.from_integers(0, 1, 1)
+    assert (point.multiplicity, point.delta, point.mu, point.ordinary) == (3, 12, 22, False)
+    report = AnalysisReport(derived.ct, points=derived.points)
+    assert (report.invariants["milnor"], milnor_total(derived.ct)) == (22, 4)
+
+
+def test_an_orbit_sums_the_shared_multiplicity_of_each_pair():
+    # x^2 + y^2 - z^2 + s (x - 2z)^2 for s = 0, 1, 2: each pair is tangent at
+    # the conjugate points (2 : +-sqrt -3 : 1), one orbit through all three
+    arr = Arrangement(tuple(conic(1 + s, 1, 4 * s - 1, 0, -4 * s, 0) for s in range(3)))
+    derived = combinatorial_type(arr)
+    assert [(p.location.field.degree, p.multiplicity, p.delta, p.mu)
+            for p in derived.points] == [(2, 3, 6, 10)] * 2
+    assert not any(check_ordinary(p, arr) for p in derived.points)
+    report = AnalysisReport(derived.ct, points=derived.points)
+    assert (report.invariants["milnor"], milnor_total(derived.ct)) == (20, 8)
+
+
+@pytest.mark.parametrize("second, total", [
+    (conic(1, 1, -1, 0, 0, 0), 1),  # x = 0 meets it in (0 : +-1 : 1)
+    (conic(1, 1, 1, 0, 0, 0), 0),  # x = 0 meets it in the orbit (0 : +-i : 1)
+])
+def test_delta_certificate_fires_when_a_pair_loses_an_orbit(monkeypatch, second, total):
+    # the pair passes its own certificate, and then loses its first orbit:
+    # only the sum of delta over the points can catch it
+    monkeypatch.setattr(intersect, "intersect_pair",
+                        lambda c1, c2: intersect_pair(c1, c2)[1:])
+    with pytest.raises(IntersectionError) as info:
+        combinatorial_type(Arrangement((line(1, 0, 0), second)))
+    assert str(info.value) == f"the points' deltas sum to {total}, not 2"
 
 
 # the line x = 0 and members Q + s x^2 of a bitangent pencil, pairwise tangent at

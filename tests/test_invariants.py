@@ -232,7 +232,7 @@ def test_analyze_warns_on_shared_point():
 
 def test_analyze_warns_on_non_ordinary_points_first():
     # the tangency of a line and a conic at (0 : 1 : 1)
-    tangency = SingularPoint(ProjectivePoint.from_integers(0, 1, 1), frozenset({0, 1}), False)
+    tangency = SingularPoint(ProjectivePoint.from_integers(0, 1, 1), frozenset({0, 1}), delta=2)
     report = AnalysisReport(CombinatorialType(d=1, k=1, t={2: 1}), points=[tangency])
     assert report.warnings[0] == ("non-ordinary singularity at (0 : 1 : 1): "
                                   "outside the ordinary-arrangement hypotheses")

@@ -3,7 +3,7 @@ the coordinates or on the order of its curves.
 
 An integer projective transform M maps each curve Q to Q(M v), and the
 curves are permuted; the r-fold point counts, the ordinarity flag and the
-sorted (r, ordinary) of the points must not change.  Inputs are pencil4,
+sorted (r, delta) of the points must not change.  Inputs are pencil4,
 the de Bruijn-Erdos sharpness example, and random members of a conic
 pencil, which meet in four shared base points, often irrational ones, with
 a few random lines.
@@ -22,7 +22,7 @@ from coniclines.intersect import combinatorial_type
 def _signature(arrangement):
     derived = combinatorial_type(arrangement)
     return (derived.ct.t, derived.all_ordinary,
-            sorted((p.multiplicity, p.ordinary) for p in derived.points))
+            sorted((p.multiplicity, p.delta) for p in derived.points))
 
 
 @lru_cache(maxsize=None)
