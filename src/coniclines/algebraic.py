@@ -16,12 +16,12 @@ denominator.  Because g is monic, a product is reduced modulo g by integer
 multiply and subtract alone: no Fraction, no gcd per operation, no modular
 inverse.  The reduced vector of an integral element is unique, so the zero
 test is the zero vector.  The engine computes on these vectors alone.
-Only display divides: ``NumberField.inverse`` writes the inverse of an
-element as an integer vector over one positive integer, from the
-cofactors of the first row of its multiplication matrix (Cramer's rule,
-with no integer division), so that a point can be shown with its last
-nonzero coordinate 1.  ``NumberField.value`` evaluates such a vector over
-its denominator at one conjugate root, as an mpmath number.  No value type
+Only display divides, and ``NumberField.show`` owns display: ``inverse``
+writes the inverse of an element as an integer vector over one positive
+integer, from the cofactors of the first row of its multiplication matrix
+(Cramer's rule, with no integer division), so that a point prints with its
+last nonzero coordinate 1, and ``value`` evaluates such a vector over its
+denominator at one conjugate root, as an mpmath number.  No value type
 wraps an element: a point's coordinates are its integer vectors.
 
 Roots come in orbits (``root_orbits``), one NumberField per irreducible
@@ -46,7 +46,8 @@ b_k = c_n a_k.
 
 from __future__ import annotations
 
-from math import isqrt
+from fractions import Fraction
+from math import isinf, isqrt
 from typing import Sequence
 
 import sympy as sp
@@ -55,8 +56,26 @@ from .polynomials import primitive
 
 _X = sp.Symbol("x")
 
-# The correct digits of a value from ``NumberField.value``; repr prints 4.
+# The correct digits of a value from ``NumberField.value``; ``show`` prints 4.
 _DIGITS = 6
+
+
+def _format_part(x, sign: str = "") -> str:
+    """A real part x, an mpmath number (``NumberField.value``), as its
+    float's ``.4g`` prints it, ``sign`` "+" to sign a nonnegative one.  Past
+    the double range, where the float is +-inf, the exact value of x is
+    printed in the same style: 4 significant digits, trailing zeros
+    stripped, a signed exponent of at least two digits (``-1.414e+400``)."""
+    f = float(x)
+    if not isinf(f):
+        return f"{f:{sign}.4g}"
+    man, exp = x.man_exp  # |x| = man 2^exp
+    size = Fraction(man) * Fraction(2) ** exp
+    e = len(str(int(size))) - 1
+    digits = round(size / 10 ** (e - 3))  # ties to even, as float formatting
+    if digits == 10 ** 4:
+        digits, e = 10 ** 3, e + 1
+    return f"{'-' if x < 0 else sign}{digits / 1000:g}e{e:+03d}"
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -240,6 +259,31 @@ class NumberField:
             if dps - lost >= _DIGITS + 5 or dps >= 2000:
                 return total
             dps *= 2
+
+    def show(self, vectors, conjugate: int) -> str:
+        """The point of the coordinate ``vectors`` at conjugate k, as its
+        ``repr`` prints: divided by its last nonzero coordinate
+        (``_quotients``), a quotient with no irrational part exactly, any
+        other as ``~`` and its ``value`` at the conjugate, by ``_format_part``.
+        Past Python's int-str limit (4300 digits by default) it raises
+        ValueError; the CLI lifts it: ``sys.set_int_max_str_digits(0)``."""
+        parts = []
+        for v, den in self._quotients(vectors):
+            if not any(v[1:]):
+                parts.append(str(Fraction(v[0], den)))
+            else:
+                z = self.value(v, den, conjugate)
+                parts.append(f"~{_format_part(z.real)}{_format_part(z.imag, '+')}j")
+        return "(" + " : ".join(parts) + ")"
+
+    def _quotients(self, vectors) -> list[tuple[tuple[int, ...], int]]:
+        """The coordinates divided by the last nonzero one (the pivot), each
+        the (vector, den) of a field element: a vector before the pivot
+        times the field inverse of the pivot's vector, then 1, then 0."""
+        pivot = max(i for i, v in enumerate(vectors) if any(v))
+        inverse, den = self.inverse(vectors[pivot])
+        return ([(tuple(self.dot((v,), (inverse,))), den) for v in vectors[:pivot]]
+                + [((1,), 1)] + [((0,), 1)] * (2 - pivot))
 
 
 QQ = NumberField((0, 1))  # Q as Q[a]/(a): the field of every rational point

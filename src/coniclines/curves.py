@@ -15,9 +15,8 @@ integer vectors in the field's integral generator, shared by its
 conjugates.  A rational point lies in ``QQ`` = Q[a]/(a), as its primitive
 integer 1-vectors, which key it.  The engine builds both kinds from the
 fields of its roots, a rational root being a field of degree 1 whose
-1-vectors give the point of ``QQ`` (``from_integers``).  Display reads those
-vectors as (vector, denominator) pairs, one coordinate type for every
-point; a Fraction appears in a point only when it is printed.
+1-vectors give the point of ``QQ`` (``from_integers``).  This module does
+no numerics: ``NumberField.show`` prints a point.
 
 File formats (UTF-8 text, ``#`` comments), read by ``parse_input``:
 
@@ -45,7 +44,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, isinf
+from math import comb, gcd
 
 from .algebraic import QQ, NumberField
 from .polynomials import coprime_integers, parse_integer, parse_rational
@@ -199,17 +198,9 @@ class ProjectivePoint:
     other deg f conjugate points of its orbit, which share its vectors.
     Every point is built from integers, a rational one by
     ``from_integers`` and an irrational one by the constructor, and the
-    engine never divides it.
-
-    Display (``repr``) shows the point with its last nonzero coordinate 1:
-    the other coordinates are multiplied by the field inverse of that
-    coordinate's vector, an integer vector over one integer denominator, at
-    every degree; no other code divides a point.  A quotient with no
-    irrational part prints exactly, any other is evaluated once at the
-    point's conjugate root by ``NumberField.value``.  Points compare and
-    hash by (field, conjugate, vectors), never changed after construction.
-    Past Python's int-str limit (4300 digits by default) ``repr`` raises
-    ValueError; the CLI lifts it, as can a caller: ``sys.set_int_max_str_digits(0)``.
+    engine never divides it: ``repr`` prints it with ``NumberField.show``.
+    Points compare and hash by (field, conjugate, vectors), never changed
+    after construction.
     """
 
     __slots__ = ("field", "conjugate", "vectors")
@@ -245,43 +236,8 @@ class ProjectivePoint:
     def __hash__(self) -> int:
         return hash((self.field, self.conjugate, self.vectors))
 
-    def _display_coords(self) -> list[tuple[tuple[int, ...], int]]:
-        """The coordinates divided by the last nonzero one (the pivot), each
-        the (vector, den) of a field element: a vector before the pivot
-        times the field inverse of the pivot's vector, then 1, then 0."""
-        pivot = max(i for i, v in enumerate(self.vectors) if any(v))
-        field = self.field
-        inverse, den = field.inverse(self.vectors[pivot])
-        return ([(tuple(field.dot((v,), (inverse,))), den) for v in self.vectors[:pivot]]
-                + [((1,), 1)] + [((0,), 1)] * (2 - pivot))
-
     def __repr__(self) -> str:
-        parts = []
-        for v, den in self._display_coords():
-            if not any(v[1:]):
-                parts.append(str(Fraction(v[0], den)))
-            else:
-                z = self.field.value(v, den, self.conjugate)
-                parts.append(f"~{_format_part(z.real)}{_format_part(z.imag, '+')}j")
-        return "(" + " : ".join(parts) + ")"
-
-
-def _format_part(x, sign: str = "") -> str:
-    """A real part x, an mpmath number (``NumberField.value``), as its
-    float's ``.4g`` prints it, ``sign`` "+" to sign a nonnegative one.  Past
-    the double range, where the float is +-inf, the exact value of x is
-    printed in the same style: 4 significant digits, trailing zeros
-    stripped, a signed exponent of at least two digits (``-1.414e+400``)."""
-    f = float(x)
-    if not isinf(f):
-        return f"{f:{sign}.4g}"
-    man, exp = x.man_exp  # |x| = man 2^exp
-    size = Fraction(man) * Fraction(2) ** exp
-    e = len(str(int(size))) - 1
-    digits = round(size / 10 ** (e - 3))  # ties to even, as float formatting
-    if digits == 10 ** 4:
-        digits, e = 10 ** 3, e + 1
-    return f"{'-' if x < 0 else sign}{digits / 1000:g}e{e:+03d}"
+        return self.field.show(self.vectors, self.conjugate)
 
 
 @dataclass

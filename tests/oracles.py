@@ -91,7 +91,7 @@ def approx(point: ProjectivePoint) -> tuple[complex, complex, complex]:
     """The display coordinates of a point, its last nonzero one 1, as
     complex numbers (``field_approx``)."""
     return tuple(field_approx(point.field, v, den, point.conjugate)
-                 for v, den in point._display_coords())
+                 for v, den in point.field._quotients(point.vectors))
 
 
 def random_balanced_type(rng, d_max: int = 12, k_max: int = 12,
