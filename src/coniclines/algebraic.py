@@ -47,7 +47,8 @@ b_k = c_n a_k.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isinf, isqrt
+from math import isqrt
+from sys import float_info
 from typing import Sequence
 
 import sympy as sp
@@ -56,23 +57,27 @@ from .polynomials import primitive
 
 _X = sp.Symbol("x")
 
-# The correct digits of a value from ``NumberField.value``; ``show`` prints 4.
+# The digits that ``NumberField.value`` keeps past cancellation; ``show`` prints 4.
 _DIGITS = 6
 
 
 def _format_part(x, sign: str = "") -> str:
     """A real part x, an mpmath number (``NumberField.value``), as its
-    float's ``.4g`` prints it, ``sign`` "+" to sign a nonnegative one.  Past
-    the double range, where the float is +-inf, the exact value of x is
-    printed in the same style: 4 significant digits, trailing zeros
-    stripped, a signed exponent of at least two digits (``-1.414e+400``)."""
+    float's ``.4g`` prints it, ``sign`` "+" to sign a nonnegative one.
+    Where the float is +-inf, past the double range, or subnormal, which
+    can keep too few bits for 4 digits, the exact value of x is printed in
+    the same style: 4 significant digits, trailing zeros stripped, a signed
+    exponent of at least two digits (``-1.414e+400``, ``1.414e-322``).  A
+    float of 0 prints as ``0`` or ``-0``."""
     f = float(x)
-    if not isinf(f):
+    if f == 0 or float_info.min <= abs(f) <= float_info.max:
         return f"{f:{sign}.4g}"
     man, exp = x.man_exp  # |x| = man 2^exp
     size = Fraction(man) * Fraction(2) ** exp
-    e = len(str(int(size))) - 1
-    digits = round(size / 10 ** (e - 3))  # ties to even, as float formatting
+    e = len(str(size.numerator)) - len(str(size.denominator))
+    if size < Fraction(10) ** e:
+        e -= 1
+    digits = round(size / Fraction(10) ** (e - 3))  # ties to even, as float formatting
     if digits == 10 ** 4:
         digits, e = 10 ** 3, e + 1
     return f"{'-' if x < 0 else sign}{digits / 1000:g}e{e:+03d}"
@@ -240,10 +245,12 @@ class NumberField:
 
     def value(self, vector, den: int = 1, conjugate: int = 0):
         """(sum_i vector[i] b^i) / den at conjugate k, as an mpmath complex
-        number with at least ``_DIGITS`` correct digits and no bound on its
-        exponent: evaluated from the roots of the witness, each accurate
-        relative to its own modulus (``roots``), at rising precision until
-        cancellation leaves enough of them."""
+        number with no bound on its exponent: evaluated from the roots of
+        the witness, each accurate relative to its own modulus (``roots``),
+        at rising precision until cancellation leaves ``_DIGITS`` digits.
+        Those are correct unless two roots agree to more digits than
+        ``roots`` asks for: it lets them through as one, and this rule
+        cannot see the roots' error."""
         import mpmath
 
         dps = 30

@@ -575,16 +575,23 @@ def test_approx_past_the_double_range():
 
 
 def test_repr_past_the_double_range():
-    # a part whose float is +-inf prints from its exact value, in .4g style
+    # a part whose float is +-inf, or subnormal with too few bits for 4
+    # digits, prints from its exact value, in .4g style
     reprs = []
-    for c in [(1, 1, -(1 + 2 * 10**800), 0, 0, 0),  # y = +-sqrt 2 10^400
-              (1, 1, 2 * 10**800 - 1, 0, 0, 0),     # y = +-i sqrt 2 10^400
-              (1, 1, -10**802, 0, 0, 0)]:           # y = +-(10^401 - 5e-402)
-        [(orbit, _)] = intersect_pair(line(1, 0, -1), conic(*c))
+    for ln, c in [((1, 0, -1), (1, 1, -(1 + 2 * 10**800), 0, 0, 0)),  # y = +-sqrt 2 10^400
+                  ((1, 0, -1), (1, 1, 2 * 10**800 - 1, 0, 0, 0)),     # y = +-i sqrt 2 10^400
+                  ((1, 0, -1), (1, 1, -10**802, 0, 0, 0)),  # y = +-(10^401 - 5e-402)
+                  ((0, 1, 0), (10**642, 1, -2, 0, 0, 0)),   # x = +-sqrt 2 10^-321
+                  ((0, 1, 0), (10**644, 1, -2, 0, 0, 0)),   # x = +-sqrt 2 10^-322
+                  ((0, 1, 0), (10**646, 1, -2, 0, 0, 0))]:  # x = +-sqrt 2 10^-323
+        [(orbit, _)] = intersect_pair(line(*ln), conic(*c))
         reprs += sorted(repr(p) for p in orbit.conjugates())
     assert reprs == ["(1 : ~-1.414e+400+0j : 1)", "(1 : ~1.414e+400+0j : 1)",
                      "(1 : ~0+1.414e+400j : 1)", "(1 : ~0-1.414e+400j : 1)",
-                     "(1 : ~-1e+401+0j : 1)", "(1 : ~1e+401+0j : 1)"]
+                     "(1 : ~-1e+401+0j : 1)", "(1 : ~1e+401+0j : 1)",
+                     "(~-1.414e-321+0j : 0 : 1)", "(~1.414e-321+0j : 0 : 1)",
+                     "(~-1.414e-322+0j : 0 : 1)", "(~1.414e-322+0j : 0 : 1)",
+                     "(~-1.414e-323+0j : 0 : 1)", "(~1.414e-323+0j : 0 : 1)"]
 
 
 def test_projective_point_equality_is_projective():
