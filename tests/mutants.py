@@ -144,9 +144,13 @@ MUTANTS = [
            "                point.field.value(point.vectors[0], 1, point.conjugate)\n"
            "                incident = _orbit_incidence(forms, point, i, j)\n",
            "tests/test_engine_golden.py::test_engine_computes_no_numeric_value"),
-    Mutant("repr-prints-every-coordinate-numerically", "src/coniclines/curves.py",
+    Mutant("repr-prints-every-coordinate-numerically", "src/coniclines/algebraic.py",
            "            if not any(v[1:]):\n",
            "            if False:\n",
+           "tests/test_curves.py::test_display_divides_by_the_pivot_exactly"),
+    Mutant("show-pivots-on-the-first-coordinate", "src/coniclines/algebraic.py",
+           "pivot = max(i for i, v in enumerate(vectors) if any(v))",
+           "pivot = min(i for i, v in enumerate(vectors) if any(v))",
            "tests/test_curves.py::test_display_divides_by_the_pivot_exactly"),
     Mutant("inverse-drops-cofactor-signs", "src/coniclines/algebraic.py",
            "cofactors = [(-1) ** j * _det(", "cofactors = [_det(",
@@ -174,11 +178,15 @@ MUTANTS = [
            "                except mpmath.mp.NoConvergence:\n",
            "                except ZeroDivisionError:\n",
            "tests/test_cli_golden.py::test_command_output_matches_recording[huge-root.text]"),
-    Mutant("repr-prints-inf-past-the-double-range", "src/coniclines/curves.py",
-           "    if not isinf(f):\n",
-           "    if True:\n",
+    Mutant("repr-prints-inf-past-the-double-range", "src/coniclines/algebraic.py",
+           "abs(f) <= float_info.max:",
+           "abs(f):",
            "tests/test_curves.py::test_repr_past_the_double_range"),
-    Mutant("overflow-rounding-keeps-five-digits", "src/coniclines/curves.py",
+    Mutant("subnormal-part-printed-through-its-float", "src/coniclines/algebraic.py",
+           "float_info.min <= abs(f)",
+           "abs(f)",
+           "tests/test_curves.py::test_repr_past_the_double_range"),
+    Mutant("overflow-rounding-keeps-five-digits", "src/coniclines/algebraic.py",
            "    if digits == 10 ** 4:\n",
            "    if False:\n",
            "tests/test_curves.py::test_repr_past_the_double_range"),

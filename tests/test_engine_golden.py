@@ -211,8 +211,10 @@ def test_sympy_and_mpmath_stay_where_they_are():
     # replacing sympy's one call stays a one-call swap: only algebraic.py
     # imports sympy, which serves factor_list in root_orbits and the symbol
     # _X of that call; mpmath is imported inside two display methods, the
-    # root finder and the evaluation at a root
-    imports, sp_uses, x_uses, factor_lists = [], [], [], []
+    # root finder and the evaluation at a root.  Display stays in
+    # algebraic.py too: no other module reads the roots, a value, an inverse,
+    # the pivot quotients or an mpmath mantissa
+    imports, sp_uses, x_uses, factor_lists, display = [], [], [], [], []
     for path in sorted(Path(coniclines.__file__).parent.glob("*.py")):
         for node, scope in _scoped_nodes(path):
             if isinstance(node, ast.Import):
@@ -228,6 +230,8 @@ def test_sympy_and_mpmath_stay_where_they_are():
                     sp_uses.append((path.name, scope, node.attr))
                 if node.attr == "factor_list":
                     factor_lists.append((path.name, scope))
+                if node.attr in ("value", "roots", "inverse", "_quotients", "man_exp"):
+                    display.append((path.name, scope, node.attr))
             if isinstance(node, ast.Name) and node.id == "_X":
                 x_uses.append((path.name, scope, type(node.ctx).__name__))
     assert sorted(imports) == [("mpmath", "algebraic.py", "NumberField.roots"),
@@ -236,6 +240,7 @@ def test_sympy_and_mpmath_stay_where_they_are():
     assert sorted(sp_uses) == [("algebraic.py", "", "Symbol"),
                                ("algebraic.py", "root_orbits", "Poly")]
     assert factor_lists == [("algebraic.py", "root_orbits")]
+    assert display and {module for module, _scope, _attr in display} == {"algebraic.py"}
     assert sorted(x_uses) == [("algebraic.py", "", "Store"),
                               ("algebraic.py", "root_orbits", "Load")]
 
