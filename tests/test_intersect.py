@@ -609,8 +609,11 @@ def _tangency_rich_arrangements(draw):
     small = st.integers(-3, 3)
     q = draw(st.tuples(*[small] * 6))
     l = draw(st.tuples(*[small] * 3).filter(any))
-    curves = [conic(*(u + s * w for u, w in zip(q, _square(*l))))
-              for s in draw(st.lists(st.integers(-3, 3), max_size=3, unique=True))]
+    curves = []
+    for s in draw(st.lists(st.integers(-3, 3), max_size=3, unique=True)):
+        values = [u + s * w for u, w in zip(q, _square(*l))]
+        assume(any(values))  # q = -s L^2 is no conic
+        curves.append(conic(*values))
     q1, q2 = draw(st.tuples(*[small] * 6)), draw(st.tuples(*[small] * 6))
     for s, t in draw(st.lists(st.tuples(st.integers(1, 3), small), max_size=3, unique=True)):
         values = [s * u + t * v for u, v in zip(q1, q2)]
