@@ -101,12 +101,14 @@ class NumberField:
     ``witness`` is the primitive integer f (coefficients lowest degree
     first) with positive leading coefficient ``lead`` = c_n; ``monic`` holds
     g_0 .. g_(n-1), where g(b) = b^n + g_(n-1) b^(n-1) + ... + g_0 and
-    g_i = c_i c_n^(n-1-i).  Fields compare equal when their witnesses do.
-    The complex roots of f are computed on first use, for display only, and
-    kept in one fixed order: conjugate k is the k-th root.
+    g_i = c_i c_n^(n-1-i), and ``degree`` is n, a plain attribute, as the
+    engine reads it at every point it builds or tests.  Fields compare equal
+    when their witnesses do.  The complex roots of f are computed on first
+    use, for display only, and kept in one fixed order: conjugate k is the
+    k-th root.
     """
 
-    __slots__ = ("witness", "lead", "monic", "_roots")
+    __slots__ = ("witness", "lead", "monic", "degree", "_roots")
 
     def __init__(self, witness: Sequence[int]):
         if len(witness) < 2 or witness[-1] == 0:
@@ -116,11 +118,8 @@ class NumberField:
         self.lead = lead = coeffs[-1]
         self.monic = coeffs[:-1] if lead == 1 or n == 1 else tuple(
             [c * lead ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])])
+        self.degree = n
         self._roots: dict[int, list] = {}
-
-    @property
-    def degree(self) -> int:
-        return len(self.monic)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.witness == other.witness
@@ -134,7 +133,7 @@ class NumberField:
         """The integer vector in b of length n congruent to the polynomial
         ``coeffs`` (in b, lowest first, any length) modulo g; ``coeffs`` is
         consumed."""
-        n, g = len(self.monic), self.monic
+        n, g = self.degree, self.monic
         for top in range(len(coeffs) - 1, n - 1, -1):
             c = coeffs[top]
             if c:
@@ -148,10 +147,23 @@ class NumberField:
     def dot(self, us, vs) -> list[int]:
         """The reduced vector of sum_i us[i] * vs[i], for integer vectors in
         b of length at most n; one reduction for the whole sum.  At degree 1,
-        a rational point's case, it is the plain sum of integer products."""
-        if len(self.monic) == 1:
+        a rational point's case, it is the plain sum of integer products.  At
+        degree 2 the sum c_0 + c_1 b + c_2 b^2 of the products
+        (u_0 + u_1 b)(v_0 + v_1 b), a vector of length 1 read as u_1 = 0, is
+        reduced in closed form by b^2 = -g_1 b - g_0."""
+        if self.degree == 1:
             return [sum(u[0] * v[0] for u, v in zip(us, vs))]
-        acc = [0] * (2 * len(self.monic) - 1)
+        if self.degree == 2:
+            c0 = c1 = c2 = 0
+            for u, v in zip(us, vs):
+                u0, u1 = u if len(u) == 2 else (u[0], 0)
+                v0, v1 = v if len(v) == 2 else (v[0], 0)
+                c0 += u0 * v0
+                c1 += u0 * v1 + u1 * v0
+                c2 += u1 * v1
+            g0, g1 = self.monic
+            return [c0 - c2 * g0, c1 - c2 * g1]
+        acc = [0] * (2 * self.degree - 1)
         for u, v in zip(us, vs):
             for i, ui in enumerate(u):
                 if ui:

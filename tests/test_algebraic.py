@@ -127,6 +127,25 @@ def test_degree_one_dot_is_the_plain_sum(field, pairs):
     assert field.dot(us, vs) == [sum(u * v for u, v in pairs)]
 
 
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+                 st.integers(-10 ** 6, 10 ** 6).filter(bool)),
+       st.lists(st.tuples(st.lists(_BIG, min_size=1, max_size=2),
+                          st.lists(_BIG, min_size=1, max_size=2)), max_size=4))
+def test_degree_two_dot_is_the_reduced_product(witness, pairs):
+    # the closed form at degree 2 is the generic multiply, then reduce, for
+    # vectors of length 2 and 1 (the tests' oracle passes a line's 1-vectors)
+    field = NumberField(witness)
+    acc = [0, 0, 0]
+    for u, v in pairs:
+        for i, c in enumerate(_product(u, v)):
+            acc[i] += c
+    assert field.dot([u for u, _v in pairs], [v for _u, v in pairs]) == field.reduce(acc)
+
+
 def test_arithmetic_and_zero_detection():
     assert _is_root(SQRT2, [-2, 0, 1])
     assert not _is_root(SQRT2, [-1, 1])
