@@ -19,8 +19,9 @@ the first 31 always decide the pair.
 
 Each pair routine is a binary form, the restriction of the conic to the
 line (a quadratic in the line's parameter (s : t)) or the quartic in
-(Y : Z), and its point as three binary forms in the same variables;
-``_points`` evaluates the point at each root of the form, (1 : 0) first.
+(Y : Z), and its point as a binary form in the same variables with
+integer points as coefficients; ``_points`` evaluates the point at each
+root of the form, (1 : 0) first.
 ``intersect_pair`` takes only smooth conics, in every pair, as the paper's
 arrangements do, and certifies a pair: every point lies on both curves,
 by exact evaluation of their integer forms, the irrational orbits share
@@ -58,7 +59,6 @@ independently.  By Bezout, the points' deltas sum to ``pair_total(d, k)``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -92,30 +92,34 @@ def intersect_pair(c1: PlaneCurve, c2: PlaneCurve) -> PairResult:
     distinct ones have a nonzero quartic and a generic centre among
     ``_CENTRES``."""
     u, v = c1.coefficients, c2.coefficients
-    kinds = (c1.kind, c2.kind)
+    kind = c1.kind
     try:
         # the coprime integer coefficients of one curve agree up to sign
-        if u == v or u == tuple(-c for c in v):
+        if kind == c2.kind and (u == v or u == tuple([-c for c in v])):
             raise IntersectionError("identical curves")
         validate_curve(c1)
         validate_curve(c2)
-        if kinds == ("line", "line"):
+        if kind != c2.kind:
+            orbits = _intersect_line_conic(u, v) if kind == "line" else _intersect_line_conic(v, u)
+        elif kind == "line":
             orbits = _intersect_lines(u, v)
-        elif kinds == ("line", "conic"):
-            orbits = _intersect_line_conic(u, v)
-        elif kinds == ("conic", "line"):
-            orbits = _intersect_line_conic(v, u)
         else:
             orbits = _intersect_conics(u, v)
-        # exact evaluation of both integer forms at each orbit's vectors
-        for point, _mult in orbits:
-            if not (_vanishes(u, point.field, point.vectors)
-                    and _vanishes(v, point.field, point.vectors)):
+        # one pass over the orbits: exact evaluation of both integer forms at
+        # each orbit's vectors, the one multiplicity of the irrational
+        # orbits, and the sum of multiplicities times degrees
+        total, shared = 0, None
+        for point, mult in orbits:
+            field, vectors = point.field, point.vectors
+            if not (_vanishes(u, field, vectors) and _vanishes(v, field, vectors)):
                 raise IntersectionError("back-substitution verification failed")
-        shared = sorted({m for p, m in orbits if p.field.degree > 1})
-        if len(shared) > 1:
-            raise IntersectionError(f"irrational orbits of multiplicities {shared}")
-        total = sum(m * p.field.degree for p, m in orbits)
+            if field.degree > 1:
+                if shared is None:
+                    shared = mult
+                elif mult != shared:
+                    raise IntersectionError("irrational orbits of multiplicities "
+                                            f"{sorted({shared, mult})}")
+            total += mult * field.degree
         if total != c1.degree * c2.degree:
             raise IntersectionError(f"pair multiplicities sum to {total}, "
                                     f"not {c1.degree * c2.degree}")
@@ -132,20 +136,35 @@ def _intersect_lines(l1: tuple[int, ...], l2: tuple[int, ...]) -> PairResult:
 
 
 def _vanishes(coeffs: tuple[int, ...], field: NumberField, point) -> bool:
-    """Does the integer curve pass through the point (integer vectors)?  A
-    line's value is linear in the reduced vectors, so it is taken entrywise
-    and needs no reducing.  A conic's is read as point . gradient, twice the
-    value by Euler's identity: the gradient is linear in the point, three
-    integer vectors, and ``NumberField.dot`` reduces the sum once."""
+    """Does the integer curve pass through the point (integer vectors)?  At
+    a rational point, of field degree 1, the form's value is one integer.
+    Otherwise a line's value is linear in the reduced vectors, so it is
+    taken entrywise and needs no reducing, and a conic's is its value Q
+    itself, not Euler's 2Q = point . gradient, read as
+    x (a x + d y + e z) + y (b y + f z) + z (c z): the second factors are
+    linear in the point, three integer vectors, and ``NumberField.dot``
+    reduces the sum of the three products once."""
+    if field.degree == 1:
+        (x,), (y,), (z,) = point
+        if len(coeffs) == 3:
+            a, b, c = coeffs
+            return not a * x + b * y + c * z
+        a, b, c, d, e, f = coeffs
+        return not x * (a * x + d * y + e * z) + y * (b * y + f * z) + c * z * z
+    xs, ys, zs = point
     if len(coeffs) == 3:
         a, b, c = coeffs
-        return not any(a * x + b * y + c * z for x, y, z in zip(*point))
+        for x, y, z in zip(xs, ys, zs):
+            if a * x + b * y + c * z:
+                return False
+        return True
     a, b, c, d, e, f = coeffs
-    xs, ys, zs = point
-    gradient = [[2 * a * x + d * y + e * z for x, y, z in zip(xs, ys, zs)],
-                [d * x + 2 * b * y + f * z for x, y, z in zip(xs, ys, zs)],
-                [e * x + f * y + 2 * c * z for x, y, z in zip(xs, ys, zs)]]
-    return not any(field.dot(point, gradient))
+    first, second, third = [], [], []
+    for x, y, z in zip(xs, ys, zs):
+        first.append(a * x + d * y + e * z)
+        second.append(b * y + f * z)
+        third.append(c * z)
+    return not any(field.dot(point, (first, second, third)))
 
 
 def _line_basis(a: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -162,33 +181,49 @@ def _conic_value(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
     return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
 
 
-def _points(form: list[int], coords: list[list[int]]) -> PairResult:
+def _points(form: list[int], columns) -> PairResult:
     """The points over the roots of the nonzero binary form
     sum_i form[i] s^i t^(n-i), one per orbit with its multiplicity: the
-    three binary forms ``coords`` in (s : t), of one degree m and lowest
-    power of s first, at the root.  The root (1 : 0) comes first, with the
-    multiplicity the form's degree in s lost, as the forms' leading
-    coefficients; then each field of ``root_orbits`` at (b : c_n), b its
-    integral generator, reduced modulo the witness.  A field of degree 1 is
-    the root (p : q), and its 1-vectors give the point of ``QQ``; any other
-    is the point at conjugate 0 of that field, standing for its orbit."""
-    lost = len(form) - 1 - max(i for i, c in enumerate(form) if c)
-    points = [(ProjectivePoint.from_integers(*(c[-1] for c in coords)), lost)] if lost else []
-    m = len(coords[0]) - 1
+    point is the binary form sum_i C_i s^i t^(m-i) of one degree m, whose
+    coefficients ``columns`` C_0 .. C_m are integer points, at the root.
+    The root (1 : 0) comes first, with the multiplicity the form's degree
+    in s lost, as the point C_m.  Then each field of ``root_orbits`` at
+    (b : c_n), b its integral generator, where the term C_i s^i t^(m-i) is
+    c_n^(m-i) C_i b^i.  A field of degree 1 is the rational root (p : q),
+    b = p and c_n = q: the point sum_i p^i q^(m-i) C_i, by Horner's rule,
+    is the point of ``QQ``.  Any other is the point at conjugate 0 of that
+    field, standing for its orbit: its three vectors in b have length
+    m + 1, reduced modulo the witness when m is at least the field's
+    degree n and padded with zeros to length n otherwise."""
+    m = len(columns) - 1
+    points = []
+    if not form[-1]:
+        lost = 1
+        while not form[-1 - lost]:
+            lost += 1
+        points.append((ProjectivePoint.from_integers(*columns[m]), lost))
     for field, mult in root_orbits(form):
-        w, vectors = field.lead, []
-        for coord in coords:
-            # the term c_i s^i t^(m-i) at (b : w), from the top down
-            v, scale = list(coord), 1
+        w = field.lead
+        if field.degree == 1:
+            p, (x, y, z), scale = -field.monic[0], columns[m], 1
             for i in range(m - 1, -1, -1):
                 scale *= w
-                v[i] *= scale
-            vectors.append(field.reduce(v))
-        if field.degree == 1:
-            point = ProjectivePoint.from_integers(*(v[0] for v in vectors))
-        else:
-            point = ProjectivePoint(field, 0, tuple(map(tuple, vectors)))
-        points.append((point, mult))
+                cx, cy, cz = columns[i]
+                x, y, z = x * p + cx * scale, y * p + cy * scale, z * p + cz * scale
+            points.append((ProjectivePoint.from_integers(x, y, z), mult))
+            continue
+        n, xs, ys, zs, scale = field.degree, [], [], [], w ** m
+        for cx, cy, cz in columns:
+            xs.append(cx * scale)
+            ys.append(cy * scale)
+            zs.append(cz * scale)
+            scale //= w
+        if m >= n:
+            xs, ys, zs = field.reduce(xs), field.reduce(ys), field.reduce(zs)
+        elif m + 1 < n:
+            pad = [0] * (n - 1 - m)
+            xs, ys, zs = xs + pad, ys + pad, zs + pad
+        points.append((ProjectivePoint(field, 0, (tuple(xs), tuple(ys), tuple(zs))), mult))
     return points
 
 
@@ -197,9 +232,9 @@ def _intersect_line_conic(line: tuple[int, ...], conic: tuple[int, ...]) -> Pair
     # restrict the conic to the line: Q(s*P0 + t*P1) = A s^2 + B st + C t^2
     quad_a = _conic_value(conic, *p0)
     quad_c = _conic_value(conic, *p1)
-    quad_b = _conic_value(conic, *(u + v for u, v in zip(p0, p1))) - quad_a - quad_c
+    quad_b = _conic_value(conic, p0[0] + p1[0], p0[1] + p1[1], p0[2] + p1[2]) - quad_a - quad_c
     # the root (s : t) is the point s*P0 + t*P1
-    return _points([quad_c, quad_b, quad_a], [[p1[i], p0[i]] for i in range(3)])
+    return _points([quad_c, quad_b, quad_a], (p1, p0))
 
 
 # A projection centre C fails only if it lies on one of the conics, or on a
@@ -255,10 +290,12 @@ def _intersect_conics_from(p: tuple[int, ...], q: tuple[int, ...],
     if u == v == 0 or not sum(c * (-v) ** i * u ** (4 - i) for i, c in enumerate(quartic)):
         return None  # two intersection points share a fiber
     # X = -lin0 / lin1: over the root (Y : Z) = (s : w), (X : Y : Z) is
-    # (-lin0 : s lin1 : w lin1), and the point is (X, t X + Y, t^3 X + Z)
-    x = [-c for c in lin0]
-    return _points(quartic, [x, [t * xi + yi for xi, yi in zip(x, [0, *lin1])],
-                             [t ** 3 * xi + zi for xi, zi in zip(x, [*lin1, 0])]])
+    # (-lin0 : s lin1 : w lin1), and the point is (X, t X + Y, t^3 X + Z),
+    # with the coefficients of Z^2, YZ and Y^2 as its columns
+    x0, x1, x2 = [-c for c in lin0]
+    cube = t ** 3
+    return _points(quartic, ((x0, t * x0, cube * x0 + v), (x1, t * x1 + v, cube * x1 + u),
+                             (x2, t * x2 + u, cube * x2)))
 
 
 def _poly_mul(u: list[int], v: list[int]) -> list[int]:
@@ -378,7 +415,9 @@ def combinatorial_type(arrangement: Arrangement) -> DerivedCombinatorics:
     total, expected = sum(p.delta for p in points), pair_total(arrangement.d, arrangement.k)
     if total != expected:
         raise IntersectionError(f"the points' deltas sum to {total}, not {expected}")
-    t = Counter(p.multiplicity for p in points)
+    t: dict[int, int] = {}
+    for p in points:
+        t[p.multiplicity] = t.get(p.multiplicity, 0) + 1
     ct = CombinatorialType(d=arrangement.d, k=arrangement.k, t=t)
     return DerivedCombinatorics(ct=ct, points=points)
 

@@ -53,24 +53,24 @@ MUTANTS = [
            "        if False:\n",
            "tests/test_intersect.py::test_pair_multiplicity_certificate_fires"),
     Mutant("pair-sum-counts-each-orbit-once", "src/coniclines/intersect.py",
-           "total = sum(m * p.field.degree for p, m in orbits)",
-           "total = sum(m for p, m in orbits)",
+           "            total += mult * field.degree\n",
+           "            total += mult\n",
            "tests/test_intersect.py::test_line_conic_irrational_points"),
     Mutant("intersect-pair-expands-conjugates", "src/coniclines/intersect.py",
            "    return orbits\n",
            "    return [(conj, m) for p, m in orbits for conj in p.conjugates()]\n",
            "tests/test_intersect.py::test_line_conic_irrational_points"),
     Mutant("root-read-at-t-s", "src/coniclines/intersect.py",
-           "[[p1[i], p0[i]] for i in range(3)]",
-           "[[p0[i], p1[i]] for i in range(3)]",
+           "[quad_c, quad_b, quad_a], (p1, p0))",
+           "[quad_c, quad_b, quad_a], (p0, p1))",
            "tests/test_intersect.py::test_line_conic_tangent"),
     Mutant("expansion-drops-the-f-t-term", "src/coniclines/intersect.py",
            "[e + f * t + 2 * c * u, d + 2 * b * t + f * u]",
            "[e + 2 * c * u, d + 2 * b * t + f * u]",
            "tests/test_polynomials.py::test_expansion_at_the_centre"),
     Mutant("point-map-takes-t-for-t-cubed", "src/coniclines/intersect.py",
-           "[t ** 3 * xi + zi for xi, zi in zip(x, [*lin1, 0])]",
-           "[t * xi + zi for xi, zi in zip(x, [*lin1, 0])]",
+           "    cube = t ** 3\n",
+           "    cube = t\n",
            "tests/test_intersect.py::"
            "test_conics_through_the_first_centres_are_decided_at_t4"),
     Mutant("centre-search-stops-one-short", "src/coniclines/intersect.py",
@@ -85,14 +85,21 @@ MUTANTS = [
            "        if field.degree == 1:\n",
            "        if False:\n",
            "tests/test_intersect.py::test_line_conic_transversal"),
+    Mutant("points-skips-reduce-at-degree-m", "src/coniclines/intersect.py",
+           "        if m >= n:\n",
+           "        if m > n:\n",
+           "tests/test_intersect.py::test_two_points_on_one_fiber_move_the_centre"),
+    Mutant("rational-vanishes-drops-the-z-term", "src/coniclines/intersect.py",
+           "+ y * (b * y + f * z) + c * z * z",
+           "+ y * (b * y + f * z)",
+           "tests/test_intersect.py::test_line_conic_transversal"),
     Mutant("binary-roots-drops-one-zero", "src/coniclines/intersect.py",
-           "    points = [(ProjectivePoint.from_integers(*(c[-1] for c in coords)), lost)]"
-           " if lost else []\n",
-           "    points = []\n",
+           "        points.append((ProjectivePoint.from_integers(*columns[m]), lost))\n",
+           "        pass\n",
            "tests/test_intersect.py::test_line_conic_root_at_infinity_of_the_parameter"),
     Mutant("points-reads-the-constant-term-at-infinity", "src/coniclines/intersect.py",
-           "from_integers(*(c[-1] for c in coords))",
-           "from_integers(*(c[0] for c in coords))",
+           "from_integers(*columns[m])",
+           "from_integers(*columns[0])",
            "tests/test_intersect.py::test_root_at_infinity_needs_no_field"),
     Mutant("pair-validation-deleted", "src/coniclines/intersect.py",
            "        validate_curve(c1)\n        validate_curve(c2)\n",
@@ -130,8 +137,8 @@ MUTANTS = [
            "tests/test_intersect.py::"
            "test_delta_certificate_fires_when_a_pair_loses_an_orbit"),
     Mutant("shared-multiplicity-check-deleted", "src/coniclines/intersect.py",
-           "        if len(shared) > 1:\n",
-           "        if False:\n",
+           "                elif mult != shared:\n",
+           "                elif False:\n",
            "tests/test_intersect.py::"
            "test_irrational_orbits_of_a_pair_share_one_multiplicity"),
     Mutant("rational-point-keeps-its-first-multiplicity", "src/coniclines/intersect.py",
@@ -159,9 +166,13 @@ MUTANTS = [
            "return sum((-1) ** j * c * _det(", "return sum(c * _det(",
            "tests/test_algebraic.py::test_kernel_inverse"),
     Mutant("dot-takes-the-plain-sum-at-degree-two", "src/coniclines/algebraic.py",
-           "        if len(self.monic) == 1:\n",
-           "        if len(self.monic) <= 2:\n",
+           "        if self.degree == 1:\n",
+           "        if self.degree <= 2:\n",
            "tests/test_algebraic.py::test_arithmetic_and_zero_detection"),
+    Mutant("dot-degree-two-drops-the-g1-term", "src/coniclines/algebraic.py",
+           "return [c0 - c2 * g0, c1 - c2 * g1]",
+           "return [c0 - c2 * g0, c1]",
+           "tests/test_algebraic.py::test_degree_two_dot_is_the_reduced_product"),
     Mutant("value-ignores-the-conjugate", "src/coniclines/algebraic.py",
            "b = self.roots(dps)[conjugate] * self.lead",
            "b = self.roots(dps)[0] * self.lead",

@@ -196,9 +196,9 @@ def test_root_at_infinity_needs_no_field(monkeypatch):
         built.append(tuple(witness))
         return NumberField(witness)
 
-    def recording_points(form, coords):
-        seen.append((form, coords))
-        return points(form, coords)
+    def recording_points(form, columns):
+        seen.append((form, columns))
+        return points(form, columns)
 
     monkeypatch.setattr(intersect, "NumberField", recording_field, raising=False)
     monkeypatch.setattr(intersect, "_points", recording_points)
@@ -211,9 +211,9 @@ def test_root_at_infinity_needs_no_field(monkeypatch):
     assert line_conic == [(ProjectivePoint.from_integers(-2, 1, 0), 1),
                           (ProjectivePoint.from_integers(-8, -5, 6), 1)]
     assert conic_conic[0] == (ProjectivePoint.from_integers(1, 1, 0), 1)
-    for (form, coords), result in zip(seen, (line_conic, conic_conic)):
+    for (form, columns), result in zip(seen, (line_conic, conic_conic)):
         assert form[-1] == 0 and form[-2] != 0
-        leading = ProjectivePoint.from_integers(*(c[-1] for c in coords))
+        leading = ProjectivePoint.from_integers(*columns[-1])
         assert result[0] == (leading, 1)
 
 
